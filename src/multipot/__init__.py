@@ -30,6 +30,7 @@ from .orlicz import (
     YoungFunction,
     holder_check,
     luxemburg_norm,
+    luxemburg_norms,
     parse_norm_spec,
     young_eval,
     young_inverse,

@@ -98,6 +98,17 @@ def _clean(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if v is not None}
 
 
+def _required(cfg: dict, path: str):
+    """The config value at a dotted path such as "exponents.q"; a missing
+    key is a configuration error that names the path."""
+    val = cfg
+    for key in path.split("."):
+        if not isinstance(val, dict) or key not in val:
+            raise ValueError(f"config is missing {path}")
+        val = val[key]
+    return val
+
+
 def _grid(cfg) -> Grid:
     return Grid(int(cfg["n"]), float(cfg["L"]), int(cfg["N"]))
 
@@ -205,13 +216,13 @@ def _cmd_verify(cfg) -> dict:
                          family, bs)
     elif theorem == "fefferman-stein":
         us = _weights(cfg, grid, m)
-        exps = cfg["exponents"]
-        rep = verify_fefferman_stein(cfg["case"], ell, [float(p) for p in exps["p"]],
+        ps = [float(p) for p in _required(cfg, "exponents.p")]
+        rep = verify_fefferman_stein(cfg["case"], ell, ps,
                                      float(cfg["delta"]), K, us, corpus, family, bs)
     elif theorem == "strong":
         us = _weights(cfg, grid, 1 + m)
-        exps = cfg["exponents"]
-        rep = verify_strong(ell, [float(p) for p in exps["p"]], float(exps["q"]),
+        ps = [float(p) for p in _required(cfg, "exponents.p")]
+        rep = verify_strong(ell, ps, float(_required(cfg, "exponents.q")),
                             K, us[0], us[1:], corpus, family, bs,
                             delta_rem=float(cfg["delta"]))
     elif theorem == "weak-maximal":

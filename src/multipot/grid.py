@@ -127,7 +127,7 @@ class Cube:
     def slices(self) -> tuple:
         N = self.grid.N
         return tuple(
-            slice(max(l, 0), min(l + self.w, N)) for l in self.lo
+            slice(max(l, 0), max(min(l + self.w, N), 0)) for l in self.lo
         )
 
     def cell_count(self) -> int:

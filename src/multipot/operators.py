@@ -7,10 +7,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Cube, Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value, phi_theta
-from .orlicz import NormSpec, luxemburg_norm
+from .orlicz import NormSpec, luxemburg_norms
 
 __all__ = [
     "PhiScaling",
@@ -103,7 +104,7 @@ def _offset_kernel_values(K: Kernel, grid: Grid) -> np.ndarray:
         r1 = np.sqrt(sum(c * c for c in mesh))
     s = r1
     for _ in range(K.m - 1):
-        s = s[..., None] + r1.reshape((1,) * s.ndim + r1.shape)
+        s = np.add.outer(s, r1)
     s = np.array(s, copy=True)
     origin = tuple([N - 1] * n) * K.m
     s_flat = s.reshape(-1)
@@ -201,24 +202,46 @@ def maximal(
     tol: float = 1e-10,
 ) -> GridFunction:
     """Pointwise sup over family cubes containing x of
-    phi(|Q|) * prod_i ||f_i||_{X_i, Q}."""
+    phi(|Q|) * prod_i ||f_i||_{X_i, Q}.
+
+    Cubes of one width share phi(|Q|) and go through the batched norm
+    together; a cube whose product is already 0 skips its later norms.
+    """
     fs = list(fs)
     specs = list(specs)
     if len(fs) != len(specs):
         raise ValueError("need one norm spec per input function")
     _check_same_grid(fs + [GridFunction.constant(grid, 0.0)])
-    out = np.full(grid.shape, -np.inf)
+    by_width = {}
     for Q in family:
-        val = phis(Q.measure)
+        by_width.setdefault(Q.w, []).append(Q)
+    out = np.full(grid.shape, -np.inf)
+    for w, cubes in by_width.items():
+        val = np.full(len(cubes), phis(cubes[0].measure))
         for f, spec in zip(fs, specs):
-            if val == 0.0:
+            live = np.flatnonzero(val != 0.0)
+            if live.size == 0:
                 break
-            val *= luxemburg_norm(f, Q, spec, tol)
-        sl = Q.slices()
-        np.maximum(out[sl], val, out=out[sl])
+            val[live] *= luxemburg_norms(f, [cubes[i] for i in live], spec, tol)
+        _scatter_max(out, np.array([Q.lo for Q in cubes]), w, val)
     if np.any(~np.isfinite(out)):
         raise ValueError("cube family leaves part of the grid uncovered")
     return GridFunction(grid, out)
+
+
+def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> None:
+    """out[x] = max(out[x], val[k]) over the cubes (lo[k], w) that contain x.
+
+    The values go onto the lattice of corners that reach the grid, then a
+    running max of width w along each axis carries each one over its cube.
+    """
+    N, n = out.shape[0], out.ndim
+    reach = np.all((lo > -w) & (lo < N), axis=1)
+    corners = np.full((N + w - 1,) * n, -np.inf)  # corner lo sits at lo + w - 1
+    np.maximum.at(corners, tuple((lo[reach] + w - 1).T), val[reach])
+    for axis in range(n):
+        corners = sliding_window_view(corners, w, axis=axis).max(axis=-1)
+    np.maximum(out, corners, out=out)
 
 
 def maximal_single(

@@ -95,6 +95,17 @@ class TestVerify:
         assert code == 2
         assert "hypothesis unmet" in capsys.readouterr().err
 
+    def test_missing_exponent_exits_one(self, tmp_path, capsys):
+        cfg = {"theorem": "strong", "exponents": {"p": [2.0]}, "N": 16,
+               "corpus": 2, "out_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "exponents.q" in err
+
 
 class TestConfigPrecedence:
     def test_cli_overrides_config(self, tmp_path):

@@ -123,6 +123,13 @@ class TestCube:
         assert Q3.measure_clipped == pytest.approx(4 * g.h)
         assert Q3.measure == pytest.approx(6 * g.h)
 
+    def test_cube_outside_box_is_empty(self):
+        g = make_grid(1, 1.0, 8)
+        f = GridFunction.constant(g, 1.0)
+        for Q in (Cube(g, (-7,), 2), Cube(g, (9,), 2)):
+            assert Q.cell_count() == 0
+            assert f.restrict(Q).size == 0
+
     def test_children_partition(self):
         g = make_grid(2, 1.0, 8)
         Q = Cube(g, (0, 0), 8)

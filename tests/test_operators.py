@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multipot import orlicz
 from multipot import (
     GridFunction,
     Kernel,
@@ -16,6 +19,7 @@ from multipot import (
     make_grid,
     maximal,
     maximal_single,
+    parse_norm_spec,
 )
 
 
@@ -63,6 +67,19 @@ class TestApplyPotential:
         f = GridFunction(g, rng.uniform(size=g.shape))
         fast = apply_potential(K, [f])
         slow = apply_potential_reference(K, [f])
+        np.testing.assert_allclose(fast.values, slow.values, rtol=0, atol=1e-12)
+
+    def test_matches_reference_2d_bilinear(self):
+        # coincident supports put both y cells on x, so the singular
+        # centre cell of the nm = 4 offset table is used
+        g = make_grid(2, 1.0, 4)
+        K = frac(1.0, 2, 2)
+        a, b = np.zeros(g.shape), np.zeros(g.shape)
+        a[1, 1], a[1, 2] = 1.0, 0.5
+        b[1, 1], b[1, 2] = 0.3, 1.7
+        fs = [GridFunction(g, a), GridFunction(g, b)]
+        fast = apply_potential(K, fs)
+        slow = apply_potential_reference(K, fs)
         np.testing.assert_allclose(fast.values, slow.values, rtol=0, atol=1e-12)
 
     def test_multilinearity(self):
@@ -215,6 +232,78 @@ class TestMaximal:
             worst = max(worst, num / den)
         assert math.isfinite(worst)
         assert worst < 50.0
+
+
+def per_cube_maximal(phis, specs, fs, grid, family):
+    """The per-cube loop over luxemburg_norm that maximal batches."""
+    out = np.full(grid.shape, -np.inf)
+    for Q in family:
+        val = phis(Q.measure)
+        for f, spec in zip(fs, specs):
+            if val == 0.0:
+                break
+            val *= luxemburg_norm(f, Q, spec)
+        sl = Q.slices()
+        out[sl] = np.maximum(out[sl], val)
+    return out
+
+
+def family_of(g, kind):
+    if kind == "triples":
+        return [Q.dilate3() for Q in cube_family(g, "dyadic")]
+    return cube_family(g, kind)
+
+
+BATCH_SPECS = ["Lp1logL1", "Lp2logL0.5", "expL", "expL^{1/2}", "B^2(Lp1logL1)", "L^1.5"]
+BATCH_N = {1: 32, 2: 8, 3: 4}
+
+
+class TestMaximalBatched:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        kind=st.sampled_from(["centered", "dyadic", "triples"]),
+        spec=st.sampled_from(BATCH_SPECS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_cube_loop(self, n, kind, spec, seed):
+        g = make_grid(n, 1.0, BATCH_N[n])
+        fam = family_of(g, kind)
+        rng = np.random.default_rng(seed)
+        sparse = rng.lognormal(0.0, 2.0, g.shape) * (rng.uniform(size=g.shape) < 0.6)
+        fs = [GridFunction(g, sparse), GridFunction(g, rng.uniform(size=g.shape))]
+        specs = [parse_norm_spec(spec), parse_norm_spec("Lp1logL1")]
+        phis = PhiScaling.from_profile(lambda t: t**0.25)
+        got = maximal(phis, specs, fs, g, fam).values
+        want = per_cube_maximal(phis, specs, fs, g, fam)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["expL", "L^2"])
+    def test_zero_input_and_zero_scaling(self, n, spec):
+        g = make_grid(n, 1.0, BATCH_N[n])
+        fam = family_of(g, "triples")
+        specs = [parse_norm_spec(spec)] * 2
+        one, zero = GridFunction.constant(g, 1.0), GridFunction.constant(g, 0.0)
+        for phis, fs in ((PhiScaling.constant(1.0), [zero, one]),
+                         (PhiScaling.constant(0.0), [one, one])):
+            got = maximal(phis, specs, fs, g, fam).values
+            np.testing.assert_array_equal(got, per_cube_maximal(phis, specs, fs, g, fam))
+            np.testing.assert_array_equal(got, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["centered", "triples"])
+    def test_many_chunks(self, n, kind, monkeypatch):
+        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        g = make_grid(n, 1.0, BATCH_N[n])
+        fam = family_of(g, kind)
+        rng = np.random.default_rng(n)
+        fs = [GridFunction(g, rng.lognormal(0.0, 1.0, g.shape))]
+        specs = [parse_norm_spec("Lp1logL1")]
+        phis = PhiScaling.constant(1.0)
+        got = maximal(phis, specs, fs, g, fam).values
+        want = per_cube_maximal(phis, specs, fs, g, fam)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 class TestPhiScaling:

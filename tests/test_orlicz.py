@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipot import (
+    Cube,
     GridFunction,
     NormSpec,
     YoungFunction,
@@ -13,6 +14,7 @@ from multipot import (
     holder_check,
     integrate,
     luxemburg_norm,
+    luxemburg_norms,
     make_grid,
     parse_norm_spec,
     young_eval,
@@ -151,6 +153,32 @@ class TestLuxemburgNorm:
         Q = g.whole_box()
         for spec in (NormSpec.lebesgue(1.5), NormSpec.power_log(1.0, 1.0)):
             assert luxemburg_norm(f, Q, spec) <= luxemburg_norm(bigger, Q, spec) + 1e-9
+
+
+class TestLuxemburgNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["Lp1logL1", "expL^{1/2}", "L^1.5"])
+    def test_matches_scalar_on_clipped_cubes(self, n, spec):
+        g = make_grid(n, 1.0, {1: 16, 2: 8, 3: 4}[n])
+        rng = np.random.default_rng(n)
+        f = GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.7))
+        spec = parse_norm_spec(spec)
+        by_width = {}
+        for Q in cube_family(g, "dyadic"):
+            by_width.setdefault(3 * Q.w, []).append(Q.dilate3())
+        for w, cubes in by_width.items():
+            # two cubes that miss the box have norm 0
+            cubes += [Cube(g, (-w - 5,) * n, w), Cube(g, (g.N,) * n, w)]
+            got = luxemburg_norms(f, cubes, spec)
+            want = [luxemburg_norm(f, Q, spec) for Q in cubes]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            assert got[-1] == got[-2] == 0.0
+
+    def test_needs_one_width(self):
+        g = make_grid(1, 1.0, 8)
+        cubes = [Cube(g, (0,), 2), Cube(g, (0,), 4)]
+        with pytest.raises(ValueError):
+            luxemburg_norms(GridFunction.constant(g, 1.0), cubes, NormSpec.lebesgue(1.0))
 
 
 class TestLogLNesting:
