@@ -60,7 +60,6 @@ _DEFAULTS = {
     "k_range": "-5..0",
     "alpha": 1.0,
     "out_dir": "out",
-    "unchecked": False,
 }
 
 
@@ -109,6 +108,18 @@ def _required(cfg: dict, path: str):
     return val
 
 
+def _spec_list(cfg: dict, key: str) -> list:
+    """The config value at `key` as a non-empty list of spec strings, a
+    comma-separated string being split; anything else is a configuration
+    error that names the key."""
+    val = _required(cfg, key)
+    if isinstance(val, str):
+        val = val.split(",")
+    if not isinstance(val, list) or not val or not all(isinstance(v, str) for v in val):
+        raise ValueError(f"config {key} must be a non-empty list of strings")
+    return val
+
+
 def _grid(cfg) -> Grid:
     return Grid(int(cfg["n"]), float(cfg["L"]), int(cfg["N"]))
 
@@ -118,9 +129,7 @@ def _kernel(cfg) -> Kernel:
 
 
 def _weights(cfg, grid, count) -> list:
-    specs = cfg["weights"]
-    if isinstance(specs, str):
-        specs = specs.split(",")
+    specs = _spec_list(cfg, "weights")
     if len(specs) == 1 and count > 1:
         specs = specs * count
     return [parse_weight(s, grid) for s in specs]
@@ -154,9 +163,7 @@ def _cmd_maximal(cfg) -> dict:
     grid = _grid(cfg)
     K = _kernel(cfg)
     fs = _weights(cfg, grid, K.m)
-    norms = cfg["norms"]
-    if isinstance(norms, str):
-        norms = norms.split(",")
+    norms = _spec_list(cfg, "norms")
     if len(norms) == 1:
         norms = norms * K.m
     specs = [parse_norm_spec(s) for s in norms]
@@ -227,8 +234,7 @@ def _cmd_verify(cfg) -> dict:
                             delta_rem=float(cfg["delta"]))
     elif theorem == "weak-maximal":
         us = _weights(cfg, grid, m)
-        spec = parse_norm_spec(cfg["norms"][0] if isinstance(cfg["norms"], list)
-                               else cfg["norms"])
+        spec = parse_norm_spec(_spec_list(cfg, "norms")[0])
         B = spec.young if spec.young is not None else _power_young(spec.r)
         rep = verify_weak_maximal(PhiScaling.constant(1.0), B, us, corpus, family)
     elif theorem == "control":
@@ -286,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--k", dest="k_range")
     ap.add_argument("--alpha", type=float)
     ap.add_argument("--out-dir", dest="out_dir")
-    ap.add_argument("--unchecked", action="store_true", default=None)
     return ap
 
 

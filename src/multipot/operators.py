@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Cube, Grid, GridFunction
+from .grid import Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value, phi_theta
 from .orlicz import NormSpec, luxemburg_norms
 
@@ -93,60 +93,73 @@ def _check_same_grid(fs) -> Grid:
     return grid
 
 
-def _offset_kernel_values(K: Kernel, grid: Grid) -> np.ndarray:
-    """kernel_cell_value on the (2N-1)^nm lattice of cell-center offsets."""
-    N, h, n = grid.N, grid.h, grid.n
-    d = (np.arange(2 * N - 1) - (N - 1)) * h
-    if n == 1:
-        r1 = np.abs(d)
-    else:
-        mesh = np.meshgrid(*([d] * n), indexing="ij")
-        r1 = np.sqrt(sum(c * c for c in mesh))
-    s = r1
+@lru_cache(maxsize=4)
+def _kernel_spectrum(K: Kernel, grid: Grid) -> np.ndarray:
+    """Real spectrum (rfftn) of the kernel table on the period-2N lattice
+    of cell-center offsets.
+
+    Per axis the table holds the offsets 0 ... N-1, then -N ... -1 (FFT
+    order), and the singular cell average sits at offset 0.  Offsets of
+    two cells lie in (-N, N), so with period 2N the circular convolution
+    equals the linear one on every output cell; the -N entry never
+    reaches one.  The table is even in every axis, so its spectrum, and
+    that of each slab of it, is real.  The table is never formed whole:
+    each slab of the first axis goes through rfftn over the other axes
+    as it is built, and the first axis is transformed last.
+    """
+    N, n, nm = grid.N, grid.n, K.nm
+    d = np.concatenate([np.arange(N), np.arange(-N, 0)]) * grid.h
+    slot = np.sqrt(sum(c * c for c in np.meshgrid(*[d] * n, indexing="ij", sparse=True)))
+    rest = np.zeros(())  # offset norms summed over slots 2 ... m
     for _ in range(K.m - 1):
-        s = np.add.outer(s, r1)
-    s = np.array(s, copy=True)
-    origin = tuple([N - 1] * n) * K.m
-    s_flat = s.reshape(-1)
-    center_idx = np.ravel_multi_index(origin, s.shape)
-    s_flat[center_idx] = 1.0  # placeholder, replaced by the cell average
-    vals = K.radial(s_flat).reshape(s.shape)
-    vals.reshape(-1)[center_idx] = kernel_cell_value(
-        K, np.zeros(K.nm), h
-    )
-    return vals
+        rest = np.add.outer(rest, slot)
+    s = np.empty((2 * N,) * (nm - 1))
+    part = np.empty((2 * N,) * (nm - 1) + (N + 1,) if nm > 1 else (2 * N,))
+    for i, first in enumerate(slot):
+        np.add.outer(first, rest, out=s)
+        if i == 0:
+            s.flat[0] = 1.0  # placeholder, replaced by the cell average
+        vals = np.asarray(K.radial(s))
+        if i == 0:
+            vals.flat[0] = kernel_cell_value(K, np.zeros(nm), grid.h)
+        part[i] = np.fft.rfftn(vals, axes=range(nm - 1)).real if nm > 1 else vals
+    half = np.fft.rfft(part, axis=0).real
+    if nm == 1:
+        part = half
+    else:
+        part[: N + 1] = half
+        part[N + 1 :] = half[N - 1 : 0 : -1]
+    part.flags.writeable = False  # shared by every call on (K, grid)
+    return part
 
 
-def apply_potential(K: Kernel, fs, out_grid: Grid = None) -> GridFunction:
+def apply_potential(K: Kernel, fs) -> GridFunction:
     """Discrete multilinear potential: for each x, the kernel-weighted sum
     over all m-tuples of cells of the product of the f_i cell values.
 
-    The kernel is precomputed on the offset lattice once; each output
-    point is then one dense tensor contraction.
+    T(x) is the diagonal x_1 = ... = x_m of K * (f_1 x ... x f_m) on the
+    nm-dimensional lattice.  The convolution runs by FFT with period 2N
+    per axis; the spectrum of the input tensor is the outer product of
+    the per-slot transforms, and the kernel spectrum is cached per
+    (kernel, grid).
     """
     fs = list(fs)
     if len(fs) != K.m:
         raise ValueError(f"kernel expects {K.m} inputs, got {len(fs)}")
     grid = _check_same_grid(fs)
-    if out_grid is not None and not grid.compatible(out_grid):
-        raise ValueError("output grid must equal the input grid")
-    N, n, m = grid.N, grid.n, K.m
-    KR = _offset_kernel_values(K, grid)
-    # reverse every axis so that the y index runs ascending in the slice
-    KR = KR[(slice(None, None, -1),) * (n * m)]
-    letters = "abcdefghij"
-    sub_idx = letters[: n * m]
-    f_idx = [sub_idx[i * n : (i + 1) * n] for i in range(m)]
-    spec = sub_idx + "," + ",".join(f_idx) + "->"
-    arrays = [f.values for f in fs]
-    out = np.empty(grid.shape)
-    scale = grid.h ** (n * m)
-    for x in np.ndindex(*grid.shape):
-        slc = tuple(
-            slice(N - 1 - xi, 2 * N - 1 - xi) for xi in x
-        ) * m
-        out[x] = np.einsum(spec, KR[slc], *arrays) * scale
-    return GridFunction(grid, out)
+    N, n, nm = grid.N, grid.n, K.nm
+    period, axes = (2 * N,) * n, tuple(range(n))
+    spectra = [np.fft.fftn(f.values, s=period, axes=axes) for f in fs[:-1]]
+    spectra.append(np.fft.rfftn(fs[-1].values, s=period, axes=axes))
+    spec = reduce(np.multiply.outer, spectra)
+    spec *= _kernel_spectrum(K, grid)
+    for axis in range(nm - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+        spec = spec[(slice(None),) * axis + (slice(N),)]
+    conv = np.fft.irfft(spec, n=2 * N, axis=-1)[..., :N]
+    x = "abc"[:n]
+    diag = np.einsum(f"{x * K.m}->{x}", conv)
+    return GridFunction(grid, diag * grid.h**nm)
 
 
 def apply_potential_reference(K: Kernel, fs) -> GridFunction:
@@ -177,18 +190,18 @@ def apply_potential_reference(K: Kernel, fs) -> GridFunction:
     return GridFunction(grid, out)
 
 
-def apply_commutator(K: Kernel, bs, fs, out_grid: Grid = None) -> GridFunction:
+def apply_commutator(K: Kernel, bs, fs) -> GridFunction:
     """sum_j [ b_j T(f) - T(f_1, ..., b_j f_j, ..., f_m) ]."""
     bs, fs = list(bs), list(fs)
     if len(bs) != K.m or len(fs) != K.m:
         raise ValueError("need one symbol and one input per linear slot")
     grid = _check_same_grid(fs + bs)
-    base = apply_potential(K, fs, out_grid)
+    base = apply_potential(K, fs)
     out = np.zeros(grid.shape)
     for j, b in enumerate(bs):
         moved = list(fs)
         moved[j] = GridFunction(grid, b.values * fs[j].values)
-        shifted = apply_potential(K, moved, out_grid)
+        shifted = apply_potential(K, moved)
         out += b.values * base.values - shifted.values
     return GridFunction(grid, out)
 

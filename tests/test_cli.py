@@ -106,6 +106,20 @@ class TestVerify:
         assert err.count("\n") == 1
         assert "exponents.q" in err
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"theorem": "weak-maximal", "norms": []}, "norms"),
+        ({"theorem": "weak-maximal", "norms": [1.5]}, "norms"),
+        ({"theorem": "control", "weights": 5}, "weights"),
+    ])
+    def test_malformed_spec_list_exits_one(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, N=16, corpus=2, out_dir=str(tmp_path))))
+        code = run_cli(["verify", "--config", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert key in err
+
 
 class TestConfigPrecedence:
     def test_cli_overrides_config(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipot import orlicz
+from multipot import operators, orlicz
 from multipot import (
     GridFunction,
     Kernel,
@@ -15,6 +15,7 @@ from multipot import (
     apply_potential,
     apply_potential_reference,
     cube_family,
+    kernel_cell_value,
     luxemburg_norm,
     make_grid,
     maximal,
@@ -108,6 +109,90 @@ class TestApplyPotential:
         g = make_grid(1, 1.0, 8)
         with pytest.raises(ValueError):
             apply_potential(frac(1.0, 1, 2), [GridFunction.constant(g, 1.0)])
+
+
+# one kernel object per family, so that repeated (kernel, grid) pairs hit
+# the spectrum cache across tests and hypothesis examples
+FAMILY_KERNELS = {
+    "fractional": frac(0.5, 1, 2),
+    "profile": Kernel("profile", 1, 2, profile_fn=lambda s: 1.0 / (1.0 + s)),
+    "tabulated": Kernel("tabulated", 1, 2, table_s=(0.0, 0.5, 1.0, 4.0),
+                        table_v=(3.0, 2.0, 1.0, 0.0)),
+}
+
+
+def coincident_inputs(g, m, seed):
+    """m inputs that share one cell (so the singular centre cell of the
+    kernel table is used) and each have one more cell of their own."""
+    rng = np.random.default_rng(seed)
+    shared = (g.N // 2 - 1,) * g.n
+    fs = []
+    for i in range(m):
+        v = np.zeros(g.shape)
+        v[shared] = rng.uniform(0.5, 1.5)
+        v[tuple(rng.integers(0, g.N, g.n))] += rng.uniform(0.5, 1.5)
+        fs.append(GridFunction(g, v))
+    return fs
+
+
+def assert_matches_reference(K, fs):
+    fast = apply_potential(K, fs).values
+    slow = apply_potential_reference(K, fs).values
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-13 * np.abs(slow).max())
+
+
+class TestFFTContraction:
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 8), (1, 2, 8), (1, 3, 8), (2, 1, 4), (3, 1, 4)])
+    def test_matches_reference_every_small_arity(self, n, m, N):
+        g = make_grid(n, 1.0, N)
+        assert_matches_reference(frac(0.5, n, m), coincident_inputs(g, m, 10 * n + m))
+
+    @pytest.mark.parametrize("K", [
+        FAMILY_KERNELS["profile"],
+        FAMILY_KERNELS["tabulated"],
+        Kernel("bessel", 1, 1, alpha=1.0),
+    ], ids=["profile", "tabulated", "bessel"])
+    def test_matches_reference_other_families(self, K):
+        g = make_grid(1, 1.0, 8)
+        assert_matches_reference(K, coincident_inputs(g, K.m, 7))
+
+    def test_spectrum_built_once_per_kernel_and_grid(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_cell_value(*args)
+
+        monkeypatch.setattr(operators, "kernel_cell_value", counted)
+        operators._kernel_spectrum.cache_clear()
+        K = frac(0.5, 1, 2)
+        g = make_grid(1, 1.0, 8)
+        fs = coincident_inputs(g, 2, 0)
+        first = apply_potential(K, fs).values
+        np.testing.assert_array_equal(apply_potential(K, fs).values, first)
+        apply_commutator(K, [GridFunction.from_callable(g, lambda x: x)] * 2, fs)
+        assert len(calls) == 1
+        apply_potential(K, coincident_inputs(make_grid(1, 1.0, 16), 2, 0))
+        assert len(calls) == 2
+        apply_potential(frac(0.7, 1, 2), fs)
+        assert len(calls) == 3
+        operators._kernel_spectrum.cache_clear()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILY_KERNELS)),
+        N=st.sampled_from([4, 8, 16]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_symmetric_in_the_inputs(self, family, N, seed):
+        K = FAMILY_KERNELS[family]
+        g = make_grid(1, 1.0, N)
+        rng = np.random.default_rng(seed)
+        f1, f2 = (GridFunction(g, rng.uniform(size=g.shape) * (rng.uniform(size=g.shape) < 0.7))
+                  for _ in range(2))
+        a = apply_potential(K, [f1, f2]).values
+        b = apply_potential(K, [f2, f1]).values
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13 * np.abs(a).max())
 
 
 class TestApplyCommutator:
