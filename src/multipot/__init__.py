@@ -32,7 +32,6 @@ from .orlicz import (
     luxemburg_norm,
     luxemburg_norms,
     parse_norm_spec,
-    young_eval,
     young_inverse,
 )
 from .dyadic import (

@@ -37,7 +37,7 @@ from .verify import (
 )
 from .weights import gen_bmo_log, parse_weight
 
-CSV_HEADER = "theorem,case,m,n,N,kernel,ell,max_ratio,stable,wall_ms"
+CSV_HEADER = "theorem,case,m,n,N,kernel,ell,max_ratio,wall_ms"
 
 _DEFAULTS = {
     "command": None,
@@ -178,7 +178,7 @@ def _cmd_cz_decompose(cfg) -> dict:
     grid = _grid(cfg)
     m = int(cfg["m"])
     hs = make_corpus(grid, m, count=1, seed=int(cfg["seed"]))[0]
-    a = cfg["a"] or default_cz_base(grid.n, m)
+    a = default_cz_base(grid.n, m) if cfg["a"] is None else cfg["a"]
     cz = cz_decompose(list(hs), float(a), DyadicLattice(grid))
     os.makedirs(cfg["out_dir"], exist_ok=True)
     with open(os.path.join(cfg["out_dir"], "cz.json"), "w") as fh:
@@ -208,8 +208,11 @@ def _cmd_verify(cfg) -> dict:
     grid = _grid(cfg)
     K = _kernel(cfg)
     m = K.m
+    count = int(cfg["corpus"])
+    if count < 1:
+        raise ValueError(f"corpus must be at least 1, got {count}")
     family = cube_family(grid, "centered")
-    corpus = make_corpus(grid, m, count=int(cfg["corpus"]), seed=int(cfg["seed"]))
+    corpus = make_corpus(grid, m, count=count, seed=int(cfg["seed"]))
     theorem = cfg["theorem"]
     ell = int(cfg["ell"])
     bs = [gen_bmo_log(grid)] * m if ell else None
@@ -244,7 +247,7 @@ def _cmd_verify(cfg) -> dict:
         raise ValueError(f"unknown theorem {theorem!r}")
     rows = [[
         rep.theorem, cfg.get("case", ""), m, grid.n, grid.N, cfg["kernel"],
-        ell, f"{rep.max_ratio:.6g}", rep.stable, "{wall_ms}",
+        ell, f"{rep.max_ratio:.6g}", "{wall_ms}",
     ]]
     plots = {
         "ratios.dat": [(i, inst["ratio"]) for i, inst in enumerate(rep.instances)],

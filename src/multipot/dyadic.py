@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, Grid, GridFunction
+from .grid import Cube, Grid, GridFunction, cube_family
 from .kernels import Kernel, bar_phi, phi_theta
-from .orlicz import NormSpec, luxemburg_norm
+from .orlicz import L1, NormSpec, luxemburg_norm, luxemburg_norms
 
 __all__ = [
     "DyadicLattice",
@@ -35,78 +35,65 @@ class DyadicLattice:
     def level_width(self, level: int) -> int:
         return self.grid.N >> level
 
-    def cubes_at(self, level: int):
-        w = self.level_width(level)
-        N = self.grid.N
-        for lo in np.ndindex(*((N // w,) * self.grid.n)):
-            yield Cube(self.grid, tuple(l * w for l in lo), w)
-
-    def cubes(self):
-        for level in range(self.depth):
-            yield from self.cubes_at(level)
-
-    def root(self) -> Cube:
-        return self.grid.whole_box()
+    def cubes(self) -> list:
+        """Level by level, whole box first; corners in C order within a level."""
+        return cube_family(self.grid, "dyadic")
 
 
-class _BoxSummer:
-    """O(1) sums of a sampled function over aligned index boxes."""
+def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
+    """prod_i (avg of h_i over 3Q) for every dyadic cube, one array per level.
 
-    def __init__(self, values: np.ndarray):
-        p = values
-        for ax in range(values.ndim):
-            p = np.cumsum(p, axis=ax)
-        self.prefix = np.pad(p, [(1, 0)] * values.ndim)
-        self.shape = values.shape
-
-    def box_sum(self, lo, hi) -> float:
-        # half-open [lo, hi) per axis, clipped to the array
-        lo = [max(l, 0) for l in lo]
-        hi = [min(h, s) for h, s in zip(hi, self.shape)]
-        if any(h <= l for l, h in zip(lo, hi)):
-            return 0.0
-        total = 0.0
-        ndim = len(lo)
-        for corner in np.ndindex(*((2,) * ndim)):
-            idx = tuple(h if c else l for c, l, h in zip(corner, lo, hi))
-            sign = (-1) ** (ndim - sum(corner))
-            total += sign * self.prefix[idx]
-        return float(total)
-
-
-def _triple_average_products(hs, lat: DyadicLattice) -> dict:
-    """prod_i (avg of h_i over 3Q) for every dyadic cube, keyed (lo, w).
-
-    Averages use the full |3Q| with h_i extended by zero off the box.
+    Level l holds an array of (2^l)^n products indexed by the corner of Q
+    in units of its width.  Averages use the full |3Q| with h_i extended by
+    zero off the box, so a clipped 3Q sums only its cells inside the box.
+    Each box sum takes the corners of a summed-area table in np.ndindex
+    order, the same float operations a single-cube box sum takes.
     """
     grid = lat.grid
-    summers = [_BoxSummer(h.values) for h in hs]
+    N, n = grid.N, grid.n
+    prefixes = []
+    for h in hs:
+        p = h.values
+        for ax in range(n):
+            p = np.cumsum(p, axis=ax)
+        prefixes.append(np.pad(p, [(1, 0)] * n))
     cellvol = grid.cell_volume
-    out = {}
-    for Q in lat.cubes():
-        Q3 = Q.dilate3()
-        meas = Q3.measure
-        lo = Q3.lo
-        hi = tuple(l + Q3.w for l in lo)
+    pyramid = []
+    for level in range(lat.depth):
+        w = lat.level_width(level)
+        i = np.arange(N // w)
+        ends = (np.maximum(i * w - w, 0), np.minimum(i * w + 2 * w, N))
+        meas = Cube(grid, (-w,) * n, 3 * w).measure
         prod = 1.0
-        for s in summers:
-            prod *= s.box_sum(lo, hi) * cellvol / meas
-        out[(Q.lo, Q.w)] = prod
+        for prefix in prefixes:
+            box = 0.0
+            for corner in np.ndindex(*((2,) * n)):
+                sign = (-1) ** (n - sum(corner))
+                box = box + sign * prefix[np.ix_(*(ends[c] for c in corner))]
+            prod = prod * (box * cellvol / meas)
+        pyramid.append(prod)
+    return pyramid
+
+
+def _upsample(a: np.ndarray, factor: int) -> np.ndarray:
+    for ax in range(a.ndim):
+        a = np.repeat(a, factor, axis=ax)
+    return a
+
+
+def _sup_over_levels(pyramid, lat: DyadicLattice) -> np.ndarray:
+    """At each cell, the max of 0 and the products of the cubes containing it."""
+    out = np.zeros(lat.grid.shape)
+    for level, prod in enumerate(pyramid):
+        np.maximum(out, _upsample(prod, lat.level_width(level)), out=out)
     return out
 
 
 def m3d(hs, lat: DyadicLattice) -> GridFunction:
     """Pointwise sup over dyadic cubes containing x of the product of
     triple-cube averages."""
-    hs = list(hs)
-    grid = lat.grid
-    prods = _triple_average_products(hs, lat)
-    out = np.zeros(grid.shape)
-    for Q in lat.cubes():
-        val = prods[(Q.lo, Q.w)]
-        sl = Q.slices()
-        np.maximum(out[sl], val, out=out[sl])
-    return GridFunction(grid, out, nonneg=True)
+    pyramid = _triple_average_pyramid(hs, lat)
+    return GridFunction(lat.grid, _sup_over_levels(pyramid, lat), nonneg=True)
 
 
 def default_cz_base(n: int, m: int) -> float:
@@ -179,8 +166,8 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
     grid = lat.grid
-    prods = _triple_average_products(hs, lat)
-    mx = m3d(hs, lat)
+    pyramid = _triple_average_pyramid(hs, lat)
+    mx = GridFunction(grid, _sup_over_levels(pyramid, lat), nonneg=True)
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
@@ -193,34 +180,33 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     ks = [k for k in range(k_lo, k_hi + 1)]
     if len(ks) > max_levels:
         ks = ks[-max_levels:]
+    # Q is maximal above thr iff its product exceeds thr and no strict
+    # ancestor's does: the max over its strict ancestors is <= thr
+    ancestors = [np.full((1,) * grid.n, -np.inf)]
+    for prod in pyramid[:-1]:
+        ancestors.append(_upsample(np.maximum(ancestors[-1], prod), 2))
     levels = []
     for k in ks:
         thr = a**k
-        selected = []
-        stack = [lat.root()]
-        while stack:
-            Q = stack.pop()
-            if prods[(Q.lo, Q.w)] > thr:
-                selected.append(Q)
-            elif Q.w > 1:
-                stack.extend(Q.children())
+        selected, prod_norms = [], []
+        # coarse to fine, corners in C order: sorted by (-w, lo)
+        for level, (prod, anc) in enumerate(zip(pyramid, ancestors)):
+            idx = np.nonzero((prod > thr) & (anc <= thr))
+            if idx[0].size == 0:
+                continue
+            w = lat.level_width(level)
+            for lo in (np.stack(idx, axis=1) * w).tolist():
+                selected.append(Cube(grid, tuple(lo), w))
+            prod_norms.extend(prod[idx].tolist())
         if not selected:
             continue
-        selected.sort(key=lambda Q: (-Q.w, Q.lo))
         next_mask = vals > a ** (k + 1)
         e_masks = []
         for Q in selected:
             mask = np.zeros(grid.shape, dtype=bool)
             mask[Q.slices()] = True
             e_masks.append(mask & ~next_mask)
-        levels.append(
-            CZLevel(
-                k,
-                selected,
-                [prods[(Q.lo, Q.w)] for Q in selected],
-                e_masks,
-            )
-        )
+        levels.append(CZLevel(k, selected, prod_norms, e_masks))
     return CZDecomposition(a, grid, levels, mx)
 
 
@@ -257,36 +243,46 @@ def discretization_rhs(
             # a zero slot kills every triple-average product, so both sides vanish
             return 0.0
         raise ValueError("empty decomposition")
-    grid = cz0.grid
-    cellvol = grid.cell_volume
-    uq = GridFunction(grid, u.values**q)
-    total = 0.0
-    spec0 = _log_l1(ell * q)
-    for _, Q, _, E in cz0.all_cubes():
-        esize = float(E.sum()) * cellvol
-        if esize == 0.0:
-            continue
-        Q3 = Q.dilate3()
-        term = phi_theta(K, q, Q.side, delta, eps) ** q
-        term *= luxemburg_norm(uq, Q3, spec0)
-        for f in fs:
-            term *= luxemburg_norm(f, Q3, NormSpec.lebesgue(1.0)) ** q
-        total += term * esize
+    if ell == 1 and (czj is None or j is None):
+        raise ValueError("commutator sum needs the j-th decomposition")
+    uq = GridFunction(cz0.grid, u.values**q)
+    terms = _cube_terms(K, q, delta, eps, cz0, [(uq, _log_l1(ell * q), 1.0)]
+                        + [(f, L1, q) for f in fs])
     if ell == 1:
-        if czj is None or j is None:
-            raise ValueError("commutator sum needs the j-th decomposition")
-        for _, Q, _, E in czj.all_cubes():
-            esize = float(E.sum()) * cellvol
-            if esize == 0.0:
-                continue
-            Q3 = Q.dilate3()
-            term = phi_theta(K, q, Q.side, delta, eps) ** q
-            term *= luxemburg_norm(u, Q3, NormSpec.lebesgue(1.0)) ** q
-            for i, f in enumerate(fs):
-                spec = _log_l1(1.0 if i == j else 0.0)
-                term *= luxemburg_norm(f, Q3, spec) ** q
-            total += term * esize
+        factors = [(u, L1, q)]
+        factors += [(f, _log_l1(1.0 if i == j else 0.0), q) for i, f in enumerate(fs)]
+        terms = np.concatenate([terms, _cube_terms(K, q, delta, eps, czj, factors)])
+    # one add per cube in cube order, the rounding of a per-cube running sum
+    total = 0.0
+    for term in terms.tolist():
+        total += term
     return total
+
+
+def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecomposition,
+                factors) -> np.ndarray:
+    """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
+    with non-empty E, in cube order; factors are (g, spec, power) triples.
+
+    The norms take one luxemburg_norms call per cube width and factor.
+    """
+    cellvol = cz.grid.cell_volume
+    cubes, esizes = [], []
+    for _, Q, _, E in cz.all_cubes():
+        esize = float(E.sum()) * cellvol
+        if esize != 0.0:
+            cubes.append(Q)
+            esizes.append(esize)
+    terms = np.empty(len(cubes))
+    widths = np.array([Q.w for Q in cubes], dtype=int)
+    for w in np.unique(widths).tolist():
+        idx = np.flatnonzero(widths == w)
+        triples = [cubes[i].dilate3() for i in idx]
+        term = np.full(idx.size, phi_theta(K, q, cubes[idx[0]].side, delta, eps) ** q)
+        for g, spec, power in factors:
+            term *= luxemburg_norms(g, triples, spec) ** power
+        terms[idx] = term
+    return terms * np.array(esizes)
 
 
 def dyadic_tail_check(

@@ -247,9 +247,8 @@ def cube_family(grid: Grid, kind: str) -> list:
     if kind == "dyadic":
         w = N
         while w >= 1:
-            per_axis = range(0, N, w)
-            for lo in _product_tuples(per_axis, grid.n):
-                out.append(Cube(grid, lo, w))
+            for lo in np.ndindex(*((N // w,) * grid.n)):
+                out.append(Cube(grid, tuple(l * w for l in lo), w))
             w //= 2
         return out
     if kind == "centered":
@@ -266,12 +265,3 @@ def cube_family(grid: Grid, kind: str) -> list:
             w *= 2
         return out
     raise ValueError(f"unknown cube family kind {kind!r}")
-
-
-def _product_tuples(rng, n):
-    vals = list(rng)
-    if n == 1:
-        return [(v,) for v in vals]
-    if n == 2:
-        return [(a, b) for a in vals for b in vals]
-    return [(a, b, c) for a in vals for b in vals for c in vals]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,7 +13,6 @@ from .grid import Cube, GridFunction
 __all__ = [
     "YoungFunction",
     "NormSpec",
-    "young_eval",
     "young_inverse",
     "luxemburg_norm",
     "luxemburg_norms",
@@ -74,10 +73,6 @@ class YoungFunction:
         if m == 1:
             return self
         return YoungFunction("composed", parts=(self,) * m)
-
-
-def young_eval(Y: YoungFunction, t) -> float:
-    return Y(t)
 
 
 def young_inverse(Y: YoungFunction, s: float, tol: float = 1e-12) -> float:

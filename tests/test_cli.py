@@ -52,6 +52,14 @@ class TestCzDecompose:
         cz = json.loads((tmp_path / "cz.json").read_text())
         assert "levels" in cz
 
+    def test_zero_base_exits_one(self, tmp_path, capsys):
+        code = run_cli(["cz-decompose", "--a", 0, "--N", 16, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "CZ base a must exceed 1" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestVerify:
     def test_report_and_summary(self, tmp_path):
@@ -105,6 +113,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "exponents.q" in err
+
+    def test_empty_corpus_exits_one(self, tmp_path, capsys):
+        code = run_cli(["verify", "--theorem", "control", "--corpus", 0,
+                        "--N", 16, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "corpus" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("cfg,key", [
         ({"theorem": "weak-maximal", "norms": []}, "norms"),

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import spike_tuple
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipot import (
     Cube,
@@ -16,9 +18,12 @@ from multipot import (
     discretization_rhs,
     dyadic_tail_check,
     integrate,
+    luxemburg_norm,
     m3d,
     make_grid,
+    phi_theta,
 )
+from multipot.dyadic import _triple_average_pyramid
 from multipot.operators import apply_potential
 
 
@@ -196,6 +201,193 @@ class TestDiscretizationRhs:
             discretization_rhs(K, [f], u, 1.0, 2, cz)
         with pytest.raises(ValueError):
             discretization_rhs(K, [f], u, 1.0, 1, cz)  # missing czj
+
+
+class _BoxSummer:
+    """O(1) sums of a sampled function over aligned index boxes."""
+
+    def __init__(self, values):
+        p = values
+        for ax in range(values.ndim):
+            p = np.cumsum(p, axis=ax)
+        self.prefix = np.pad(p, [(1, 0)] * values.ndim)
+        self.shape = values.shape
+
+    def box_sum(self, lo, hi):
+        # half-open [lo, hi) per axis, clipped to the array
+        lo = [max(l, 0) for l in lo]
+        hi = [min(h, s) for h, s in zip(hi, self.shape)]
+        if any(h <= l for l, h in zip(lo, hi)):
+            return 0.0
+        total = 0.0
+        ndim = len(lo)
+        for corner in np.ndindex(*((2,) * ndim)):
+            idx = tuple(h if c else l for c, l, h in zip(corner, lo, hi))
+            sign = (-1) ** (ndim - sum(corner))
+            total += sign * self.prefix[idx]
+        return float(total)
+
+
+def _triple_average_products(hs, lat):
+    """Per-cube oracle: prod_i (avg of h_i over 3Q) keyed (lo, w)."""
+    grid = lat.grid
+    summers = [_BoxSummer(h.values) for h in hs]
+    cellvol = grid.cell_volume
+    out = {}
+    for Q in lat.cubes():
+        Q3 = Q.dilate3()
+        meas = Q3.measure
+        lo = Q3.lo
+        hi = tuple(l + Q3.w for l in lo)
+        prod = 1.0
+        for s in summers:
+            prod *= s.box_sum(lo, hi) * cellvol / meas
+        out[(Q.lo, Q.w)] = prod
+    return out
+
+
+def _m3d_per_cube(prods, lat):
+    out = np.zeros(lat.grid.shape)
+    for Q in lat.cubes():
+        sl = Q.slices()
+        np.maximum(out[sl], prods[(Q.lo, Q.w)], out=out[sl])
+    return out
+
+
+def _stack_walk(prods, lat, thr):
+    """Maximal dyadic cubes with product > thr, sorted by (-w, lo)."""
+    selected = []
+    stack = [lat.grid.whole_box()]
+    while stack:
+        Q = stack.pop()
+        if prods[(Q.lo, Q.w)] > thr:
+            selected.append(Q)
+        elif Q.w > 1:
+            stack.extend(Q.children())
+    selected.sort(key=lambda Q: (-Q.w, Q.lo))
+    return selected
+
+
+def _inputs(n, m, N, kind, seed):
+    g = make_grid(n, 1.0, N)
+    rng = np.random.default_rng(seed)
+    hs = []
+    for _ in range(m):
+        if kind == "constant":
+            # every fully inside triple averages to 2 = a exactly
+            vals = np.full(g.shape, 2.0)
+        elif kind == "sparse":
+            vals = rng.uniform(0.0, 8.0, size=g.shape) * (rng.uniform(size=g.shape) < 0.1)
+            vals[tuple(rng.integers(0, N, size=n))] = 1.0
+        else:
+            vals = rng.uniform(0.0, 4.0, size=g.shape)
+        hs.append(GridFunction(g, vals, nonneg=True))
+    return g, hs
+
+
+# the largest N per dimension that keeps the per-cube oracles fast
+_MAX_LOG2_N = {1: 6, 2: 4, 3: 3}
+
+
+class TestPyramidAgainstPerCubeLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        m=st.sampled_from([1, 2]),
+        log2_N=st.integers(2, 6),
+        kind=st.sampled_from(["uniform", "sparse", "constant"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pyramid_m3d_and_selection(self, n, m, log2_N, kind, seed):
+        g, hs = _inputs(n, m, 2 ** min(log2_N, _MAX_LOG2_N[n]), kind, seed)
+        lat = DyadicLattice(g)
+        prods = _triple_average_products(hs, lat)
+        pyramid = _triple_average_pyramid(hs, lat)
+        assert len(pyramid) == g.num_levels
+        for Q in lat.cubes():
+            level = g.num_levels - 1 - int(math.log2(Q.w))
+            assert pyramid[level][tuple(l // Q.w for l in Q.lo)] == prods[(Q.lo, Q.w)]
+        expected_m3d = _m3d_per_cube(prods, lat)
+        np.testing.assert_array_equal(m3d(hs, lat).values, expected_m3d)
+        a = 2.0
+        cz = cz_decompose(hs, a, lat)
+        np.testing.assert_array_equal(cz.maximal_values.values, expected_m3d)
+        # the k band can be empty, e.g. for a constant input at N = 4
+        ks = [lev.k for lev in cz.levels]
+        for k in range(min(ks, default=0), max(ks, default=-1) + 1):
+            if k not in ks:
+                assert _stack_walk(prods, lat, a**k) == []
+        for lev in cz.levels:
+            expected = _stack_walk(prods, lat, a**lev.k)
+            assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
+            assert lev.prod_norms == [prods[(Q.lo, Q.w)] for Q in expected]
+            assert all(type(p) is float for p in lev.prod_norms)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_products_at_the_threshold_are_not_selected(self, n, m):
+        g, hs = _inputs(n, m, 8, "constant", 0)
+        lat = DyadicLattice(g)
+        prods = _triple_average_products(hs, lat)
+        # interior triples sit exactly at a^m, which strict > leaves out
+        assert max(prods.values()) == 2.0**m
+        cz = cz_decompose(hs, 2.0, lat)
+        assert all(lev.k < m for lev in cz.levels)
+        for lev in cz.levels:
+            expected = _stack_walk(prods, lat, 2.0**lev.k)
+            assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
+
+
+def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
+    """discretization_rhs with one luxemburg_norm call per cube and factor."""
+    cellvol = cz0.grid.cell_volume
+    uq = GridFunction(cz0.grid, u.values**q)
+    L1 = NormSpec.lebesgue(1.0)
+    total = 0.0
+    for _, Q, _, E in cz0.all_cubes():
+        esize = float(E.sum()) * cellvol
+        if esize == 0.0:
+            continue
+        Q3 = Q.dilate3()
+        term = phi_theta(K, q, Q.side, delta, eps) ** q
+        term *= luxemburg_norm(uq, Q3, NormSpec.power_log(1.0, ell * q))
+        for f in fs:
+            term *= luxemburg_norm(f, Q3, L1) ** q
+        total += term * esize
+    if ell == 1:
+        for _, Q, _, E in czj.all_cubes():
+            esize = float(E.sum()) * cellvol
+            if esize == 0.0:
+                continue
+            Q3 = Q.dilate3()
+            term = phi_theta(K, q, Q.side, delta, eps) ** q
+            term *= luxemburg_norm(u, Q3, L1) ** q
+            for i, f in enumerate(fs):
+                spec = NormSpec.power_log(1.0, 1.0 if i == j else 0.0)
+                term *= luxemburg_norm(f, Q3, spec) ** q
+            total += term * esize
+    return total
+
+
+class TestDiscretizationRhsBatched:
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 64), (1, 2, 32), (2, 1, 16), (2, 2, 8)])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_matches_per_cube_norms(self, ell, n, m, N, q):
+        g, fs = _inputs(n, m, N, "uniform", N + m)
+        lat = DyadicLattice(g)
+        K = Kernel("fractional", n, m, alpha=0.5)
+        rng = np.random.default_rng(7)
+        u = GridFunction(g, rng.uniform(0.5, 3.0, size=g.shape), nonneg=True)
+        cz0 = cz_decompose(fs, 2.0, lat)
+        czj = cz_decompose([u] + fs[1:], 2.0, lat)
+        # data filling the box gives selected cubes at its edge, whose
+        # triples are clipped
+        clipped = [Q.dilate3().clipped for _, Q, _, E in cz0.all_cubes() if E.any()]
+        assert any(clipped) and not all(clipped)
+        got = discretization_rhs(K, fs, u, q, ell, cz0, czj, j=0)
+        expected = _rhs_per_cube(K, fs, u, q, ell, cz0, czj, j=0)
+        assert expected > 0
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestDyadicTailCheck:

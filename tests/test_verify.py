@@ -81,6 +81,44 @@ class TestLorentzWeakQuasinorm:
         with pytest.raises(ValueError):
             lorentz_weak_quasinorm(f, f, 0.0)
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+    def test_matches_per_value_loop(self, n, N, p):
+        # few distinct levels give ties, a third of the cells are zero and
+        # some negative values share |g| with positive ones
+        g = make_grid(n, 1.0, N)
+        rng = np.random.default_rng(n * 100 + N)
+        vals = rng.integers(-4, 5, size=g.shape) * 0.25
+        vals[rng.uniform(size=g.shape) < 0.3] = 0.0
+        f = GridFunction(g, vals)
+        u = GridFunction(g, rng.uniform(0.0, 2.0, size=g.shape), nonneg=True)
+        expected = _lorentz_per_value(f, u, p)
+        assert expected > 0
+        assert lorentz_weak_quasinorm(f, u, p) == pytest.approx(expected, rel=1e-12)
+
+    def test_single_value_and_zero_weight(self):
+        g = make_grid(1, 1.0, 16)
+        vals = np.zeros(g.shape)
+        vals[3] = -2.0
+        f = GridFunction(g, vals)
+        u = GridFunction(g, np.linspace(0.0, 1.0, g.N), nonneg=True)
+        for p in (0.5, 2.0):
+            assert lorentz_weak_quasinorm(f, u, p) == pytest.approx(
+                _lorentz_per_value(f, u, p), rel=1e-12)
+        zero = GridFunction.constant(g, 0.0)
+        assert lorentz_weak_quasinorm(f, zero, 1.0) == 0.0
+
+
+def _lorentz_per_value(g, u, p):
+    """max over distinct values v > 0 of |g| of v * u({|g| >= v})^(1/p),
+    one masked sum per value."""
+    av = np.abs(g.values)
+    best = 0.0
+    for v in np.unique(av[av > 0]):
+        mass = float(u.values[av >= v].sum()) * g.grid.cell_volume
+        best = max(best, float(v) * mass ** (1.0 / p))
+    return best
+
 
 class TestMakeCorpus:
     def test_deterministic(self):
