@@ -158,7 +158,8 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     Selection is top-down, so chosen cubes are maximal and pairwise
     disjoint; their union is exactly the super-level set of the dyadic
     maximal function.  k runs over the band where a^k sits between the
-    smallest positive and the largest maximal-function value.
+    smallest positive and the largest maximal-function value; when all
+    positive values lie in one interval (a^k, a^(k+1)], that k alone.
     """
     if a <= 1.0:
         raise ValueError("CZ base a must exceed 1")
@@ -177,7 +178,7 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
     if a**k_hi >= vmax:
         k_hi -= 1
-    ks = [k for k in range(k_lo, k_hi + 1)]
+    ks = list(range(min(k_lo, k_hi), k_hi + 1))
     if len(ks) > max_levels:
         ks = ks[-max_levels:]
     # Q is maximal above thr iff its product exceeds thr and no strict

@@ -51,7 +51,7 @@ class YoungFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if (t < 0).any():
             raise ValueError("Young functions take t >= 0")
         if self.kind == "identity":
             out = t
@@ -139,7 +139,8 @@ L1 = NormSpec.lebesgue(1.0)
 
 
 def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10) -> float:
-    """||f||_{X,Q}: closed form for L^r, bisection on lambda for Young specs.
+    """||f||_{X,Q}: closed form for L^r; for Young specs the root-finder
+    that luxemburg_norms runs, on this one cube.
 
     The normalizing measure is the full |Q|; cells outside the box count
     as zero, matching zero-extension of compactly supported data.
@@ -152,51 +153,25 @@ def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10)
     cellfrac = f.grid.cell_volume / Q.measure
     if spec.r is not None:
         return float((np.sum(v**spec.r) * cellfrac) ** (1.0 / spec.r))
-    vmax = v.max()
-    if vmax == 0.0:
-        return 0.0
-    Y = spec.young
-    v = v[v > 0]
-
-    def constraint(lam):
-        return float(np.sum(Y(v / lam)) * cellfrac)
-
-    hi = vmax
-    for _ in range(200):
-        if constraint(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("Luxemburg bracket failed to close upward")
-    lo = 0.5 * hi
-    while lo > 1e-300 and constraint(lo) <= 1.0:
-        hi = lo
-        lo *= 0.5
-    while (hi - lo) > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(_row_norms(v[None], spec, cellfrac, tol)[0])
 
 
 # Values of |f| gathered per chunk of cubes in luxemburg_norms (~0.5 MB).
 # The windows of a whole family reach (N-w+1)^n w^n values, about 1e9 at
 # n=3, N=64, so they are never gathered at once.
 _CHUNK_ELEMENTS = 1 << 16
+_MAX_STEPS = 200  # cap on each loop of _row_norms
 
 
 def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) -> np.ndarray:
     """luxemburg_norm(f, Q, spec, tol) for each Q of a list of equal-width cubes.
 
     The windows of |f| come from a zero-padded copy, which is the
-    zero-extension that clipped cubes assume.  The bisection on lambda
-    runs on all windows at once and each row takes the steps the scalar
-    loop takes.  A row sum also adds the zero cells that the scalar loop
-    leaves out, so it can differ from the scalar sum in the last bit; the
-    norms then agree to within tol.  For a single cube luxemburg_norm is
-    the faster path.
+    zero-extension that clipped cubes assume.  The root-finder on lambda
+    runs on all windows at once; each row stops on its own.  A row sum
+    also adds the zero cells that luxemburg_norm leaves out, so it can
+    differ from the single-cube sum in the last bit; both norms are then
+    within tol of the same root.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -226,7 +201,15 @@ def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) 
 
 
 def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np.ndarray:
-    """The Luxemburg norm of each row of v (nonnegative cell values)."""
+    """The Luxemburg norm of each row of v (nonnegative cell values).
+
+    For a Young spec: the least lam with S(lam) = sum Y(v / lam) * cellfrac
+    <= 1.  Doubling hi from the row max, then halving lo, brackets it with
+    S(lo) > 1 >= S(hi); Illinois regula falsi (Dowell & Jarratt 1971) on
+    log S against log lam, a line for S = c lam^-p, shrinks the bracket,
+    each step at least tol * hi / 2 inside it.  A row stops at S(hi) == 1
+    or hi - lo <= tol * hi and returns hi, feasible and within tol of lo.
+    """
     if spec.r is not None:
         sums = np.sum(v**spec.r, axis=1) * cellfrac
         # numpy's vectorized power can round differently from the scalar
@@ -234,35 +217,59 @@ def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np
         return np.array([s ** (1.0 / spec.r) for s in sums])
     Y = spec.young
 
-    def fits(rows, lam):
-        return np.sum(Y(v[rows] / lam[:, None]), axis=1) * cellfrac <= 1.0
+    def log_s(v, lam):
+        return np.log(np.add.reduce(Y(v / lam[:, None]), axis=1) * cellfrac)
 
-    # rows of zeros keep hi = lo = 0 and take no step below
-    hi = v.max(axis=1)
-    rows = np.flatnonzero(hi > 0)
-    for _ in range(200):
-        if rows.size == 0:
+    out = v.max(axis=1)  # rows of zeros have norm 0 and take no step
+    rows = np.flatnonzero(out > 0)
+    v, hi = v[rows], out[rows]
+    # log S at lo and hi; NaN until lo is evaluated
+    lo, glo, ghi = np.zeros(hi.size), np.full(hi.size, np.nan), np.empty(hi.size)
+    todo = np.arange(hi.size)
+    for _ in range(_MAX_STEPS):
+        if todo.size == 0:
             break
-        rows = rows[~fits(rows, hi[rows])]
-        hi[rows] *= 2.0
-    if rows.size:
+        ghi[todo] = log_s(v[todo], hi[todo])
+        todo = todo[ghi[todo] > 0.0]
+        lo[todo], glo[todo] = hi[todo], ghi[todo]
+        hi[todo] *= 2.0
+    if todo.size:
         raise ArithmeticError("Luxemburg bracket failed to close upward")
-    lo = 0.5 * hi
-    rows = np.flatnonzero(lo > 1e-300)
-    while rows.size:
-        rows = rows[fits(rows, lo[rows])]
-        hi[rows] = lo[rows]
-        lo[rows] *= 0.5
-        rows = rows[lo[rows] > 1e-300]
-    rows = np.arange(len(v))
-    while True:
-        rows = rows[hi[rows] - lo[rows] > tol * hi[rows]]
+    # a lo below 1e-300 counts as infeasible and is not evaluated
+    todo = np.flatnonzero((lo == 0.0) & (ghi < 0.0))
+    for _ in range(_MAX_STEPS):
+        lo[todo] = 0.5 * hi[todo]
+        todo = todo[lo[todo] > 1e-300]
+        if todo.size == 0:
+            break
+        g = log_s(v[todo], lo[todo])
+        fit = g <= 0.0
+        glo[todo[~fit]] = g[~fit]
+        hi[todo[fit]], ghi[todo[fit]] = lo[todo[fit]], g[fit]
+        todo = todo[g < 0.0]
+    if todo.size:
+        raise ArithmeticError("Luxemburg bracket failed to close downward")
+    hi_moved = np.zeros(rows.size, dtype=bool)  # as after a halving
+    for _ in range(_MAX_STEPS):
+        done = (ghi == 0.0) | (hi - lo <= tol * hi)
+        if done.any():
+            out[rows[done]] = hi[done]
+            keep = ~done
+            rows, v, lo, hi, glo, ghi, hi_moved = (
+                a[keep] for a in (rows, v, lo, hi, glo, ghi, hi_moved))
         if rows.size == 0:
-            return hi
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = fits(rows, mid)
-        hi[rows[ok]] = mid[ok]
-        lo[rows[~ok]] = mid[~ok]
+            return out
+        d = 0.5 * tol * hi
+        # a NaN step (lo not evaluated) goes to lo + d
+        x = np.fmin(np.fmax(hi * (lo / hi) ** (ghi / (ghi - glo)), lo + d), hi - d)
+        g = log_s(v, x)
+        fit = g <= 0.0
+        # the value at the end that stays put a second step running is halved
+        half = np.where(fit == hi_moved, 0.5, 1.0)
+        lo, hi = np.where(fit, lo, x), np.where(fit, x, hi)
+        glo, ghi = np.where(fit, half * glo, g), np.where(fit, g, half * ghi)
+        hi_moved = fit
+    raise ArithmeticError("Luxemburg solver did not converge")
 
 
 def validate_holder_triple(A: NormSpec, B: NormSpec, C: NormSpec, tol: float = 0.15) -> None:

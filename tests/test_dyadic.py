@@ -122,6 +122,20 @@ class TestCzDecompose:
             for p in lev.prod_norms:
                 assert thr < p <= 2.0 * thr
 
+    def test_values_in_one_band_give_a_level(self):
+        # m3d runs from 5/3 to 5, all inside (8^0, 8^1]
+        g = make_grid(1, 1.0, 16)
+        lat = DyadicLattice(g)
+        h = GridFunction.constant(g, 5.0)
+        cz = cz_decompose([h], 8.0, lat)
+        assert [lev.k for lev in cz.levels] == [0]
+        covered = np.zeros(g.shape, dtype=bool)
+        for Q in cz.levels[0].cubes:
+            covered[Q.slices()] = True
+        np.testing.assert_array_equal(covered, cz.maximal_values.values > 1.0)
+        rhs = discretization_rhs(frac(0.5), [h], GridFunction.constant(g, 1.0), 1.0, 0, cz)
+        assert rhs > 0
+
     def test_two_bumps_separate(self):
         g = make_grid(1, 1.0, 64)
         lat = DyadicLattice(g)

@@ -19,6 +19,7 @@ from multipot import (
     parse_norm_spec,
     young_inverse,
 )
+from multipot import orlicz
 from multipot.orlicz import InvalidHolderTriple, validate_holder_triple
 
 
@@ -307,3 +308,196 @@ def test_homogeneity_property(c, seed):
     Q = g.whole_box()
     base = luxemburg_norm(f, Q, spec, tol=1e-12)
     assert luxemburg_norm(c * f, Q, spec, tol=1e-12) == pytest.approx(c * base, rel=1e-7)
+
+
+_SOLVER_SPECS = ["Lp1logL1", "Lp1.5logL2", "expL", "expL^{1/2}", "B^2(Lp1logL1)"]
+
+
+def _bisection_norm(f, Q, spec, tol=1e-10):
+    """Young-spec Luxemburg norm by bracketing and bisection on lambda: the
+    oracle for the Illinois solver of luxemburg_norm and luxemburg_norms."""
+    v = np.abs(f.restrict(Q)).ravel()
+    if v.size == 0 or v.max() == 0.0:
+        return 0.0
+    cellfrac = f.grid.cell_volume / Q.measure
+    Y = spec.young
+    v = v[v > 0]
+
+    def constraint(lam):
+        return float(np.sum(Y(v / lam)) * cellfrac)
+
+    hi = v.max()
+    for _ in range(200):
+        if constraint(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("Luxemburg bracket failed to close upward")
+    lo = 0.5 * hi
+    while lo > 1e-300 and constraint(lo) <= 1.0:
+        hi = lo
+        lo *= 0.5
+    while (hi - lo) > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if constraint(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _young_sum(v, lam, Y, cellfrac):
+    """sum Y(v / lam) * cellfrac, with the float operations of the solver."""
+    return float(Y(v[None] / np.array([lam])[:, None]).sum(axis=1)[0] * cellfrac)
+
+
+def _window(f, Q):
+    """|f| on the cells of Q in C order, zero off the box: the row that
+    luxemburg_norms takes for Q (Q must meet the box)."""
+    padded = np.pad(np.abs(f.values), Q.w)
+    return padded[tuple(slice(lo + Q.w, lo + 2 * Q.w) for lo in Q.lo)].ravel()
+
+
+def _assert_solved(r, oracle, v, Q, spec, tol):
+    """r is within 2 tol of the bisection, feasible, and r (1 - tol) is not,
+    unless r is an exact root."""
+    assert abs(r - oracle) <= 2 * tol * oracle
+    if oracle == 0.0:
+        return
+    cellfrac = Q.grid.cell_volume / Q.measure
+    s = _young_sum(v, r, spec.young, cellfrac)
+    assert s <= 1.0
+    if s != 1.0:
+        assert _young_sum(v, r * (1 - tol), spec.young, cellfrac) > 1.0
+
+
+def _banded_function(g, seed):
+    """Zero, then constant 2.5, then sparse lognormal along the first axis,
+    so small dyadic cubes give zero rows, constant rows and random rows."""
+    rng = np.random.default_rng(seed)
+    vals = rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.7)
+    i0 = np.arange(g.N).reshape((-1,) + (1,) * (g.n - 1))
+    vals = np.where(i0 < g.N // 4, 0.0, np.where(i0 < g.N // 2, 2.5, vals))
+    return GridFunction(g, vals)
+
+
+@pytest.fixture
+def young_calls(monkeypatch):
+    """A list that gets one entry per YoungFunction evaluation."""
+    calls = []
+    young_call = YoungFunction.__call__
+
+    def counted(self, t):
+        calls.append(1)
+        return young_call(self, t)
+
+    monkeypatch.setattr(YoungFunction, "__call__", counted)
+    return calls
+
+
+class TestSolverAgainstBisection:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", _SOLVER_SPECS)
+    def test_scalar_and_batched(self, n, spec):
+        g = make_grid(n, 1.0, {1: 16, 2: 8, 3: 4}[n])
+        f = _banded_function(g, n)
+        spec = parse_norm_spec(spec)
+        tol = 1e-10
+        by_width = {}
+        for Q in cube_family(g, "dyadic"):
+            by_width.setdefault(Q.w, []).append(Q)
+            by_width.setdefault(3 * Q.w, []).append(Q.dilate3())
+        exact = clipped = zero = 0
+        for w, cubes in by_width.items():
+            cubes += [Cube(g, (-w - 5,) * n, w), Cube(g, (g.N,) * n, w)]
+            batched = luxemburg_norms(f, cubes, spec, tol)
+            for Q, got in zip(cubes, batched):
+                want = _bisection_norm(f, Q, spec, tol)
+                if want == 0.0:
+                    zero += 1
+                    assert got == luxemburg_norm(f, Q, spec, tol) == 0.0
+                    continue
+                _assert_solved(got, want, _window(f, Q), Q, spec, tol)
+                r = luxemburg_norm(f, Q, spec, tol)
+                v = np.abs(f.restrict(Q)).ravel()
+                _assert_solved(r, want, v, Q, spec, tol)
+                exact += _young_sum(v, r, spec.young, g.cell_volume / Q.measure) == 1.0
+                clipped += Q.clipped
+        assert clipped and zero
+        if spec.young.kind == "power-log":
+            # a constant is solved at its first bracket point, vmax
+            assert exact
+
+    def test_constant_solved_at_vmax(self, young_calls):
+        g = make_grid(1, 1.0, 16)
+        f = GridFunction.constant(g, 3.0)
+        spec = parse_norm_spec("Lp1logL1")
+        assert luxemburg_norm(f, g.whole_box(), spec) == 3.0
+        assert len(young_calls) == 1
+        young_calls.clear()
+        cubes = [Cube(g, (i,), 4) for i in range(0, 13, 4)]
+        np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), 3.0)
+        assert len(young_calls) == 1
+
+    @pytest.mark.parametrize("spec", _SOLVER_SPECS)
+    def test_multi_chunk(self, spec, monkeypatch):
+        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        g = make_grid(2, 1.0, 8)
+        f = _banded_function(g, 11)
+        spec = parse_norm_spec(spec)
+        cubes = [Cube(g, lo, 3) for lo in np.ndindex(8, 8)] + [Cube(g, (-2, 6), 3)]
+        got = luxemburg_norms(f, cubes, spec)
+        for Q, r in zip(cubes, got):
+            want = _bisection_norm(f, Q, spec)
+            _assert_solved(r, want, _window(f, Q), Q, spec, 1e-10)
+
+    def test_young_evaluations_per_call(self, young_calls):
+        # one luxemburg_norms call per width, every cube that meets the box;
+        # bisection takes about 37 Young evaluations per call
+        g = make_grid(1, 1.0, 128)
+        f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
+        spec = parse_norm_spec("Lp1logL1")
+        for w in range(1, g.N + 1):
+            young_calls.clear()
+            luxemburg_norms(f, [Cube(g, (lo,), w) for lo in range(1 - w, g.N)], spec)
+            assert len(young_calls) <= 16, w
+
+
+def _random_cubes(g, w, rng, k=4):
+    """k cubes of width w, some clipped by the box."""
+    return [Cube(g, tuple(int(i) for i in rng.integers(-w + 1, g.N, g.n)), w) for _ in range(k)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(_SOLVER_SPECS), n=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**16), c=st.floats(1e-3, 1e3), w=st.sampled_from([1, 2, 3, 4]))
+def test_solver_homogeneity_property(spec, n, seed, c, w):
+    g = make_grid(n, 1.0, {1: 16, 2: 4}[n])
+    rng = np.random.default_rng(seed)
+    f = GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.6))
+    spec = parse_norm_spec(spec)
+    cubes = _random_cubes(g, w, rng)
+    tol = 1e-10
+    base = luxemburg_norms(f, cubes, spec, tol)
+    np.testing.assert_allclose(luxemburg_norms(c * f, cubes, spec, tol), c * base,
+                               rtol=2 * tol, atol=0)
+    assert luxemburg_norm(c * f, cubes[0], spec, tol) == pytest.approx(
+        c * luxemburg_norm(f, cubes[0], spec, tol), rel=2 * tol, abs=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(_SOLVER_SPECS), n=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**16), w=st.sampled_from([1, 2, 3, 4]))
+def test_solver_monotonicity_property(spec, n, seed, w):
+    g = make_grid(n, 1.0, {1: 16, 2: 4}[n])
+    rng = np.random.default_rng(seed)
+    small = rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.6)
+    big = small + rng.uniform(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.3)
+    f, h = GridFunction(g, small), GridFunction(g, big)
+    spec = parse_norm_spec(spec)
+    cubes = _random_cubes(g, w, rng)
+    tol = 1e-10
+    assert np.all(luxemburg_norms(f, cubes, spec, tol)
+                  <= luxemburg_norms(h, cubes, spec, tol) * (1 + tol))
+    for Q in cubes:
+        assert luxemburg_norm(f, Q, spec, tol) <= luxemburg_norm(h, Q, spec, tol) * (1 + tol)
