@@ -17,12 +17,7 @@ import numpy as np
 from . import __version__
 from .dyadic import DyadicLattice, cz_decompose, default_cz_base
 from .grid import Grid, GridFunction, cube_family
-from .kernels import (
-    Kernel,
-    bessel_fourier_probe,
-    condition_d_check,
-    parse_kernel,
-)
+from .kernels import Kernel, condition_d_check, parse_kernel
 from .operators import PhiScaling, apply_commutator, apply_potential, maximal
 from .orlicz import NormSpec, parse_norm_spec
 from .verify import (
@@ -58,7 +53,6 @@ _DEFAULTS = {
     "corpus": 20,
     "a": None,
     "k_range": "-5..0",
-    "alpha": 1.0,
     "out_dir": "out",
 }
 
@@ -199,11 +193,6 @@ def _cmd_check_condition_d(cfg) -> dict:
             "unbounded_growth_flag": rep["unbounded_growth_flag"]}, [], plots
 
 
-def _cmd_bessel_probe(cfg) -> dict:
-    rep = bessel_fourier_probe(float(cfg["alpha"]))
-    return rep, [], {}
-
-
 def _cmd_verify(cfg) -> dict:
     grid = _grid(cfg)
     K = _kernel(cfg)
@@ -262,7 +251,6 @@ _COMMANDS = {
     "cz-decompose": _cmd_cz_decompose,
     "check-condition-d": _cmd_check_condition_d,
     "verify": _cmd_verify,
-    "bessel-probe": _cmd_bessel_probe,
 }
 
 
@@ -293,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--corpus", type=int)
     ap.add_argument("--a", type=float)
     ap.add_argument("--k", dest="k_range")
-    ap.add_argument("--alpha", type=float)
     ap.add_argument("--out-dir", dest="out_dir")
     return ap
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,73 +93,96 @@ def _check_same_grid(fs) -> Grid:
     return grid
 
 
+_BLOCK_ELEMENTS = 2**16  # table values per block of the spectrum build and its shear
+
+
 @lru_cache(maxsize=4)
 def _kernel_spectrum(K: Kernel, grid: Grid) -> np.ndarray:
-    """Real spectrum (rfftn) of the kernel table on the period-2N lattice
-    of cell-center offsets.
+    """Real spectrum S of the kernel table, in sheared coordinates.
 
-    Per axis the table holds the offsets 0 ... N-1, then -N ... -1 (FFT
-    order), and the singular cell average sits at offset 0.  Offsets of
-    two cells lie in (-N, N), so with period 2N the circular convolution
-    equals the linear one on every output cell; the -N entry never
-    reaches one.  The table is even in every axis, so its spectrum, and
-    that of each slab of it, is real.  The table is never formed whole:
-    each slab of the first axis goes through rfftn over the other axes
-    as it is built, and the first axis is transformed last.
+    The table holds phi at the offsets of the period-2N lattice (per axis
+    0 ... N-1, then -N ... -1), with the singular cell average at offset
+    0; offsets of two cells lie in (-N, N), so the circular convolution is
+    the linear one on every output cell.  The table is even in every axis,
+    so S and the spectrum of each block of first-axis slabs are real; a
+    block goes through rfftn over the other axes as it is built.  S is
+    stored at xi_i = zeta_i - zeta_(i-1) (zeta_0 = 0, per axis, mod 2N),
+    indexed by zeta_1 ... zeta_m, zeta_m on the half rfft axis.
     """
-    N, n, nm = grid.N, grid.n, K.nm
+    N, n, m, nm = grid.N, grid.n, K.m, K.nm
+    P = 2 * N
     d = np.concatenate([np.arange(N), np.arange(-N, 0)]) * grid.h
     slot = np.sqrt(sum(c * c for c in np.meshgrid(*[d] * n, indexing="ij", sparse=True)))
     rest = np.zeros(())  # offset norms summed over slots 2 ... m
-    for _ in range(K.m - 1):
+    for _ in range(m - 1):
         rest = np.add.outer(rest, slot)
-    s = np.empty((2 * N,) * (nm - 1))
-    part = np.empty((2 * N,) * (nm - 1) + (N + 1,) if nm > 1 else (2 * N,))
-    for i, first in enumerate(slot):
-        np.add.outer(first, rest, out=s)
-        if i == 0:
+    part = np.empty((P,) * (nm - 1) + (N + 1,) if nm > 1 else (P,))
+    rows = max(1, _BLOCK_ELEMENTS // P ** (nm - 1))  # first-axis slabs per block
+    for lo in range(0, P, rows):
+        s = np.add.outer(slot[lo : lo + rows], rest)
+        if lo == 0:
             s.flat[0] = 1.0  # placeholder, replaced by the cell average
         vals = np.asarray(K.radial(s))
-        if i == 0:
+        if lo == 0:
             vals.flat[0] = kernel_cell_value(K, np.zeros(nm), grid.h)
-        part[i] = np.fft.rfftn(vals, axes=range(nm - 1)).real if nm > 1 else vals
-    half = np.fft.rfft(part, axis=0).real
-    if nm == 1:
-        part = half
-    else:
-        part[: N + 1] = half
-        part[N + 1 :] = half[N - 1 : 0 : -1]
-    part.flags.writeable = False  # shared by every call on (K, grid)
-    return part
+        part[lo : lo + rows] = np.fft.rfftn(vals, axes=range(1, nm)).real if nm > 1 else vals
+    half = np.ascontiguousarray(np.fft.rfft(part, axis=0).real)
+    spec = part[: P if nm > 1 else N + 1]  # the table's buffer takes the result
+    for lo in range(0, P, rows):  # spec[zeta] = S[xi], xi_i = zeta_i - zeta_(i-1)
+        zeta = list(np.ogrid[tuple(slice(k) for k in spec[lo : lo + rows].shape)])
+        zeta[0] = zeta[0] + lo
+        xi = [z if ax < n else z - zeta[ax - n] for ax, z in enumerate(zeta)]  # in (-2N, 2N)
+        # half holds S, which is even, on [0, N] in the first and last axes
+        xi[0], xi[-1] = [np.minimum(abs(x), P - abs(x)) for x in (xi[0], xi[-1])]
+        spec[lo : lo + rows] = half[tuple(xi)]  # a negative xi wraps on a full axis
+    spec.flags.writeable = False  # shared by every call on (K, grid)
+    return spec
+
+
+def _toeplitz(f: np.ndarray, P: int, last: bool) -> np.ndarray:
+    """T[a, b] = F((b - a) mod P) per axis, F = fftn(f) at period P: a
+    zero-copy view over F tiled twice per axis, with its rows reversed.
+    The columns of the last slot stop at the half axis."""
+    n = f.ndim
+    tiled = np.tile(np.fft.fftn(f, s=(P,) * n, axes=range(n)), (2,) * n)
+    window = (P,) * (n - 1) + (P // 2 + 1 if last else P,)
+    return sliding_window_view(tiled, window)[(slice(P, 0, -1),) * n]
 
 
 def apply_potential(K: Kernel, fs) -> GridFunction:
     """Discrete multilinear potential: for each x, the kernel-weighted sum
     over all m-tuples of cells of the product of the f_i cell values.
 
-    T(x) is the diagonal x_1 = ... = x_m of K * (f_1 x ... x f_m) on the
-    nm-dimensional lattice.  The convolution runs by FFT with period 2N
-    per axis; the spectrum of the input tensor is the outer product of
-    the per-slot transforms, and the kernel spectrum is cached per
-    (kernel, grid).
+    T(x) is the diagonal x_1 = ... = x_m of K * (f_1 x ... x f_m) with
+    period 2N per axis, a multilinear Fourier multiplier: T is the
+    n-dimensional inverse transform of G(eta), the sum of
+    S(xi) F_1(xi_1) ... F_m(xi_m) over xi_1 + ... + xi_m = eta.  With the
+    spectrum in sheared coordinates (`_kernel_spectrum`), slot 1 enters as
+    F_1(zeta_1) and slot i > 1 as the Toeplitz view T_i[zeta_(i-1), zeta_i]
+    = F_i(zeta_i - zeta_(i-1)); einsum contracts zeta_(m-1) down to zeta_1.
     """
     fs = list(fs)
     if len(fs) != K.m:
         raise ValueError(f"kernel expects {K.m} inputs, got {len(fs)}")
     grid = _check_same_grid(fs)
-    N, n, nm = grid.N, grid.n, K.nm
-    period, axes = (2 * N,) * n, tuple(range(n))
-    spectra = [np.fft.fftn(f.values, s=period, axes=axes) for f in fs[:-1]]
-    spectra.append(np.fft.rfftn(fs[-1].values, s=period, axes=axes))
-    spec = reduce(np.multiply.outer, spectra)
-    spec *= _kernel_spectrum(K, grid)
-    for axis in range(nm - 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-        spec = spec[(slice(None),) * axis + (slice(N),)]
-    conv = np.fft.irfft(spec, n=2 * N, axis=-1)[..., :N]
-    x = "abc"[:n]
-    diag = np.einsum(f"{x * K.m}->{x}", conv)
-    return GridFunction(grid, diag * grid.h**nm)
+    N, n, m = grid.N, grid.n, K.m
+    P, axes = 2 * N, tuple(range(n))
+    first = np.fft.rfftn if m == 1 else np.fft.fftn
+    ts = [first(fs[0].values, s=(P,) * n, axes=axes)]
+    ts += [_toeplitz(f.values, P, i == m - 1) for i, f in enumerate(fs[1:], 1)]
+    z = [list(range(i * n, (i + 1) * n)) for i in range(m)]  # einsum labels of zeta_1 ... zeta_m
+    g, g_z = _kernel_spectrum(K, grid), sum(z, [])
+    pending = [ts[-1], sum(z[-2:], [])]  # slot m joins the first contraction
+    for i in range(m - 2, -1, -1):  # contract zeta_(i+1) against slot i+1
+        out = sum(z[:i], []) + z[-1]
+        g = np.einsum(g, g_z, *pending, ts[i], sum(z[max(i - 1, 0) : i + 1], []), out)
+        g_z, pending = out, []
+    if m == 1:
+        g = g * ts[0]
+    for axis in range(n - 1):  # inverse transform, keeping rows [0, N) of each axis
+        g = np.fft.ifft(g, axis=axis)[(slice(None),) * axis + (slice(N),)]
+    conv = np.fft.irfft(g, n=P, axis=-1)[..., :N]
+    return GridFunction(grid, conv * (grid.h**K.nm / P ** (n * (m - 1))))
 
 
 def apply_potential_reference(K: Kernel, fs) -> GridFunction:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -272,6 +273,7 @@ def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np
     raise ArithmeticError("Luxemburg solver did not converge")
 
 
+@lru_cache(maxsize=64)  # NormSpec is frozen; a failing triple raises and is not cached
 def validate_holder_triple(A: NormSpec, B: NormSpec, C: NormSpec, tol: float = 0.15) -> None:
     """Check A^-1(t) B^-1(t) <= C^-1(t) on a sampled t-range.
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,74 @@ from multipot.kernels import (
 
 def frac(alpha, n=1, m=1):
     return Kernel("fractional", n, m, alpha=alpha)
+
+
+def annulus_integral_grid(K, A, grid, sub=4):
+    """Integral of phi over the annulus A by a brute product-lattice
+    quadrature with subsampled boundary cells: the cross-check oracle for
+    the 1-D reduction of annulus_integral."""
+    if K.nm > 3:
+        raise ValueError("grid quadrature limited to nm <= 3")
+    h = grid.h
+    c1 = grid.centers_1d()
+    mesh = np.meshgrid(*([c1] * K.nm), indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    s = np.sqrt(np.sum(pts.reshape(-1, K.m, K.n) ** 2, axis=2)).sum(axis=1)
+    # conservative per-cell s-range from the slot-wise intervals
+    absr = np.abs(pts.reshape(-1, K.m, K.n))
+    lo_slot = np.sqrt(np.sum(np.maximum(absr - h / 2.0, 0.0) ** 2, axis=2))
+    hi_slot = np.sqrt(np.sum((absr + h / 2.0) ** 2, axis=2))
+    s_lo, s_hi = lo_slot.sum(axis=1), hi_slot.sum(axis=1)
+    inside = (s_lo > A.inner) & (s_hi <= A.outer)
+    outside = (s_hi <= A.inner) | (s_lo > A.outer)
+    border = ~(inside | outside)
+    total = 0.0
+    if inside.any():
+        total += float(np.sum(K.radial(np.maximum(s[inside], 1e-300)))) * h**K.nm
+    if border.any():
+        offs = (np.arange(sub) + 0.5) / sub - 0.5
+        sub_mesh = np.meshgrid(*([offs * h] * K.nm), indexing="ij")
+        sub_offs = np.stack([g.ravel() for g in sub_mesh], axis=1)
+        for p in pts[border]:
+            sp = (p[None, :] + sub_offs).reshape(-1, K.m, K.n)
+            ss = np.sqrt(np.sum(sp**2, axis=2)).sum(axis=1)
+            hit = (ss > A.inner) & (ss <= A.outer)
+            if not hit.any():
+                continue
+            frac = hit.mean()
+            sc = float(np.sqrt(np.sum(p.reshape(K.m, K.n) ** 2, axis=1)).sum())
+            total += K.radial(max(sc, 1e-300)) * frac * h**K.nm
+    return total
+
+
+def exact_box_integral(alpha, sides):
+    """Integral of (y_1 + ... + y_m)^(alpha - m) over the box
+    [0, a_1] x ... x [0, a_m] (n = 1, alpha not an integer): the m-th
+    mixed difference of s^alpha / (beta+1) ... (beta+m), beta = alpha - m."""
+    m = len(sides)
+    beta = alpha - m
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=m):
+        s = sum(a for a, up in zip(sides, corner) if up)
+        if s > 0:
+            total += (-1) ** (m - sum(corner)) * s ** (beta + m)
+    return total / math.prod(beta + j for j in range(1, m + 1))
+
+
+def exact_cell_average(alpha, center, width):
+    """Average of the n = 1 fractional kernel over the cell of the given
+    center and width, for a cell that touches the origin: each axis splits
+    at 0 into [0, width/2 - c] (reflected) and [0, width/2 + c]."""
+    pieces = [[a for a in (width / 2 - c, width / 2 + c) if a > 0] for c in center]
+    return sum(exact_box_integral(alpha, sides)
+               for sides in itertools.product(*pieces)) / width ** len(center)
+
+
+def centred_closed_form(alpha, m, h):
+    """2^m h^-m sum_(k<m) (-1)^k C(m,k) ((m-k)h/2)^(beta+m) / prod_j (beta+j)."""
+    beta = alpha - m
+    total = sum((-1) ** k * math.comb(m, k) * ((m - k) * h / 2) ** (beta + m) for k in range(m))
+    return 2**m * h**-m * total / math.prod(beta + j for j in range(1, m + 1))
 
 
 class TestL1BallVolume:
@@ -102,6 +171,55 @@ class TestKernelCellValue:
         with pytest.raises(ValueError):
             kernel_cell_value(frac(1.0, 1, 2), [1.0], 0.25)
 
+    @pytest.mark.parametrize("m,alpha", [
+        (m, alpha) for m in range(1, 7) for alpha in (0.3, 0.5, 1.3, 1.5, 2.5, 3.7, 5.5)
+        if alpha < m
+    ])
+    def test_centred_cell_closed_form(self, m, alpha):
+        h = 1.0 / 256
+        exact = centred_closed_form(alpha, m, h)
+        assert exact == pytest.approx(exact_cell_average(alpha, [0.0] * m, h), rel=1e-12)
+        got = kernel_cell_value(frac(alpha, 1, m), np.zeros(m), h)
+        assert got == pytest.approx(exact, rel=1e-4)
+
+    @pytest.mark.parametrize("center", [
+        [0.5], [0.25], [0.5, 0.5], [0.5, -0.2], [0.1, 0.0, -0.45], [0.5, 0.0, 0.25, -0.5],
+    ])
+    def test_off_centre_cell_touching_the_origin(self, center):
+        # a cell [c - h/2, c + h/2] with 0 inside or on its boundary, in units of h
+        h = 0.125
+        m = len(center)
+        for alpha in (0.5, m - 0.3):
+            c = np.asarray(center) * h
+            got = kernel_cell_value(frac(alpha, 1, m), c, h)
+            assert got == pytest.approx(exact_cell_average(alpha, c, h), rel=1e-4)
+
+    def test_profile_family_matches_closed_form(self):
+        # the same homogeneous kernel as a callable profile goes through the
+        # halving with a geometric tail instead of the fractional shortcut
+        m, alpha, h = 2, 0.7, 1.0 / 64
+        K = Kernel("profile", 1, m, profile_fn=lambda s: s ** (alpha - m))
+        got = kernel_cell_value(K, np.zeros(m), h)
+        assert got == pytest.approx(centred_closed_form(alpha, m, h), rel=1e-4)
+
+    def test_bounded_profile_settles(self):
+        # phi = 1 / (1 + s): the shell ratio tends to 2^-nm; the average
+        # over the centred cell is within the range of phi on it
+        K = Kernel("profile", 1, 2, profile_fn=lambda s: 1.0 / (1.0 + s))
+        h = 0.25
+        got = kernel_cell_value(K, [0.0, 0.0], h)
+        assert 1.0 / (1.0 + h) < got < 1.0
+        sub = 400
+        offs = ((np.arange(sub) + 0.5) / sub - 0.5) * h
+        dense = float(np.mean(1.0 / (1.0 + np.abs(offs)[:, None] + np.abs(offs)[None, :])))
+        assert got == pytest.approx(dense, rel=1e-5)
+
+    def test_non_integrable_profile_raises(self):
+        # s^-1.5 in one variable: the shell ratio settles at 2^0.5 > 1
+        K = Kernel("profile", 1, 1, profile_fn=lambda s: s**-1.5)
+        with pytest.raises(DivergentSeriesError):
+            kernel_cell_value(K, [0.0], 0.25)
+
 
 class TestAnnulusIntegral:
     def test_fractional_closed_form(self):
@@ -113,7 +231,7 @@ class TestAnnulusIntegral:
         A = AnnulusSpec(1.0, 1.0, 0.0)
         exact = annulus_integral(K, A)
         grid = make_grid(1, 4.0, 256)
-        quad = annulus_integral(K, A, grid=grid)
+        quad = annulus_integral_grid(K, A, grid)
         assert quad == pytest.approx(exact, rel=0.01)
 
     def test_constant_profile_measures_annulus(self):

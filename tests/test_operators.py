@@ -142,7 +142,8 @@ def assert_matches_reference(K, fs):
 
 
 class TestFFTContraction:
-    @pytest.mark.parametrize("n,m,N", [(1, 1, 8), (1, 2, 8), (1, 3, 8), (2, 1, 4), (3, 1, 4)])
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 8), (1, 2, 8), (1, 3, 8), (2, 1, 4), (3, 1, 4),
+                                       (2, 2, 4), (3, 2, 4), (2, 3, 4)])
     def test_matches_reference_every_small_arity(self, n, m, N):
         g = make_grid(n, 1.0, N)
         assert_matches_reference(frac(0.5, n, m), coincident_inputs(g, m, 10 * n + m))
@@ -178,6 +179,15 @@ class TestFFTContraction:
         assert len(calls) == 3
         operators._kernel_spectrum.cache_clear()
 
+    @pytest.mark.parametrize("n,m,N", [(1, 2, 8), (2, 2, 4), (1, 3, 8)])
+    def test_many_blocks(self, n, m, N, monkeypatch):
+        # one first-axis slab per block of the spectrum build and its shear
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 1)
+        operators._kernel_spectrum.cache_clear()
+        g = make_grid(n, 1.0, N)
+        assert_matches_reference(frac(0.5, n, m), coincident_inputs(g, m, 3))
+        operators._kernel_spectrum.cache_clear()
+
     @settings(max_examples=20, deadline=None)
     @given(
         family=st.sampled_from(sorted(FAMILY_KERNELS)),
@@ -193,6 +203,68 @@ class TestFFTContraction:
         a = apply_potential(K, [f1, f2]).values
         b = apply_potential(K, [f2, f1]).values
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13 * np.abs(a).max())
+
+
+# every (n, m) the Grid and Kernel constructors accept with nm <= 6, one
+# kernel object each so that examples of one arity share the spectrum cache
+ARITY_KERNELS = {(n, m): frac(0.3 + 0.4 * n * m, n, m)
+                 for n in (1, 2, 3) for m in range(1, 7) if n * m <= 6}
+
+
+def random_inputs(g, m, rng, count):
+    """count tuples of m nonnegative inputs with random sparse supports."""
+    return [[GridFunction(g, rng.uniform(size=g.shape) * (rng.uniform(size=g.shape) < 0.6))
+             for _ in range(m)] for _ in range(count)]
+
+
+def arity_case(draw):
+    n, m = draw(st.sampled_from(sorted(ARITY_KERNELS)))
+    return ARITY_KERNELS[n, m], make_grid(n, 1.0, 8 if n * m <= 3 else 4)
+
+
+class TestPotentialProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_multilinear_in_each_slot(self, data, seed):
+        K, g = arity_case(data.draw)
+        rng = np.random.default_rng(seed)
+        (fs,) = random_inputs(g, K.m, rng, 1)
+        j = data.draw(st.integers(0, K.m - 1))
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        h = GridFunction(g, rng.normal(size=g.shape))
+        mixed = list(fs)
+        mixed[j] = a * fs[j] + b * h
+        with_h = list(fs)
+        with_h[j] = h
+        base, other = apply_potential(K, fs).values, apply_potential(K, with_h).values
+        lhs = apply_potential(K, mixed).values
+        scale = (abs(a) + abs(b)) * max(np.abs(base).max(), np.abs(other).max())
+        np.testing.assert_allclose(lhs, a * base + b * other, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_positive_and_monotone(self, data, seed):
+        K, g = arity_case(data.draw)
+        rng = np.random.default_rng(seed)
+        small, extra = random_inputs(g, K.m, rng, 2)
+        big = [f + e for f, e in zip(small, extra)]
+        lo = apply_potential(K, small).values
+        hi = apply_potential(K, big).values
+        tol = 1e-12 * np.abs(hi).max()
+        assert np.all(lo >= -tol)
+        assert np.all(hi >= lo - tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_commutator_vanishes_for_constant_symbols(self, data, seed):
+        K, g = arity_case(data.draw)
+        rng = np.random.default_rng(seed)
+        (fs,) = random_inputs(g, K.m, rng, 1)
+        consts = rng.uniform(-3.0, 3.0, K.m)
+        bs = [GridFunction.constant(g, c) for c in consts]
+        out = apply_commutator(K, bs, fs).values
+        scale = np.abs(consts).sum() * np.abs(apply_potential(K, fs).values).max()
+        assert np.abs(out).max() <= 1e-12 * scale
 
 
 class TestApplyCommutator:

@@ -241,6 +241,32 @@ class TestHolder:
             validate_holder_triple(NormSpec.lebesgue(1.0), NormSpec.lebesgue(1.0),
                                    NormSpec.lebesgue(1.0))
 
+    def test_validation_cached_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(Y, s, tol=1e-12):
+            calls.append(s)
+            return young_inverse(Y, s, tol)
+
+        monkeypatch.setattr(orlicz, "young_inverse", counted)
+        validate_holder_triple.cache_clear()
+        g = make_grid(1, 1.0, 16)
+        f = _random_f(g, np.random.default_rng(9))
+        one = GridFunction.constant(g, 1.0)
+        good = (NormSpec.power_log(1.0, 1.0), NormSpec.orlicz(YoungFunction("exp")),
+                NormSpec.lebesgue(1.0))
+        first = holder_check(f, one, g.whole_box(), *good)
+        assert calls
+        seen = len(calls)
+        assert holder_check(f, one, g.whole_box(), *good) == first
+        assert len(calls) == seen
+        bad = (NormSpec.lebesgue(1.0), NormSpec.power_log(1.0, 1.0), NormSpec.lebesgue(1.0))
+        for _ in range(2):
+            with pytest.raises(InvalidHolderTriple):
+                holder_check(f, one, g.whole_box(), *bad)
+        assert len(calls) > seen
+        validate_holder_triple.cache_clear()
+
 
 class TestBmoPairing:
     def test_oscillation_against_logl_norm(self):
