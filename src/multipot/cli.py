@@ -16,10 +16,10 @@ import numpy as np
 
 from . import __version__
 from .dyadic import DyadicLattice, cz_decompose, default_cz_base
-from .grid import Grid, GridFunction, cube_family
+from .grid import Grid, cube_family
 from .kernels import Kernel, condition_d_check, parse_kernel
 from .operators import PhiScaling, apply_commutator, apply_potential, maximal
-from .orlicz import NormSpec, parse_norm_spec
+from .orlicz import YoungFunction, parse_norm_spec
 from .verify import (
     HypothesisUnmet,
     make_corpus,
@@ -227,7 +227,7 @@ def _cmd_verify(cfg) -> dict:
     elif theorem == "weak-maximal":
         us = _weights(cfg, grid, m)
         spec = parse_norm_spec(_spec_list(cfg, "norms")[0])
-        B = spec.young if spec.young is not None else _power_young(spec.r)
+        B = spec.young if spec.young is not None else YoungFunction("power-log", p=spec.r)
         rep = verify_weak_maximal(PhiScaling.constant(1.0), B, us, corpus, family)
     elif theorem == "control":
         u = _weights(cfg, grid, 1)[0]
@@ -252,12 +252,6 @@ _COMMANDS = {
     "check-condition-d": _cmd_check_condition_d,
     "verify": _cmd_verify,
 }
-
-
-def _power_young(r):
-    from .orlicz import YoungFunction
-
-    return YoungFunction("identity") if r == 1 else YoungFunction("power-log", p=r)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -211,11 +211,6 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     return CZDecomposition(a, grid, levels, mx)
 
 
-def _log_l1(power: float) -> NormSpec:
-    """L(log L)^power as a NormSpec, with the plain-L fast path at 0."""
-    return NormSpec.power_log(1.0, power)
-
-
 def discretization_rhs(
     K: Kernel,
     fs,
@@ -247,11 +242,12 @@ def discretization_rhs(
     if ell == 1 and (czj is None or j is None):
         raise ValueError("commutator sum needs the j-th decomposition")
     uq = GridFunction(cz0.grid, u.values**q)
-    terms = _cube_terms(K, q, delta, eps, cz0, [(uq, _log_l1(ell * q), 1.0)]
-                        + [(f, L1, q) for f in fs])
+    factors = [(uq, NormSpec.power_log(1.0, ell * q), 1.0)] + [(f, L1, q) for f in fs]
+    terms = _cube_terms(K, q, delta, eps, cz0, factors)
     if ell == 1:
         factors = [(u, L1, q)]
-        factors += [(f, _log_l1(1.0 if i == j else 0.0), q) for i, f in enumerate(fs)]
+        factors += [(f, NormSpec.power_log(1.0, 1.0 if i == j else 0.0), q)
+                    for i, f in enumerate(fs)]
         terms = np.concatenate([terms, _cube_terms(K, q, delta, eps, czj, factors)])
     # one add per cube in cube order, the rounding of a per-cube running sum
     total = 0.0
@@ -294,11 +290,10 @@ def dyadic_tail_check(
     q: float,
     delta: float = 1.0,
     eps: float = 0.5,
-    samples: int = 10_000,
 ) -> float:
     """LHS/RHS of the dyadic tail-sum bound below Q0.
 
-    LHS sums sampled-sup kernel weights over all dyadic subcubes of Q0
+    LHS sums annulus-sup kernel weights over all dyadic subcubes of Q0
     down to cell level; RHS is the aggregated annulus mass at the top
     scale times the top triple-cube norm.
     """
@@ -312,7 +307,7 @@ def dyadic_tail_check(
         Q = stack.pop()
         Q3 = Q.dilate3()
         lhs += (
-            bar_phi(K, Q.side / 2.0, samples) ** q
+            bar_phi(K, Q.side / 2.0) ** q
             * Q3.measure ** (mq + 1.0)
             * luxemburg_norm(f, Q3, psi)
         )

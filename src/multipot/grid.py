@@ -149,9 +149,6 @@ class Cube:
             out.append(Cube(self.grid, lo, half))
         return out
 
-    def contains_cell(self, idx: tuple) -> bool:
-        return all(l <= i < l + self.w for l, i in zip(self.lo, idx))
-
 
 class GridFunction:
     """Real values sampled at the cell centers of a grid."""

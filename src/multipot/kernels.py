@@ -318,18 +318,19 @@ def tilde_phi(K: Kernel, t: float, shell_nodes: int = 64, max_shells: int = 2000
 
 
 @lru_cache(maxsize=65536)
-def bar_phi(K: Kernel, t: float, samples: int = 10_000) -> float:
-    """Sampled sup of phi over the annulus A_(t,1,0).
+def bar_phi(K: Kernel, t: float) -> float:
+    """Sup of phi over the annulus A_(t,1,0).
 
-    The kernel is radial in s, so the sup over the annulus equals the sup
-    of the profile over s in (t, 2t]; sampled on a deterministic
-    Kronecker lattice (plus both endpoints' neighborhoods).
+    The kernel is radial in s, so the sup over the annulus is the sup of
+    the profile over s in (t, 2t].  Fractional, Bessel and profile kernels
+    are monotone in s, so it sits at an end (the open one taken at
+    t(1 + 1e-9)); a tabulated profile is linear between its knots, so its
+    sup also may sit at a knot inside.
     """
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    u = np.modf(np.arange(1, samples + 1) * golden)[0]
-    s = t * (1.0 + u)
-    s = np.concatenate([s, [t * (1.0 + 1e-9), 2.0 * t]])
-    return float(np.max(K.radial(s)))
+    s = [t * (1.0 + 1e-9), 2.0 * t]
+    if K.family == "tabulated":
+        s += [x for x in K.table_s if t < x < 2.0 * t]
+    return float(np.max(K.radial(np.array(s))))
 
 
 def condition_d_check(
@@ -337,7 +338,6 @@ def condition_d_check(
     delta: float = 1.0,
     eps: float = 0.5,
     k_range=range(-5, 1),
-    samples: int = 10_000,
 ) -> dict:
     """Per-scale certification of the kernel growth condition.
 
@@ -351,7 +351,7 @@ def condition_d_check(
     ratios = {}
     for k in ks:
         t = 2.0**k
-        sup = bar_phi(K, t, samples)
+        sup = bar_phi(K, t)
         den = annulus_integral(K, AnnulusSpec(t, delta, eps)) / (2.0 ** (k * K.nm))
         if den == 0.0:
             raise ZeroDivisionError(f"empty annulus integral at k={k}")

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, GridFunction, integrate
+from .grid import Grid, GridFunction
 from .orlicz import NormSpec, YoungFunction, luxemburg_norm
 
 __all__ = [

@@ -22,3 +22,26 @@ def spike_tuple(grid, m, seed):
         vals = base + amp * np.exp(-(((x - c) / width) ** 2))
         out.append(GridFunction(grid, vals, nonneg=True))
     return out
+
+
+def weak_maximal_lhs_at(M, u, Bm, m, lam_m):
+    """max over the given values of lambda^m of u({M > lambda^m})^m /
+    B_m(1/lambda), with one masked sum per lambda: the weak-maximal
+    left side as a loop over sampled lambdas."""
+    cellvol = M.grid.cell_volume
+    best = 0.0
+    for lm in lam_m:
+        lam = lm ** (1.0 / m)
+        mass = float(u.values[M.values > lm].sum()) * cellvol
+        denom = float(Bm(1.0 / lam))
+        if denom > 0:
+            best = max(best, mass**m / denom)
+    return best
+
+
+def log_lambda_samples(M, points):
+    """`points` log-spaced values of lambda^m across the positive range of M."""
+    pos = M.values[M.values > 0]
+    if not pos.size:
+        return np.zeros(0)
+    return np.logspace(np.log10(pos.min() * 0.999), np.log10(pos.max() * 1.001), points)

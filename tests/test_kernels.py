@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipot import (
     AnnulusSpec,
@@ -334,6 +336,35 @@ class TestPhiTheta:
             phi_theta(frac(0.5), 1.0, -1.0)
 
 
+def bar_phi_kronecker(K, t, samples=10_000):
+    """Sampled sup of the profile over s in (t, 2t]: a Kronecker lattice
+    of the interval plus both ends."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    u = np.modf(np.arange(1, samples + 1) * golden)[0]
+    s = np.concatenate([t * (1.0 + u), [t * (1.0 + 1e-9), 2.0 * t]])
+    return float(np.max(K.radial(s)))
+
+
+MONOTONE_KERNELS = [
+    frac(0.5),
+    frac(1.5, 2, 2),
+    Kernel("bessel", 1, 1, alpha=0.5),
+    Kernel("bessel", 1, 2, alpha=2.5),
+    Kernel("profile", 1, 1, profile_fn=lambda s: s),
+    Kernel("profile", 1, 2, profile_fn=lambda s: math.exp(-s)),
+]
+
+
+@st.composite
+def tabulated_kernels(draw):
+    k = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=k, max_size=k))
+    start = draw(st.sampled_from([0.0, 0.1]))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k))
+    return Kernel("tabulated", 1, 1, table_s=tuple(start + np.cumsum(steps) - steps[0]),
+                  table_v=tuple(values))
+
+
 class TestBarPhi:
     def test_decreasing_profile_sup_at_inner_edge(self):
         K = frac(0.5)
@@ -343,6 +374,21 @@ class TestBarPhi:
     def test_increasing_profile_sup_at_outer_edge(self):
         K = Kernel("profile", 1, 1, profile_fn=lambda s: s)
         assert bar_phi(K, 1.0) == pytest.approx(2.0, rel=1e-9)
+
+    def test_tabulated_sup_at_inner_knot(self):
+        # (0.6, 1.2] holds the knot s = 1 of value 2; both ends are lower
+        K = Kernel("tabulated", 1, 1, table_s=(0, .5, 1, 4), table_v=(3, 1, 2, .5))
+        assert bar_phi(K, 0.6) == 2.0
+
+    @pytest.mark.parametrize("K", MONOTONE_KERNELS, ids=lambda K: f"{K.family}-{K.n}-{K.m}")
+    @pytest.mark.parametrize("t", [2.0**-5, 0.3, 1.0, 3.7])
+    def test_monotone_kernels_match_sampled_sup(self, K, t):
+        assert bar_phi(K, t) == pytest.approx(bar_phi_kronecker(K, t), rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=tabulated_kernels(), t=st.floats(0.01, 8.0))
+    def test_tabulated_never_below_sampled_sup(self, K, t):
+        assert bar_phi(K, t) >= bar_phi_kronecker(K, t)
 
 
 class TestConditionD:

@@ -435,6 +435,31 @@ class TestMaximalBatched:
         want = per_cube_maximal(phis, specs, fs, g, fam)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        kind=st.sampled_from(["centered", "dyadic", "triples"]),
+        specs=st.lists(st.sampled_from(BATCH_SPECS), min_size=1, max_size=3),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_monotone_in_each_slot(self, n, kind, specs, data, seed):
+        g = make_grid(n, 1.0, BATCH_N[n])
+        fam = family_of(g, kind)
+        rng = np.random.default_rng(seed)
+        fs = [GridFunction(g, rng.lognormal(0.0, 1.0, g.shape)
+                           * (rng.uniform(size=g.shape) < 0.7)) for _ in specs]
+        j = data.draw(st.integers(0, len(specs) - 1))
+        bigger = list(fs)
+        bigger[j] = fs[j] + GridFunction(g, rng.exponential(size=g.shape)
+                                         * (rng.uniform(size=g.shape) < 0.5))
+        specs = [parse_norm_spec(s) for s in specs]
+        phis = PhiScaling.from_profile(lambda t: t**0.25)
+        lo = maximal(phis, specs, fs, g, fam).values
+        hi = maximal(phis, specs, bigger, g, fam).values
+        # each norm is within its solver tolerance (1e-10 relative) of the root
+        assert np.all(hi >= lo * (1.0 - 1e-9))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("spec", ["expL", "L^2"])
     def test_zero_input_and_zero_scaling(self, n, spec):

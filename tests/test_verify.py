@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import weak_maximal_lhs_at
 
 from multipot import (
     GridFunction,
@@ -10,6 +11,7 @@ from multipot import (
     PhiScaling,
     cube_family,
     make_grid,
+    maximal,
     phi_theta,
 )
 from multipot.orlicz import YoungFunction
@@ -368,6 +370,30 @@ class TestVerifyWeakMaximal:
                                   YoungFunction("power-log", p=1.0, alpha=1.0),
                                   [one, one], corpus, fam)
         assert 0 < rep.max_ratio < 1000.0
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("young", ["identity", "log"])
+    @pytest.mark.parametrize("phi", ["constant", "sqrt"])
+    def test_lhs_matches_level_set_oracle(self, n, N, m, young, phi):
+        g = make_grid(n, 1.0, N)
+        fam = cube_family(g, "centered")
+        corpus = make_corpus(g, m, count=4, seed=10 * n + m)
+        rng = np.random.default_rng(N + m)
+        us = [GridFunction(g, rng.uniform(0.5, 2.0, g.shape), nonneg=True) for _ in range(m)]
+        B = YoungFunction("identity") if young == "identity" else YoungFunction(
+            "power-log", p=1.0, alpha=1.0)
+        phis = PhiScaling.constant(1.0) if phi == "constant" else PhiScaling.from_profile(
+            math.sqrt)
+        rep = verify_weak_maximal(phis, B, us, corpus, fam)
+        u = GridFunction(g, np.prod([ui.values for ui in us], axis=0) ** (1.0 / m))
+        for fs, inst in zip(corpus, rep.instances):
+            M = maximal(phis, [NormSpec.orlicz(B)] * m, fs, g, fam)
+            # lambda^m just below each distinct value of M
+            below = np.nextafter(np.unique(M.values[M.values > 0]), 0.0)
+            want = weak_maximal_lhs_at(M, u, B.iterate(m), m, below)
+            assert want > 0
+            assert inst["lhs"] == pytest.approx(want, rel=1e-12)
 
     def test_non_submultiplicative_rejected(self):
         # e^t - 1 fails B(st) <= B(s) B(t) for large arguments
