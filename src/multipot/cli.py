@@ -43,7 +43,7 @@ _DEFAULTS = {
     "kernel": "frac0.5",
     "weights": ["one"],
     "norms": ["L^1"],
-    "exponents": {"p": [2.0], "q": 1.0},
+    "exponents": {"p": [2.0], "q": 2.0},
     "ell": 0,
     "case": "i",
     "theorem": "coifman",

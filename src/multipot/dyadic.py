@@ -261,7 +261,7 @@ def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecompositi
     """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
     with non-empty E, in cube order; factors are (g, spec, power) triples.
 
-    The norms take one luxemburg_norms call per cube width and factor.
+    The norms take one luxemburg_norms call per factor over all triples.
     """
     cellvol = cz.grid.cell_volume
     cubes, esizes = [], []
@@ -270,15 +270,10 @@ def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecompositi
         if esize != 0.0:
             cubes.append(Q)
             esizes.append(esize)
-    terms = np.empty(len(cubes))
-    widths = np.array([Q.w for Q in cubes], dtype=int)
-    for w in np.unique(widths).tolist():
-        idx = np.flatnonzero(widths == w)
-        triples = [cubes[i].dilate3() for i in idx]
-        term = np.full(idx.size, phi_theta(K, q, cubes[idx[0]].side, delta, eps) ** q)
-        for g, spec, power in factors:
-            term *= luxemburg_norms(g, triples, spec) ** power
-        terms[idx] = term
+    terms = np.array([phi_theta(K, q, Q.side, delta, eps) ** q for Q in cubes])
+    triples = [Q.dilate3() for Q in cubes]
+    for g, spec, power in factors:
+        terms *= luxemburg_norms(g, triples, spec) ** power
     return terms * np.array(esizes)
 
 

@@ -240,26 +240,24 @@ def maximal(
     """Pointwise sup over family cubes containing x of
     phi(|Q|) * prod_i ||f_i||_{X_i, Q}.
 
-    Cubes of one width share phi(|Q|) and go through the batched norm
-    together; a cube whose product is already 0 skips its later norms.
+    phi(|Q|) is taken once per width, and each f takes one batched norm
+    call over the cubes whose product is not yet 0.
     """
-    fs = list(fs)
-    specs = list(specs)
+    fs, specs = list(fs), list(specs)
     if len(fs) != len(specs):
         raise ValueError("need one norm spec per input function")
     _check_same_grid(fs + [GridFunction.constant(grid, 0.0)])
-    by_width = {}
-    for Q in family:
-        by_width.setdefault(Q.w, []).append(Q)
-    out = np.full(grid.shape, -np.inf)
-    for w, cubes in by_width.items():
-        val = np.full(len(cubes), phis(cubes[0].measure))
-        for f, spec in zip(fs, specs):
-            live = np.flatnonzero(val != 0.0)
-            if live.size == 0:
-                break
-            val[live] *= luxemburg_norms(f, [cubes[i] for i in live], spec, tol)
-        _scatter_max(out, np.array([Q.lo for Q in cubes]), w, val)
+    cubes = list(family)
+    widths, first, inv = np.unique([Q.w for Q in cubes], return_index=True, return_inverse=True)
+    val = np.array([phis(cubes[i].measure) for i in first.tolist()])[inv]
+    for f, spec in zip(fs, specs):
+        live = np.flatnonzero(val != 0.0)
+        if live.size == 0:
+            break
+        val[live] *= luxemburg_norms(f, [cubes[i] for i in live], spec, tol)
+    out, lo = np.full(grid.shape, -np.inf), np.array([Q.lo for Q in cubes])
+    for k, w in enumerate(widths.tolist()):
+        _scatter_max(out, lo[inv == k], w, val[inv == k])
     if np.any(~np.isfinite(out)):
         raise ValueError("cube family leaves part of the grid uncovered")
     return GridFunction(grid, out)

@@ -151,10 +151,7 @@ def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10)
     v = np.abs(f.restrict(Q)).ravel()
     if v.size == 0:
         return 0.0
-    cellfrac = f.grid.cell_volume / Q.measure
-    if spec.r is not None:
-        return float((np.sum(v**spec.r) * cellfrac) ** (1.0 / spec.r))
-    return float(_row_norms(v[None], spec, cellfrac, tol)[0])
+    return float(_row_norms([v[None]], spec, [f.grid.cell_volume / Q.measure], tol)[0])
 
 
 # Values of |f| gathered per chunk of cubes in luxemburg_norms (~0.5 MB).
@@ -165,44 +162,51 @@ _MAX_STEPS = 200  # cap on each loop of _row_norms
 
 
 def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) -> np.ndarray:
-    """luxemburg_norm(f, Q, spec, tol) for each Q of a list of equal-width cubes.
+    """luxemburg_norm(f, Q, spec, tol) for each Q of a list of cubes of any widths.
 
-    The windows of |f| come from a zero-padded copy, which is the
+    The windows of |f| come from one zero-padded copy, which is the
     zero-extension that clipped cubes assume.  The root-finder on lambda
-    runs on all windows at once; each row stops on its own.  A row sum
-    also adds the zero cells that luxemburg_norm leaves out, so it can
-    differ from the single-cube sum in the last bit; both norms are then
-    within tol of the same root.
+    runs on all windows of a chunk at once, a chunk may hold several
+    widths, and each row stops on its own.  A row sum also adds the zero
+    cells that luxemburg_norm leaves out, so it can differ from the
+    single-cube sum in the last bit; both are within tol of the same root.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cubes = list(cubes)
+    cubes, grid = list(cubes), f.grid
+    if not all(Q.grid is grid or grid.compatible(Q.grid) for Q in cubes):
+        raise ValueError("cube does not live on this grid")
+    out = np.zeros(len(cubes))
     if not cubes:
-        return np.zeros(0)
-    grid, w = f.grid, cubes[0].w
-    for Q in cubes:
-        if Q.w != w:
-            raise ValueError("luxemburg_norms needs cubes of one width")
-        if not grid.compatible(Q.grid):
-            raise ValueError("cube does not live on this grid")
-    N, n = grid.N, grid.n
+        return out
+    ws = np.array([Q.w for Q in cubes])
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
-    lo = np.clip(np.array([Q.lo for Q in cubes]), -w, N)
-    before, after = max(0, -lo.min()), max(0, lo.max() + w - N)
-    padded = np.pad(np.abs(f.values), (before, after))
-    windows = sliding_window_view(padded, (w,) * n)
-    starts = lo + before
-    cellfrac = grid.cell_volume / cubes[0].measure
-    out = np.empty(len(cubes))
-    step = max(1, _CHUNK_ELEMENTS // w**n)
-    for s in range(0, len(cubes), step):
-        v = windows[tuple(starts[s : s + step].T)].reshape(-1, w**n)
-        out[s : s + step] = _row_norms(v, spec, cellfrac, tol)
+    lo = np.clip(np.array([Q.lo for Q in cubes]), -ws[:, None], grid.N)
+    before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - grid.N)
+    padded, starts = np.pad(np.abs(f.values), (before, after)), lo + before
+    parts, used = [], 0  # (cube indices, their windows) of the chunk being filled
+
+    def solve():
+        idx, blocks = zip(*parts)
+        fracs = [grid.cell_volume / cubes[k[0]].measure for k in idx]
+        out[np.concatenate(idx)] = _row_norms(blocks, spec, fracs, tol)
+
+    for w in np.unique(ws).tolist():
+        idx, windows = np.flatnonzero(ws == w), sliding_window_view(padded, (w,) * grid.n)
+        while idx.size:
+            if used and used + w**grid.n > _CHUNK_ELEMENTS:  # flush before the cap
+                solve()
+                parts, used = [], 0
+            k = max(1, (_CHUNK_ELEMENTS - used) // w**grid.n)  # a wider cube goes alone
+            parts.append((idx[:k], windows[tuple(starts[idx[:k]].T)].reshape(-1, w**grid.n)))
+            idx, used = idx[k:], used + parts[-1][1].size
+    solve()
     return out
 
 
-def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np.ndarray:
-    """The Luxemburg norm of each row of v (nonnegative cell values).
+def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
+    """The Luxemburg norm of each row of the 2-D blocks of nonnegative cell
+    values, block after block; the cells of block k have cellfrac[k].
 
     For a Young spec: the least lam with S(lam) = sum Y(v / lam) * cellfrac
     <= 1.  Doubling hi from the row max, then halving lo, brackets it with
@@ -210,27 +214,34 @@ def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np
     log S against log lam, a line for S = c lam^-p, shrinks the bracket,
     each step at least tol * hi / 2 inside it.  A row stops at S(hi) == 1
     or hi - lo <= tol * hi and returns hi, feasible and within tol of lo.
+    A step makes one Y call on the rows of every block and then sums each
+    block on its own, so a row's float operations do not depend on its chunk.
     """
     if spec.r is not None:
-        sums = np.sum(v**spec.r, axis=1) * cellfrac
+        sums = np.concatenate([np.sum(v**spec.r, axis=1) * c for v, c in zip(blocks, cellfrac)])
         # numpy's vectorized power can round differently from the scalar
-        # power in luxemburg_norm, so the root is taken row by row
-        return np.array([s ** (1.0 / spec.r) for s in sums])
+        # power of the closed form, so the root is taken row by row
+        return np.array([s ** (1.0 / spec.r) for s in sums.tolist()])
     Y = spec.young
+    first = np.cumsum([0] + [len(v) for v in blocks])  # first row of each block, then the end
 
-    def log_s(v, lam):
-        return np.log(np.add.reduce(Y(v / lam[:, None]), axis=1) * cellfrac)
+    def log_s(rows, lam):
+        """log S(lam) on the given rows (ascending): one Y call, then a sum per block."""
+        cut = np.searchsorted(rows, first).tolist()
+        q = [v[rows[a:z] - s] / lam[a:z, None] for v, a, z, s in zip(blocks, cut, cut[1:], first.tolist())]
+        y, at = Y(np.concatenate([x.ravel() for x in q])), np.cumsum([0] + [x.size for x in q]).tolist()
+        return np.log(np.concatenate([np.add.reduce(y[a:z].reshape(x.shape), axis=1) * c
+                                      for x, a, z, c in zip(q, at, at[1:], cellfrac)]))
 
-    out = v.max(axis=1)  # rows of zeros have norm 0 and take no step
+    out = np.concatenate([v.max(axis=1) for v in blocks])  # zero rows have norm 0, take no step
     rows = np.flatnonzero(out > 0)
-    v, hi = v[rows], out[rows]
     # log S at lo and hi; NaN until lo is evaluated
-    lo, glo, ghi = np.zeros(hi.size), np.full(hi.size, np.nan), np.empty(hi.size)
-    todo = np.arange(hi.size)
+    lo, hi, glo, ghi = np.zeros(rows.size), out[rows], np.full(rows.size, np.nan), np.empty(rows.size)
+    todo = np.arange(rows.size)
     for _ in range(_MAX_STEPS):
         if todo.size == 0:
             break
-        ghi[todo] = log_s(v[todo], hi[todo])
+        ghi[todo] = log_s(rows[todo], hi[todo])
         todo = todo[ghi[todo] > 0.0]
         lo[todo], glo[todo] = hi[todo], ghi[todo]
         hi[todo] *= 2.0
@@ -243,7 +254,7 @@ def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np
         todo = todo[lo[todo] > 1e-300]
         if todo.size == 0:
             break
-        g = log_s(v[todo], lo[todo])
+        g = log_s(rows[todo], lo[todo])
         fit = g <= 0.0
         glo[todo[~fit]] = g[~fit]
         hi[todo[fit]], ghi[todo[fit]] = lo[todo[fit]], g[fit]
@@ -256,14 +267,13 @@ def _row_norms(v: np.ndarray, spec: NormSpec, cellfrac: float, tol: float) -> np
         if done.any():
             out[rows[done]] = hi[done]
             keep = ~done
-            rows, v, lo, hi, glo, ghi, hi_moved = (
-                a[keep] for a in (rows, v, lo, hi, glo, ghi, hi_moved))
+            rows, lo, hi, glo, ghi, hi_moved = (a[keep] for a in (rows, lo, hi, glo, ghi, hi_moved))
         if rows.size == 0:
             return out
         d = 0.5 * tol * hi
         # a NaN step (lo not evaluated) goes to lo + d
         x = np.fmin(np.fmax(hi * (lo / hi) ** (ghi / (ghi - glo)), lo + d), hi - d)
-        g = log_s(v, x)
+        g = log_s(rows, x)
         fit = g <= 0.0
         # the value at the end that stays put a second step running is halved
         half = np.where(fit == hi_moved, 0.5, 1.0)

@@ -21,7 +21,7 @@ from .operators import (
     maximal,
     maximal_single,
 )
-from .orlicz import NormSpec, YoungFunction, luxemburg_norm
+from .orlicz import NormSpec, YoungFunction, luxemburg_norms
 from .weights import gen_bmo_log, rh_check
 
 __all__ = [
@@ -198,24 +198,21 @@ def testing_condition_W(tc: TestingCondition) -> float:
     for i, v in enumerate(tc.vs):
         if np.any(v.values <= 0):
             raise ValueError(f"weight v_{i + 1} vanishes on a cell")
-    K = tc.kernel
-    m = K.m
-    grid = tc.u.grid
+    K, m, grid = tc.kernel, tc.kernel.m, tc.u.grid
     ug = GridFunction(grid, tc.u.values**tc.gamma)
     invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
     expo = 1.0 / tc.q - 1.0 / tc.p
+    cubes = list(tc.family)
+    base = np.array([phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps) * Q.measure**expo for Q in cubes])
+    # a scalar power per cube: numpy's vectorized power can round differently
+    base *= [x ** (1.0 / tc.gamma) for x in luxemburg_norms(ug, cubes, tc.X).tolist()]
+    cubes, base = [cubes[k] for k in np.flatnonzero(base)], base[base != 0.0]
     best = 0.0
-    for Q in tc.family:
-        base = phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps)
-        base *= Q.measure**expo
-        base *= luxemburg_norm(ug, Q, tc.X) ** (1.0 / tc.gamma)
-        if base == 0.0:
-            continue
-        for j in range(m):
-            term = base
-            for i in range(m):
-                term *= luxemburg_norm(invs[i], Q, tc.Y[i][j])
-            best = max(best, term)
+    for j in range(m):
+        term = base.copy()
+        for i in range(m):
+            term *= luxemburg_norms(invs[i], cubes, tc.Y[i][j])
+        best = max([best] + term.tolist())
     return best
 
 

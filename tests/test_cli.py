@@ -86,6 +86,13 @@ class TestVerify:
         second = (tmp_path / "report.json").read_bytes()
         assert first == second
 
+    def test_strong_with_defaults_exits_zero(self, tmp_path):
+        # the default exponents p = [2], q = 2 meet 1/m < p <= q
+        assert run_cli(["verify", "--theorem", "strong", "--out-dir", tmp_path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["exponents"] == {"p": [2.0], "q": 2.0}
+        assert doc["result"]["max_ratio"] > 0
+
     def test_unmet_hypothesis_exits_two(self, tmp_path, capsys):
         cfg = {
             "theorem": "strong",

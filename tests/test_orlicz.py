@@ -9,6 +9,7 @@ from multipot import (
     Cube,
     GridFunction,
     NormSpec,
+    PhiScaling,
     YoungFunction,
     cube_family,
     holder_check,
@@ -16,6 +17,7 @@ from multipot import (
     luxemburg_norm,
     luxemburg_norms,
     make_grid,
+    maximal,
     parse_norm_spec,
     young_inverse,
 )
@@ -174,11 +176,22 @@ class TestLuxemburgNorms:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
             assert got[-1] == got[-2] == 0.0
 
-    def test_needs_one_width(self):
+    def test_mixed_widths_match_per_width_calls(self):
         g = make_grid(1, 1.0, 8)
-        cubes = [Cube(g, (0,), 2), Cube(g, (0,), 4)]
-        with pytest.raises(ValueError):
-            luxemburg_norms(GridFunction.constant(g, 1.0), cubes, NormSpec.lebesgue(1.0))
+        f = GridFunction(g, np.arange(1.0, 9.0))
+        cubes = [Cube(g, (0,), 2), Cube(g, (-1,), 4), Cube(g, (3,), 2), Cube(g, (6,), 4)]
+        for spec in (NormSpec.lebesgue(1.0), parse_norm_spec("Lp1logL1")):
+            np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec),
+                                          _per_width_norms(f, cubes, spec))
+
+
+def _per_width_norms(f, cubes, spec):
+    """luxemburg_norms with one call per cube width, in input order."""
+    out = np.empty(len(cubes))
+    for w in {Q.w for Q in cubes}:
+        idx = [k for k, Q in enumerate(cubes) if Q.w == w]
+        out[idx] = luxemburg_norms(f, [cubes[k] for k in idx], spec)
+    return out
 
 
 class TestLogLNesting:
@@ -409,12 +422,13 @@ def _banded_function(g, seed):
 
 @pytest.fixture
 def young_calls(monkeypatch):
-    """A list that gets one entry per YoungFunction evaluation."""
+    """A list that gets one entry per YoungFunction evaluation: the number
+    of values it evaluates."""
     calls = []
     young_call = YoungFunction.__call__
 
     def counted(self, t):
-        calls.append(1)
+        calls.append(np.size(t))
         return young_call(self, t)
 
     monkeypatch.setattr(YoungFunction, "__call__", counted)
@@ -478,8 +492,8 @@ class TestSolverAgainstBisection:
             _assert_solved(r, want, _window(f, Q), Q, spec, 1e-10)
 
     def test_young_evaluations_per_call(self, young_calls):
-        # one luxemburg_norms call per width, every cube that meets the box;
-        # bisection takes about 37 Young evaluations per call
+        # one luxemburg_norms call on the cubes of one width that meet the
+        # box; bisection takes about 37 Young evaluations per call
         g = make_grid(1, 1.0, 128)
         f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
         spec = parse_norm_spec("Lp1logL1")
@@ -487,6 +501,42 @@ class TestSolverAgainstBisection:
             young_calls.clear()
             luxemburg_norms(f, [Cube(g, (lo,), w) for lo in range(1 - w, g.N)], spec)
             assert len(young_calls) <= 16, w
+
+    def test_young_evaluations_per_maximal_call(self, young_calls):
+        # one root-finder pass for all 8 widths of the family, where one
+        # pass per width took 70-78 Young evaluations
+        g = make_grid(1, 1.0, 128)
+        f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
+        spec = parse_norm_spec("Lp1logL1")
+        fam = cube_family(g, "centered")
+        maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        assert len(young_calls) <= 16
+        values = sum(young_calls)
+        young_calls.clear()
+        _per_width_norms(f, fam, spec)
+        assert sum(young_calls) == values  # the same values are evaluated
+
+    @pytest.mark.parametrize("spec", _SOLVER_SPECS + ["L^1.5"])
+    def test_chunks_span_widths(self, spec, monkeypatch):
+        g = make_grid(1, 1.0, 16)
+        f = _banded_function(g, 5)
+        spec = parse_norm_spec(spec)
+        cubes = [Cube(g, (lo,), w) for w in (1, 2, 3, 8) for lo in range(-w, g.N + 1, 3)]
+        cubes = [cubes[k] for k in np.random.default_rng(0).permutation(len(cubes))]
+        want = _per_width_norms(f, cubes, spec)
+        shapes, row_norms = [], orlicz._row_norms
+
+        def spy(blocks, *args):
+            shapes.append([v.shape for v in blocks])
+            return row_norms(blocks, *args)
+
+        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        monkeypatch.setattr(orlicz, "_row_norms", spy)
+        np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), want)
+        for chunk in shapes:  # at most 7 values, or one cube of 8 alone
+            assert sum(k * w for k, w in chunk) <= 7 or chunk == [(1, 8)]
+        assert any(len(chunk) > 1 for chunk in shapes)  # a chunk spans widths
+        assert [(1, 8)] in shapes
 
 
 def _random_cubes(g, w, rng, k=4):
@@ -509,6 +559,24 @@ def test_solver_homogeneity_property(spec, n, seed, c, w):
                                rtol=2 * tol, atol=0)
     assert luxemburg_norm(c * f, cubes[0], spec, tol) == pytest.approx(
         c * luxemburg_norm(f, cubes[0], spec, tol), rel=2 * tol, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(_SOLVER_SPECS + ["L^1.5"]), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**16))
+def test_mixed_widths_match_per_width_calls_property(spec, n, seed):
+    # dyadic cubes, their clipped triples and cubes that miss the box, in a
+    # random order; the banded f gives zero rows and constant rows
+    g = make_grid(n, 1.0, {1: 16, 2: 8, 3: 4}[n])
+    f = _banded_function(g, seed)
+    spec = parse_norm_spec(spec)
+    rng = np.random.default_rng(seed)
+    cubes = [C for Q in cube_family(g, "dyadic") for C in (Q, Q.dilate3())]
+    cubes += [Cube(g, (-6,) * n, 1), Cube(g, (-8,) * n, 3), Cube(g, (g.N,) * n, 2)]
+    cubes = [cubes[k] for k in rng.permutation(len(cubes))[: rng.integers(1, len(cubes) + 1)]]
+    got = luxemburg_norms(f, cubes, spec)
+    np.testing.assert_array_equal(got, _per_width_norms(f, cubes, spec))
+    np.testing.assert_array_equal(luxemburg_norms(f, cubes[::-1], spec), got[::-1])
 
 
 @settings(max_examples=30, deadline=None)

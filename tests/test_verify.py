@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from multipot import (
     NormSpec,
     PhiScaling,
     cube_family,
+    luxemburg_norm,
     make_grid,
     maximal,
+    parse_weight,
     phi_theta,
 )
 from multipot.orlicz import YoungFunction
@@ -19,6 +22,7 @@ from multipot.verify import (
     HypothesisUnmet,
     lorentz_weak_quasinorm,
     make_corpus,
+    remark_bundle,
     verify_coifman,
     verify_control,
     verify_fefferman_stein,
@@ -193,6 +197,67 @@ class TestTestingConditionW:
         L1 = NormSpec.lebesgue(1.0)
         with pytest.raises(ValueError):
             eval_condition_W(self._tc(one, [one, one], K, fam, L1, [[L1]]))
+
+
+def per_cube_condition_W(tc):
+    """max over j, sup over the family, of the weighted product, with one
+    scalar luxemburg_norm per cube, factor and j: the per-cube loop, kept
+    as the oracle for testing_condition_W."""
+    K, m, grid = tc.kernel, tc.kernel.m, tc.u.grid
+    ug = GridFunction(grid, tc.u.values**tc.gamma)
+    invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
+    expo = 1.0 / tc.q - 1.0 / tc.p
+    best = 0.0
+    for Q in tc.family:
+        base = phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps)
+        base *= Q.measure**expo
+        base *= luxemburg_norm(ug, Q, tc.X) ** (1.0 / tc.gamma)
+        if base == 0.0:
+            continue
+        for j in range(m):
+            term = base
+            for i in range(m):
+                term *= luxemburg_norm(invs[i], Q, tc.Y[i][j])
+            best = max(best, term)
+    return best
+
+
+def _strong_conditions(ell, p_list, q, K, u, vs, fam, delta_rem=0.5):
+    """The testing conditions that verify_strong evaluates, built as it builds them."""
+    p = 1.0 / sum(1.0 / pi for pi in p_list)
+    b = remark_bundle(ell, q, p_list, delta_rem)
+
+    def tc(theta, gamma, X, Y):
+        return WCondition(theta, gamma, X, Y, u, list(vs), K, p, q, fam)
+
+    if q > 1:
+        out = [tc(1.0, 1.0, b["X1"] if ell == 1 else b["X0"], b["Y0"])]
+        return out + [tc(1.0, 1.0, b["X0"], b["Y1"])] if ell == 1 else out
+    out = [tc(q, q, NormSpec.power_log(1.0, ell * q), b["Y0"])]
+    return out + [tc(q, 1.0, NormSpec.lebesgue(1.0), b["Y1"])] if ell == 1 else out
+
+
+class TestTestingConditionOracle:
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("n, m, N, p_list, q", [
+        (1, 1, 32, [2.0], 2.0),
+        (2, 1, 8, [2.0], 2.0),
+        (1, 2, 16, [4.0, 4.0], 2.0),
+        (1, 2, 16, [1.5, 1.5], 0.9),
+    ])
+    def test_matches_per_cube_loop(self, n, m, N, p_list, q, ell):
+        g = make_grid(n, 1.0, N)
+        fam = cube_family(g, "centered")
+        K = Kernel("fractional", n, m, alpha=0.5)
+        u = parse_weight("pow0.3", g)
+        vs = [parse_weight(s, g) for s in ("pow-0.2", "pow0.4")[:m]]
+        for tc in _strong_conditions(ell, p_list, q, K, u, vs, fam):
+            got = eval_condition_W(tc)
+            assert got > 0.0
+            assert got == per_cube_condition_W(tc)
+            for Q in fam:  # each cube's value, not only the sup
+                one = dataclasses.replace(tc, family=[Q])
+                assert eval_condition_W(one) == per_cube_condition_W(one)
 
 
 class TestVerifyStrong:
