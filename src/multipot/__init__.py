@@ -3,7 +3,7 @@ decompositions and weighted-inequality verification harnesses."""
 
 __version__ = "0.1.0"
 
-from .grid import Cube, Grid, GridFunction, cube_family, integrate, make_grid
+from .grid import Cube, CubeSet, Grid, GridFunction, cube_family, integrate, make_grid
 from .kernels import (
     AnnulusSpec,
     Kernel,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, Grid, GridFunction, cube_family
+from .grid import Cube, CubeSet, Grid, GridFunction, _dyadic_cubes, cube_family
 from .kernels import Kernel, bar_phi, phi_theta
 from .orlicz import L1, NormSpec, luxemburg_norm, luxemburg_norms
 
@@ -103,7 +103,7 @@ def default_cz_base(n: int, m: int) -> float:
 @dataclass
 class CZLevel:
     k: int
-    cubes: list
+    cubes: CubeSet  # selected at a^k: coarse to fine, corners in C order within a width
     prod_norms: list
     e_masks: list  # boolean arrays, one per cube
 
@@ -189,25 +189,23 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     levels = []
     for k in ks:
         thr = a**k
-        selected, prod_norms = [], []
+        sets, prod_norms = [], []
         # coarse to fine, corners in C order: sorted by (-w, lo)
         for level, (prod, anc) in enumerate(zip(pyramid, ancestors)):
             idx = np.nonzero((prod > thr) & (anc <= thr))
-            if idx[0].size == 0:
-                continue
-            w = lat.level_width(level)
-            for lo in (np.stack(idx, axis=1) * w).tolist():
-                selected.append(Cube(grid, tuple(lo), w))
-            prod_norms.extend(prod[idx].tolist())
-        if not selected:
+            if idx[0].size:
+                w = lat.level_width(level)
+                sets.append(CubeSet(grid, np.stack(idx, axis=1) * w, w))
+                prod_norms.extend(prod[idx].tolist())
+        if not sets:
             continue
-        next_mask = vals > a ** (k + 1)
-        e_masks = []
-        for Q in selected:
-            mask = np.zeros(grid.shape, dtype=bool)
-            mask[Q.slices()] = True
-            e_masks.append(mask & ~next_mask)
-        levels.append(CZLevel(k, selected, prod_norms, e_masks))
+        selected = CubeSet.concat(grid, sets)
+        # E = Q minus {M > a^(k+1)} for all cubes at once, one axis of Q per step
+        e = np.broadcast_to(vals <= a ** (k + 1), (len(selected),) + grid.shape).copy()
+        for ax, lo in enumerate(selected.lo.T):
+            inside = (lo[:, None] <= np.arange(grid.N)) & (np.arange(grid.N) < (lo + selected.w)[:, None])
+            e &= inside.reshape((-1,) + (1,) * ax + (grid.N,) + (1,) * (grid.n - ax - 1))
+        levels.append(CZLevel(k, selected, prod_norms, list(e)))
     return CZDecomposition(a, grid, levels, mx)
 
 
@@ -261,20 +259,20 @@ def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecompositi
     """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
     with non-empty E, in cube order; factors are (g, spec, power) triples.
 
-    The norms take one luxemburg_norms call per factor over all triples.
+    |E| takes one count per level, phi_theta one call per width, and the
+    norms one luxemburg_norms call per factor over all triples.
     """
-    cellvol = cz.grid.cell_volume
-    cubes, esizes = [], []
-    for _, Q, _, E in cz.all_cubes():
-        esize = float(E.sum()) * cellvol
-        if esize != 0.0:
-            cubes.append(Q)
-            esizes.append(esize)
-    terms = np.array([phi_theta(K, q, Q.side, delta, eps) ** q for Q in cubes])
-    triples = [Q.dilate3() for Q in cubes]
+    grid, levels = cz.grid, [lev for lev in cz.levels if len(lev.cubes)]
+    if not levels:
+        return np.zeros(0)
+    axes = tuple(range(1, grid.n + 1))  # the cells of each stacked E
+    esizes = np.concatenate([np.count_nonzero(lev.e_masks, axis=axes) for lev in levels]) * grid.cell_volume
+    keep = esizes != 0.0
+    cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
+    terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side, delta, eps) ** q)
     for g, spec, power in factors:
-        terms *= luxemburg_norms(g, triples, spec) ** power
-    return terms * np.array(esizes)
+        terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
+    return terms * esizes[keep]
 
 
 def dyadic_tail_check(
@@ -295,22 +293,9 @@ def dyadic_tail_check(
     rhs_norm = luxemburg_norm(f, Q0.dilate3(), psi)
     if rhs_norm == 0.0:
         return 0.0
-    mq = K.m * q
-    lhs = 0.0
-    stack = [Q0]
-    while stack:
-        Q = stack.pop()
-        Q3 = Q.dilate3()
-        lhs += (
-            bar_phi(K, Q.side / 2.0) ** q
-            * Q3.measure ** (mq + 1.0)
-            * luxemburg_norm(f, Q3, psi)
-        )
-        if Q.w > 1:
-            stack.extend(Q.children())
-    rhs = (
-        phi_theta(K, q, Q0.side, delta, eps) ** q
-        * Q0.dilate3().measure
-        * rhs_norm
-    )
+    cubes = _dyadic_cubes(Q0.grid, Q0.lo, Q0.w)
+    weights = cubes.per_width(
+        lambda Q: bar_phi(K, Q.side / 2.0) ** q * Q.dilate3().measure ** (K.m * q + 1.0))
+    lhs = float(np.dot(weights, luxemburg_norms(f, cubes.dilate3(), psi)))
+    rhs = phi_theta(K, q, Q0.side, delta, eps) ** q * Q0.dilate3().measure * rhs_norm
     return lhs / rhs

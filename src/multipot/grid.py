@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Cube",
+    "CubeSet",
     "GridFunction",
     "make_grid",
     "integrate",
@@ -108,8 +109,7 @@ class Cube:
 
     @property
     def corner(self) -> tuple:
-        g = self.grid
-        return tuple(-g.L + l * g.h for l in self.lo)
+        return tuple(-self.grid.L + l * self.grid.h for l in self.lo)
 
     @property
     def clipped(self) -> bool:
@@ -119,22 +119,13 @@ class Cube:
     @property
     def measure_clipped(self) -> float:
         N, h = self.grid.N, self.grid.h
-        out = 1.0
-        for l in self.lo:
-            out *= max(0, min(l + self.w, N) - max(l, 0)) * h
-        return out
+        return math.prod(max(0, min(l + self.w, N) - max(l, 0)) * h for l in self.lo)
 
     def slices(self) -> tuple:
-        N = self.grid.N
-        return tuple(
-            slice(max(l, 0), max(min(l + self.w, N), 0)) for l in self.lo
-        )
+        return tuple(slice(max(l, 0), max(min(l + self.w, self.grid.N), 0)) for l in self.lo)
 
     def cell_count(self) -> int:
-        out = 1
-        for s in self.slices():
-            out *= max(0, s.stop - s.start)
-        return out
+        return math.prod(max(0, s.stop - s.start) for s in self.slices())
 
     def dilate3(self) -> "Cube":
         """The concentric triple 3Q."""
@@ -143,11 +134,63 @@ class Cube:
     def children(self) -> list:
         """The 2^n dyadic children; only valid for even width."""
         half = self.w // 2
-        out = []
-        for off in np.ndindex(*((2,) * self.grid.n)):
-            lo = tuple(l + o * half for l, o in zip(self.lo, off))
-            out.append(Cube(self.grid, lo, half))
-        return out
+        return [Cube(self.grid, tuple(l + o * half for l, o in zip(self.lo, off)), half)
+                for off in np.ndindex(*((2,) * self.grid.n))]
+
+
+class CubeSet:
+    """A family of cubes on one grid as arrays: corners `lo` (k x n ints)
+    and widths `w` (k,), or one width for all.  `len` and iteration work as
+    on a list of Cube and an int index gives a Cube; an index array, a
+    boolean mask or a slice gives a CubeSet."""
+
+    def __init__(self, grid: Grid, lo, w):
+        lo = np.asarray(lo, dtype=np.int64)
+        w = np.full(len(lo), w, dtype=np.int64) if np.ndim(w) == 0 else np.asarray(w, dtype=np.int64)
+        if (w < 1).any():
+            raise ValueError("cube width must be at least one cell")
+        if lo.shape != (len(w), grid.n):
+            raise ValueError("corner index arity does not match the grid")
+        self.grid, self.lo, self.w = grid, lo, w
+
+    @classmethod
+    def of(cls, grid: Grid, cubes) -> "CubeSet":
+        """cubes as a CubeSet on grid: a CubeSet as it is, an iterable of
+        Cube converted once; raises if a cube lives on another grid."""
+        is_set = isinstance(cubes, CubeSet)
+        cubes = cubes if is_set else list(cubes)
+        if not all(x.grid is grid or grid.compatible(x.grid) for x in ([cubes] if is_set else cubes)):
+            raise ValueError("cube does not live on this grid")
+        if is_set:
+            return cubes
+        lo = np.array([Q.lo for Q in cubes], dtype=np.int64).reshape(len(cubes), grid.n)
+        return cls(grid, lo, [Q.w for Q in cubes])
+
+    @classmethod
+    def concat(cls, grid: Grid, sets) -> "CubeSet":
+        """The cubes of a nonempty list of CubeSets, one set after another."""
+        return cls(grid, np.concatenate([s.lo for s in sets]), np.concatenate([s.w for s in sets]))
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __iter__(self):
+        for lo, w in zip(self.lo.tolist(), self.w.tolist()):
+            yield Cube(self.grid, tuple(lo), w)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Cube(self.grid, tuple(self.lo[key].tolist()), int(self.w[key]))
+        return CubeSet(self.grid, self.lo[key], self.w[key])
+
+    def dilate3(self) -> "CubeSet":
+        """The concentric triples 3Q."""
+        return CubeSet(self.grid, self.lo - self.w[:, None], 3 * self.w)
+
+    def per_width(self, fn) -> np.ndarray:
+        """fn(Q) for every cube, taken once per width on its first cube."""
+        _, first, inv = np.unique(self.w, return_index=True, return_inverse=True)
+        return np.array([fn(self[i]) for i in first.tolist()], dtype=float)[inv]
 
 
 class GridFunction:
@@ -231,34 +274,38 @@ def integrate(f: GridFunction, Q: Cube = None) -> float:
     return float(f.restrict(Q).sum()) * f.grid.cell_volume
 
 
-def cube_family(grid: Grid, kind: str) -> list:
-    """Finite cube family standing in for 'all cubes' in suprema.
+def cube_family(grid: Grid, kind: str) -> CubeSet:
+    """Finite cube family standing in for 'all cubes' in suprema, as a CubeSet.
 
-    'dyadic': every dyadic subcube of the box down to cell level.
-    'centered': for each grid point and each dyadic side length, the cube
-    of that size centered at the point, shifted to fit inside the box,
-    deduplicated.
+    'dyadic': every dyadic subcube of the box down to cell level, widest
+    first, corners in C order within a width.
+    'centered': for each dyadic side length, narrowest first, and each grid
+    point in C order, the cube of that size centered at the point, shifted
+    to fit inside the box, deduplicated in order of first appearance.
     """
-    N = grid.N
-    out = []
     if kind == "dyadic":
-        w = N
-        while w >= 1:
-            for lo in np.ndindex(*((N // w,) * grid.n)):
-                out.append(Cube(grid, tuple(l * w for l in lo), w))
-            w //= 2
-        return out
+        return _dyadic_cubes(grid, (0,) * grid.n, grid.N)
     if kind == "centered":
-        seen = set()
-        w = 1
-        while w <= N:
-            for idx in np.ndindex(*grid.shape):
-                lo = tuple(
-                    min(max(i - w // 2, 0), N - w) for i in idx
-                )
-                if (lo, w) not in seen:
-                    seen.add((lo, w))
-                    out.append(Cube(grid, lo, w))
-            w *= 2
-        return out
+        # per axis the shifted corner is nondecreasing in the point, so
+        # first appearances come in C order of the distinct corners
+        return CubeSet.concat(grid, [
+            CubeSet(grid, _c_order(np.unique(np.clip(np.arange(grid.N) - w // 2, 0, grid.N - w)), grid.n), w)
+            for w in (1 << k for k in range(grid.num_levels))])
     raise ValueError(f"unknown cube family kind {kind!r}")
+
+
+def _dyadic_cubes(grid: Grid, lo, w: int) -> CubeSet:
+    """The cube (lo, w) and its descendants under halving, down to width 1:
+    one width after another, corners in C order within a width."""
+    off, sets = np.zeros(1, dtype=np.int64), []
+    while True:
+        sets.append(CubeSet(grid, np.asarray(lo) + _c_order(off, grid.n), w))
+        if w == 1:
+            return CubeSet.concat(grid, sets)
+        w //= 2
+        off = (off[:, None] + [0, w]).ravel()
+
+
+def _c_order(coords: np.ndarray, n: int) -> np.ndarray:
+    """The corners of coords^n, one per row, in C order."""
+    return np.stack(np.meshgrid(*[coords] * n, indexing="ij"), axis=-1).reshape(-1, n)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, GridFunction
+from .grid import CubeSet, Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value, phi_theta
 from .orlicz import NormSpec, luxemburg_norms
 
@@ -238,7 +238,8 @@ def maximal(
     tol: float = 1e-10,
 ) -> GridFunction:
     """Pointwise sup over family cubes containing x of
-    phi(|Q|) * prod_i ||f_i||_{X_i, Q}.
+    phi(|Q|) * prod_i ||f_i||_{X_i, Q}; family is a CubeSet or a list of
+    cubes on grid.
 
     phi(|Q|) is taken once per width, and each f takes one batched norm
     call over the cubes whose product is not yet 0.
@@ -247,17 +248,16 @@ def maximal(
     if len(fs) != len(specs):
         raise ValueError("need one norm spec per input function")
     _check_same_grid(fs + [GridFunction.constant(grid, 0.0)])
-    cubes = list(family)
-    widths, first, inv = np.unique([Q.w for Q in cubes], return_index=True, return_inverse=True)
-    val = np.array([phis(cubes[i].measure) for i in first.tolist()])[inv]
+    cubes = CubeSet.of(grid, family)
+    val = cubes.per_width(lambda Q: phis(Q.measure))
     for f, spec in zip(fs, specs):
         live = np.flatnonzero(val != 0.0)
         if live.size == 0:
             break
-        val[live] *= luxemburg_norms(f, [cubes[i] for i in live], spec, tol)
-    out, lo = np.full(grid.shape, -np.inf), np.array([Q.lo for Q in cubes])
-    for k, w in enumerate(widths.tolist()):
-        _scatter_max(out, lo[inv == k], w, val[inv == k])
+        val[live] *= luxemburg_norms(f, cubes[live], spec, tol)
+    out = np.full(grid.shape, -np.inf)
+    for w in np.unique(cubes.w).tolist():
+        _scatter_max(out, cubes.lo[cubes.w == w], w, val[cubes.w == w])
     if np.any(~np.isfinite(out)):
         raise ValueError("cube family leaves part of the grid uncovered")
     return GridFunction(grid, out)

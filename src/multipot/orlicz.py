@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Cube, GridFunction
+from .grid import Cube, CubeSet, GridFunction
 
 __all__ = [
     "YoungFunction",
@@ -162,7 +162,8 @@ _MAX_STEPS = 200  # cap on each loop of _row_norms
 
 
 def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) -> np.ndarray:
-    """luxemburg_norm(f, Q, spec, tol) for each Q of a list of cubes of any widths.
+    """luxemburg_norm(f, Q, spec, tol) for each Q of a CubeSet or a list of
+    cubes of any widths, on the grid of f.
 
     The windows of |f| come from one zero-padded copy, which is the
     zero-extension that clipped cubes assume.  The root-finder on lambda
@@ -173,15 +174,12 @@ def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) 
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cubes, grid = list(cubes), f.grid
-    if not all(Q.grid is grid or grid.compatible(Q.grid) for Q in cubes):
-        raise ValueError("cube does not live on this grid")
-    out = np.zeros(len(cubes))
-    if not cubes:
+    grid, cubes = f.grid, CubeSet.of(f.grid, cubes)
+    out, ws = np.zeros(len(cubes)), cubes.w
+    if not len(cubes):
         return out
-    ws = np.array([Q.w for Q in cubes])
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
-    lo = np.clip(np.array([Q.lo for Q in cubes]), -ws[:, None], grid.N)
+    lo = np.clip(cubes.lo, -ws[:, None], grid.N)
     before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - grid.N)
     padded, starts = np.pad(np.abs(f.values), (before, after)), lo + before
     parts, used = [], 0  # (cube indices, their windows) of the chunk being filled

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, GridFunction, integrate
+from .grid import CubeSet, Grid, GridFunction, integrate
 from .kernels import Kernel, phi_theta
 from .operators import (
     PhiScaling,
@@ -180,7 +180,7 @@ class TestingCondition:
     kernel: Kernel
     p: float
     q: float
-    family: list
+    family: CubeSet  # the cubes of the sup; a list of cubes on the grid of u also works
     delta: float = 1.0
     eps: float = 0.5
 
@@ -202,11 +202,11 @@ def testing_condition_W(tc: TestingCondition) -> float:
     ug = GridFunction(grid, tc.u.values**tc.gamma)
     invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
     expo = 1.0 / tc.q - 1.0 / tc.p
-    cubes = list(tc.family)
-    base = np.array([phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps) * Q.measure**expo for Q in cubes])
+    cubes = CubeSet.of(grid, tc.family)
+    base = cubes.per_width(lambda Q: phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps) * Q.measure**expo)
     # a scalar power per cube: numpy's vectorized power can round differently
     base *= [x ** (1.0 / tc.gamma) for x in luxemburg_norms(ug, cubes, tc.X).tolist()]
-    cubes, base = [cubes[k] for k in np.flatnonzero(base)], base[base != 0.0]
+    cubes, base = cubes[base != 0.0], base[base != 0.0]
     best = 0.0
     for j in range(m):
         term = base.copy()

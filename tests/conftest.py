@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
 
-from multipot import GridFunction
+from multipot import Cube, GridFunction
 
 
 def spike_tuple(grid, m, seed):
@@ -45,3 +46,17 @@ def log_lambda_samples(M, points):
     if not pos.size:
         return np.zeros(0)
     return np.logspace(np.log10(pos.min() * 0.999), np.log10(pos.max() * 1.001), points)
+
+
+@pytest.fixture
+def cube_constructions(monkeypatch):
+    """A list that gets the width of every Cube constructed."""
+    made = []
+    post_init = Cube.__post_init__
+
+    def counted(self):
+        made.append(self.w)
+        post_init(self)
+
+    monkeypatch.setattr(Cube, "__post_init__", counted)
+    return made

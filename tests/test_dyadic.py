@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multipot import (
     Cube,
+    CubeSet,
     DyadicLattice,
     GridFunction,
     Kernel,
@@ -18,12 +19,17 @@ from multipot import (
     discretization_rhs,
     dyadic_tail_check,
     integrate,
+    bar_phi,
     luxemburg_norm,
+    luxemburg_norms,
     m3d,
     make_grid,
+    parse_norm_spec,
+    parse_weight,
     phi_theta,
 )
-from multipot.dyadic import _triple_average_pyramid
+from multipot.dyadic import _cube_terms, _triple_average_pyramid
+from multipot.verify import make_corpus
 from multipot.operators import apply_potential
 
 
@@ -435,3 +441,152 @@ def _mask_of(Q, grid):
     out = np.zeros(grid.shape, dtype=bool)
     out[Q.slices()] = True
     return out
+
+
+def e_masks_per_cube(cz, lev):
+    """One full-grid mask per selected cube: Q minus {M > a^(k+1)}."""
+    grid = cz.grid
+    next_mask = cz.maximal_values.values > cz.a ** (lev.k + 1)
+    return [_mask_of(Q, grid) & ~next_mask for Q in lev.cubes]
+
+
+def cube_terms_per_cube(K, q, delta, eps, cz, factors):
+    """_cube_terms with |E|, phi_theta and the triple taken cube by cube."""
+    cellvol = cz.grid.cell_volume
+    cubes, esizes = [], []
+    for _, Q, _, E in cz.all_cubes():
+        esize = float(E.sum()) * cellvol
+        if esize != 0.0:
+            cubes.append(Q)
+            esizes.append(esize)
+    terms = np.array([phi_theta(K, q, Q.side, delta, eps) ** q for Q in cubes])
+    triples = [Q.dilate3() for Q in cubes]
+    for g, spec, power in factors:
+        terms *= luxemburg_norms(g, triples, spec) ** power
+    return terms * np.array(esizes)
+
+
+def _rhs_factors(fs, u, q, ell, j):
+    """The factor lists discretization_rhs hands to _cube_terms."""
+    uq = GridFunction(u.grid, u.values**q)
+    first = [(uq, NormSpec.power_log(1.0, ell * q), 1.0)]
+    first += [(f, NormSpec.lebesgue(1.0), q) for f in fs]
+    second = [(u, NormSpec.lebesgue(1.0), q)]
+    second += [(f, NormSpec.power_log(1.0, 1.0 if i == j else 0.0), q) for i, f in enumerate(fs)]
+    return first, second
+
+
+class TestCzArraysAgainstPerCubeLoops:
+    @pytest.mark.parametrize("kind", ["uniform", "sparse"])
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 64), (1, 2, 32), (2, 1, 16), (2, 2, 8), (3, 1, 8)])
+    def test_e_masks_and_cube_terms(self, n, m, N, kind):
+        g, fs = _inputs(n, m, N, kind, 11 * N + m)
+        lat = DyadicLattice(g)
+        rng = np.random.default_rng(N)
+        u = GridFunction(g, rng.uniform(0.5, 3.0, size=g.shape), nonneg=True)
+        cz0 = cz_decompose(fs, 2.0, lat)
+        czj = cz_decompose([u] + fs[1:], 2.0, lat)
+        assert cz0.levels and czj.levels
+        for cz in (cz0, czj):
+            for lev in cz.levels:
+                assert isinstance(lev.cubes, CubeSet)
+                assert len(lev.e_masks) == len(lev.cubes)
+                for E, expected in zip(lev.e_masks, e_masks_per_cube(cz, lev)):
+                    assert E.shape == g.shape and E.dtype == bool
+                    np.testing.assert_array_equal(E, expected)
+        K = Kernel("fractional", n, m, alpha=0.5)
+        for q in (0.5, 1.0):
+            for ell in (0, 1):
+                first, second = _rhs_factors(fs, u, q, ell, 0)
+                for cz, factors in [(cz0, first)] + [(czj, second)] * ell:
+                    got = _cube_terms(K, q, 1.0, 0.5, cz, factors)
+                    expected = cube_terms_per_cube(K, q, 1.0, 0.5, cz, factors)
+                    assert got.size > 0
+                    np.testing.assert_array_equal(got, expected)
+
+    def test_empty_carved_sets_are_skipped(self):
+        g, fs = _inputs(1, 1, 32, "uniform", 5)
+        cz = cz_decompose(fs, 2.0, DyadicLattice(g))
+        K = frac(0.5)
+        factors = [(fs[0], NormSpec.lebesgue(1.0), 1.0)]
+        for lev in cz.levels:
+            lev.e_masks = [np.zeros(g.shape, dtype=bool) for _ in lev.e_masks]
+        cz.levels[0].e_masks[0] = np.ones(g.shape, dtype=bool)
+        got = _cube_terms(K, 1.0, 1.0, 0.5, cz, factors)
+        np.testing.assert_array_equal(got, cube_terms_per_cube(K, 1.0, 1.0, 0.5, cz, factors))
+        assert got.shape == (1,)
+
+    def test_hand_built_levels_with_cube_lists(self):
+        g, fs = _inputs(2, 1, 16, "uniform", 9)
+        cz = cz_decompose(fs, 2.0, DyadicLattice(g))
+        K = frac(0.5, 2)
+        factors = [(fs[0], NormSpec.power_log(1.0, 1.0), 0.5)]
+        expected = _cube_terms(K, 0.5, 1.0, 0.5, cz, factors)
+        for lev in cz.levels:
+            lev.cubes = list(lev.cubes)
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, 1.0, 0.5, cz, factors), expected)
+
+
+class TestConstructionsPerWidth:
+    def test_cz_and_discretization_build_a_few_cubes_per_width(self, cube_constructions):
+        # one corpus tuple on the 2-D N=32 grid: about 100 selected cubes
+        g = make_grid(2, 1.0, 32)
+        (f,) = make_corpus(g, 1, count=4, seed=3)[2]
+        u = parse_weight("pow0.3", g)
+        lat = DyadicLattice(g)
+        cube_constructions.clear()
+        cz0 = cz_decompose([f], 2.0, lat)
+        czj = cz_decompose([u], 2.0, lat)
+        rhs = discretization_rhs(frac(0.5, 2), [f], u, 0.5, 1, cz0, czj, j=0)
+        selected = sum(len(lev.cubes) for cz in (cz0, czj) for lev in cz.levels)
+        assert rhs > 0 and selected >= 50
+        # a few per width of the cubes and their triples, where one Cube per
+        # selected cube and one per triple were built before
+        widths = {w for k in range(g.num_levels) for w in (g.N >> k, 3 * (g.N >> k))}
+        assert len(cube_constructions) <= 4 * len(widths) < selected
+
+
+def tail_check_stack_walk(K, Q0, psi, f, q, delta=1.0, eps=0.5):
+    """dyadic_tail_check as a walk over the subcubes of Q0 with one
+    luxemburg_norm per triple."""
+    rhs_norm = luxemburg_norm(f, Q0.dilate3(), psi)
+    if rhs_norm == 0.0:
+        return 0.0
+    mq = K.m * q
+    lhs = 0.0
+    stack = [Q0]
+    while stack:
+        Q = stack.pop()
+        Q3 = Q.dilate3()
+        lhs += bar_phi(K, Q.side / 2.0) ** q * Q3.measure ** (mq + 1.0) * luxemburg_norm(f, Q3, psi)
+        if Q.w > 1:
+            stack.extend(Q.children())
+    rhs = phi_theta(K, q, Q0.side, delta, eps) ** q * Q0.dilate3().measure * rhs_norm
+    return lhs / rhs
+
+
+class TestDyadicTailCheckAgainstStackWalk:
+    @pytest.mark.parametrize("spec", ["L^1", "Lp1logL1"])
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("where", ["box", "edge", "inner"])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_matches_within_1e9(self, n, N, where, spec, q):
+        g = make_grid(n, 1.0, N)
+        rng = np.random.default_rng(N + n)
+        f = GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.7))
+        Q0 = {"box": g.whole_box(), "edge": Cube(g, (N - N // 4,) + (0,) * (n - 1), N // 4),
+              "inner": Cube(g, (N // 4,) * n, N // 2)}[where]
+        K = Kernel("fractional", n, 1, alpha=0.5)
+        psi = parse_norm_spec(spec)
+        got = dyadic_tail_check(K, Q0, psi, f, q)
+        expected = tail_check_stack_walk(K, Q0, psi, f, q)
+        assert expected > 0
+        assert got == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_non_dyadic_width_halves_as_the_walk_does(self):
+        g = make_grid(1, 1.0, 32)
+        f = GridFunction(g, np.random.default_rng(1).uniform(0.5, 2.0, g.shape))
+        K, psi = frac(0.5), parse_norm_spec("Lp1logL1")
+        for Q0 in (Cube(g, (4,), 6), Cube(g, (10,), 5)):
+            assert dyadic_tail_check(K, Q0, psi, f, 0.5) == pytest.approx(
+                tail_check_stack_walk(K, Q0, psi, f, 0.5), rel=1e-9, abs=0)

@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipot import Cube, Grid, GridFunction, cube_family, integrate, make_grid
+from multipot import (
+    Cube,
+    CubeSet,
+    Grid,
+    GridFunction,
+    NormSpec,
+    PhiScaling,
+    cube_family,
+    integrate,
+    luxemburg_norms,
+    make_grid,
+    maximal,
+)
 
 
 class TestMakeGrid:
@@ -105,6 +117,130 @@ class TestCubeFamily:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             cube_family(make_grid(1, 1.0, 4), "random")
+
+
+def nested_loop_family(grid, kind):
+    """cube_family as one Cube per loop step: the order the arrays keep."""
+    N = grid.N
+    out = []
+    if kind == "dyadic":
+        w = N
+        while w >= 1:
+            for lo in np.ndindex(*((N // w,) * grid.n)):
+                out.append(Cube(grid, tuple(l * w for l in lo), w))
+            w //= 2
+        return out
+    seen = set()
+    w = 1
+    while w <= N:
+        for idx in np.ndindex(*grid.shape):
+            lo = tuple(min(max(i - w // 2, 0), N - w) for i in idx)
+            if (lo, w) not in seen:
+                seen.add((lo, w))
+                out.append(Cube(grid, lo, w))
+        w *= 2
+    return out
+
+
+class TestCubeFamilyOracle:
+    @pytest.mark.parametrize("kind", ["dyadic", "centered"])
+    @pytest.mark.parametrize(
+        "n,N", [(1, 4), (1, 8), (1, 64), (1, 512), (2, 4), (2, 16), (2, 64), (3, 4), (3, 8), (3, 16)]
+    )
+    def test_same_cubes_in_the_same_order(self, n, N, kind):
+        g = make_grid(n, 1.0, N)
+        fam = cube_family(g, kind)
+        assert isinstance(fam, CubeSet)
+        expected = nested_loop_family(g, kind)
+        assert [(Q.lo, Q.w) for Q in fam] == [(Q.lo, Q.w) for Q in expected]
+        assert list(fam) == expected
+
+
+class TestCubeSet:
+    def test_iteration_and_int_index_give_the_list(self):
+        g = make_grid(2, 1.0, 8)
+        fam = cube_family(g, "centered")
+        cubes = nested_loop_family(g, "centered")
+        assert len(fam) == len(cubes)
+        assert list(fam) == cubes
+        assert [fam[i] for i in range(len(fam))] == cubes
+        assert fam[-1] == cubes[-1] and fam[np.int64(3)] == cubes[3]
+        assert all(type(l) is int for Q in fam for l in Q.lo + (Q.w,))
+
+    def test_array_mask_and_slice_give_sets(self):
+        g = make_grid(1, 1.0, 16)
+        fam = cube_family(g, "dyadic")
+        cubes = list(fam)
+        mask = fam.w == 2
+        for key, expected in [
+            (np.array([4, 0, 4]), [cubes[4], cubes[0], cubes[4]]),
+            (mask, [Q for Q in cubes if Q.w == 2]),
+            (slice(3, 9, 2), cubes[3:9:2]),
+            (np.array([], dtype=int), []),
+        ]:
+            sub = fam[key]
+            assert isinstance(sub, CubeSet) and sub.grid is g
+            assert list(sub) == expected
+
+    def test_dilate3_matches_the_cubes(self):
+        g = make_grid(2, 1.0, 8)
+        fam = cube_family(g, "dyadic")
+        assert list(fam.dilate3()) == [Q.dilate3() for Q in fam]
+
+    def test_per_width_once_per_width(self):
+        g = make_grid(1, 1.0, 16)
+        fam = cube_family(g, "centered")
+        seen = []
+        got = fam.per_width(lambda Q: seen.append(Q.w) or Q.side)
+        assert seen == sorted(set(fam.w.tolist()))
+        np.testing.assert_array_equal(got, [Q.side for Q in fam])
+
+    def test_of_is_idempotent(self):
+        g = make_grid(2, 1.0, 8)
+        fam = cube_family(g, "dyadic")
+        assert CubeSet.of(g, fam) is fam
+        again = CubeSet.of(g, list(fam))
+        assert again is not fam and list(again) == list(fam)
+        assert CubeSet.of(g, again) is again
+        assert CubeSet.of(make_grid(2, 1.0, 8), fam) is fam  # a compatible grid
+        assert CubeSet.of(g, iter(list(fam)[:3])).w.tolist() == [8, 4, 4]
+
+    def test_bad_cubes_raise_as_cube_does(self):
+        g = make_grid(2, 1.0, 8)
+        for lo, w in [((0, 0), 0), ((0,), 2), ((0, 0, 0), 2)]:
+            with pytest.raises(ValueError) as cube_err:
+                Cube(g, lo, w)
+            with pytest.raises(ValueError) as set_err:
+                CubeSet(g, [lo], [w])
+            assert str(set_err.value) == str(cube_err.value)
+        with pytest.raises(ValueError, match="at least one cell"):
+            CubeSet(g, [(0, 0), (2, 2)], [2, -1])
+
+    def test_incompatible_grid_raises(self):
+        g, other = make_grid(1, 1.0, 16), make_grid(1, 2.0, 16)
+        f = GridFunction.constant(g, 1.0)
+        spec = NormSpec.lebesgue(1.0)
+        for fam in (cube_family(other, "centered"), list(cube_family(other, "centered"))):
+            with pytest.raises(ValueError, match="does not live on this grid"):
+                CubeSet.of(g, fam)
+            with pytest.raises(ValueError, match="does not live on this grid"):
+                luxemburg_norms(f, fam, spec)
+            with pytest.raises(ValueError, match="does not live on this grid"):
+                maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        mixed = list(cube_family(g, "dyadic")) + [Cube(other, (0,), 2)]
+        with pytest.raises(ValueError, match="does not live on this grid"):
+            luxemburg_norms(f, mixed, spec)
+
+    def test_empty_set_gives_empty_results(self):
+        g = make_grid(2, 1.0, 8)
+        f = GridFunction.constant(g, 1.0)
+        for empty in (CubeSet(g, np.zeros((0, 2), dtype=int), []), cube_family(g, "dyadic")[:0],
+                      CubeSet.of(g, [])):
+            assert len(empty) == 0 and list(empty) == []
+            assert empty.lo.shape == (0, 2)
+            assert luxemburg_norms(f, empty, NormSpec.power_log(1.0, 1.0)).shape == (0,)
+            assert empty.per_width(lambda Q: 1.0).shape == (0,)
+            assert len(empty.dilate3()) == 0
 
 
 class TestCube:

@@ -391,6 +391,18 @@ class TestMaximal:
         assert worst < 50.0
 
 
+def test_maximal_builds_a_few_cubes_per_width(cube_constructions):
+    g = make_grid(1, 1.0, 128)
+    f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
+    fam = cube_family(g, "centered")
+    out = maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [f], g, fam)
+    assert np.isfinite(out.values).all()
+    widths = len(set(fam.w.tolist()))
+    # the family and the call together, where the family alone was one
+    # Cube per member (777 here)
+    assert len(cube_constructions) <= 4 * widths < len(fam)
+
+
 def per_cube_maximal(phis, specs, fs, grid, family):
     """The per-cube loop over luxemburg_norm that maximal batches."""
     out = np.full(grid.shape, -np.inf)

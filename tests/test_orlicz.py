@@ -516,6 +516,18 @@ class TestSolverAgainstBisection:
         _per_width_norms(f, fam, spec)
         assert sum(young_calls) == values  # the same values are evaluated
 
+    @pytest.mark.parametrize("kind", ["centered", "dyadic"])
+    def test_cube_set_and_list_evaluate_the_same(self, young_calls, kind):
+        g = make_grid(1, 1.0, 128)
+        f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
+        spec = parse_norm_spec("Lp1logL1")
+        fam = cube_family(g, kind)
+        got = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        calls, young_calls[:] = list(young_calls), []
+        expected = maximal(PhiScaling.constant(1.0), [spec], [f], g, list(fam))
+        assert calls == young_calls  # the same calls on the same numbers of values
+        np.testing.assert_array_equal(got.values, expected.values)
+
     @pytest.mark.parametrize("spec", _SOLVER_SPECS + ["L^1.5"])
     def test_chunks_span_widths(self, spec, monkeypatch):
         g = make_grid(1, 1.0, 16)
