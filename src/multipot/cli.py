@@ -56,17 +56,20 @@ _DEFAULTS = {
     "out_dir": "out",
 }
 
+_INTEGER_KEYS, _NUMBER_KEYS = ("m", "n", "N", "ell", "seed", "corpus"), ("L", "p", "delta", "a")
+
 
 def _load_config(args) -> dict:
     cfg = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
-    for key, val in vars(args).items():
-        if key in ("config",):
-            continue
-        if val is not None:
-            cfg[key] = val
+    cfg.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
+    # integer keys take ints, numeric keys numbers, neither a bool; a null a is the default base
+    for key in _INTEGER_KEYS + _NUMBER_KEYS:
+        val, integer = cfg[key], key in _INTEGER_KEYS
+        if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))) and (key, val) != ("a", None):
+            raise ValueError(f"config {key} must be {'an integer' if integer else 'a number'}, got {val!r}")
     return cfg
 
 

@@ -288,12 +288,12 @@ def dyadic_tail_check(
 
     LHS sums annulus-sup kernel weights over all dyadic subcubes of Q0
     down to cell level; RHS is the aggregated annulus mass at the top
-    scale times the top triple-cube norm.
+    scale times the top triple-cube norm.  The width of Q0 must be a power
+    of two, so that its dyadic subcubes tile it.
     """
-    rhs_norm = luxemburg_norm(f, Q0.dilate3(), psi)
+    cubes, rhs_norm = _dyadic_cubes(Q0.grid, Q0.lo, Q0.w), luxemburg_norm(f, Q0.dilate3(), psi)
     if rhs_norm == 0.0:
         return 0.0
-    cubes = _dyadic_cubes(Q0.grid, Q0.lo, Q0.w)
     weights = cubes.per_width(
         lambda Q: bar_phi(K, Q.side / 2.0) ** q * Q.dilate3().measure ** (K.m * q + 1.0))
     lhs = float(np.dot(weights, luxemburg_norms(f, cubes.dilate3(), psi)))

@@ -297,6 +297,8 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
 def _dyadic_cubes(grid: Grid, lo, w: int) -> CubeSet:
     """The cube (lo, w) and its descendants under halving, down to width 1:
     one width after another, corners in C order within a width."""
+    if not _is_power_of_two(w):  # halving would then not tile the cube
+        raise ValueError(f"a dyadic cube needs a power-of-two width, got {w}")
     off, sets = np.zeros(1, dtype=np.int64), []
     while True:
         sets.append(CubeSet(grid, np.asarray(lo) + _c_order(off, grid.n), w))

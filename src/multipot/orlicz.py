@@ -168,9 +168,7 @@ def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) 
     The windows of |f| come from one zero-padded copy, which is the
     zero-extension that clipped cubes assume.  The root-finder on lambda
     runs on all windows of a chunk at once, a chunk may hold several
-    widths, and each row stops on its own.  A row sum also adds the zero
-    cells that luxemburg_norm leaves out, so it can differ from the
-    single-cube sum in the last bit; both are within tol of the same root.
+    widths, and each row stops on its own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -212,24 +210,26 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
     log S against log lam, a line for S = c lam^-p, shrinks the bracket,
     each step at least tol * hi / 2 inside it.  A row stops at S(hi) == 1
     or hi - lo <= tol * hi and returns hi, feasible and within tol of lo.
-    A step makes one Y call on the rows of every block and then sums each
-    block on its own, so a row's float operations do not depend on its chunk.
+    A step makes one Y call on the nonzero cells of its rows and sums each row
+    left to right, so a row's result depends on neither its chunk nor its zeros.
     """
     if spec.r is not None:
         sums = np.concatenate([np.sum(v**spec.r, axis=1) * c for v, c in zip(blocks, cellfrac)])
         # numpy's vectorized power can round differently from the scalar
         # power of the closed form, so the root is taken row by row
         return np.array([s ** (1.0 / spec.r) for s in sums.tolist()])
-    Y = spec.young
-    first = np.cumsum([0] + [len(v) for v in blocks])  # first row of each block, then the end
+    Y, frac = spec.young, np.repeat(cellfrac, [len(v) for v in blocks])  # cellfrac per row
+    # the nonzero cells in row-major order and their rows; each loop starts from all of them
+    full = cells = (np.concatenate([v[v != 0] for v in blocks]), np.repeat(
+        np.arange(frac.size), np.concatenate([np.count_nonzero(v, axis=1) for v in blocks])))
 
     def log_s(rows, lam):
-        """log S(lam) on the given rows (ascending): one Y call, then a sum per block."""
-        cut = np.searchsorted(rows, first).tolist()
-        q = [v[rows[a:z] - s] / lam[a:z, None] for v, a, z, s in zip(blocks, cut, cut[1:], first.tolist())]
-        y, at = Y(np.concatenate([x.ravel() for x in q])), np.cumsum([0] + [x.size for x in q]).tolist()
-        return np.log(np.concatenate([np.add.reduce(y[a:z].reshape(x.shape), axis=1) * c
-                                      for x, a, z, c in zip(q, at, at[1:], cellfrac)]))
+        """log S(lam) on the given rows (ascending, within those of the last call)."""
+        nonlocal cells
+        live = np.bincount(rows, minlength=frac.size) > 0
+        v, o = cells = tuple(a[live[cells[1]]] for a in cells)  # the cells of rows
+        i = (np.cumsum(live) - 1)[o]  # the place of each cell's row in rows
+        return np.log(np.bincount(i, weights=Y(v / lam[i]), minlength=rows.size) * frac[rows])
 
     out = np.concatenate([v.max(axis=1) for v in blocks])  # zero rows have norm 0, take no step
     rows = np.flatnonzero(out > 0)
@@ -246,7 +246,7 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
     if todo.size:
         raise ArithmeticError("Luxemburg bracket failed to close upward")
     # a lo below 1e-300 counts as infeasible and is not evaluated
-    todo = np.flatnonzero((lo == 0.0) & (ghi < 0.0))
+    todo, cells = np.flatnonzero((lo == 0.0) & (ghi < 0.0)), full
     for _ in range(_MAX_STEPS):
         lo[todo] = 0.5 * hi[todo]
         todo = todo[lo[todo] > 1e-300]
@@ -259,7 +259,7 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
         todo = todo[g < 0.0]
     if todo.size:
         raise ArithmeticError("Luxemburg bracket failed to close downward")
-    hi_moved = np.zeros(rows.size, dtype=bool)  # as after a halving
+    hi_moved, cells = np.zeros(rows.size, dtype=bool), full  # as after a halving
     for _ in range(_MAX_STEPS):
         done = (ghi == 0.0) | (hi - lo <= tol * hi)
         if done.any():

@@ -156,3 +156,34 @@ class TestConfigPrecedence:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config"]["kernel"] == "frac0.5"
         assert doc["config"]["k_range"] == "-2..0"
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("key,val", [
+        ("N", 32.7),     # a float for an integer key
+        ("corpus", 3.9),
+        ("N", "32"),     # a string for an integer key
+        ("seed", True),  # a bool for an integer key
+        ("ell", None),   # null for an integer key
+        ("L", "1.0"),    # a string for a numeric key
+        ("delta", False),  # a bool for a numeric key
+        ("a", "2"),
+    ])
+    def test_bad_type_exits_one(self, tmp_path, capsys, key, val):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"theorem": "control", "N": 16, "corpus": 2,
+                                    "out_dir": str(tmp_path), key: val}))
+        code = run_cli(["verify", "--config", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config {key} must be" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integer_for_numeric_key_and_null_base_run(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"L": 1, "p": 1, "a": None, "N": 16,
+                                    "out_dir": str(tmp_path)}))
+        assert run_cli(["cz-decompose", "--config", path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["L"] == 1 and doc["result"]["levels"] >= 1

@@ -583,10 +583,12 @@ class TestDyadicTailCheckAgainstStackWalk:
         assert expected > 0
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
-    def test_non_dyadic_width_halves_as_the_walk_does(self):
+    def test_non_dyadic_width_raises(self):
+        # halving would leave out cells of Q0: 6 and 9 of Cube(g, (4,), 6)
         g = make_grid(1, 1.0, 32)
         f = GridFunction(g, np.random.default_rng(1).uniform(0.5, 2.0, g.shape))
         K, psi = frac(0.5), parse_norm_spec("Lp1logL1")
-        for Q0 in (Cube(g, (4,), 6), Cube(g, (10,), 5)):
-            assert dyadic_tail_check(K, Q0, psi, f, 0.5) == pytest.approx(
-                tail_check_stack_walk(K, Q0, psi, f, 0.5), rel=1e-9, abs=0)
+        for w in (3, 5, 6, 12):
+            for h in (f, GridFunction.constant(g, 0.0)):
+                with pytest.raises(ValueError, match="power-of-two width"):
+                    dyadic_tail_check(K, Cube(g, (4,), w), psi, h, 0.5)

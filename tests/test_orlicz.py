@@ -173,7 +173,12 @@ class TestLuxemburgNorms:
             cubes += [Cube(g, (-w - 5,) * n, w), Cube(g, (g.N,) * n, w)]
             got = luxemburg_norms(f, cubes, spec)
             want = [luxemburg_norm(f, Q, spec) for Q in cubes]
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            if spec.young is not None:
+                # both sum the nonzero cells of a cube left to right
+                np.testing.assert_array_equal(got, want)
+            else:
+                # the L^r sum of a window also adds its padded zeros
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
             assert got[-1] == got[-2] == 0.0
 
     def test_mixed_widths_match_per_width_calls(self):
@@ -386,8 +391,12 @@ def _bisection_norm(f, Q, spec, tol=1e-10):
 
 
 def _young_sum(v, lam, Y, cellfrac):
-    """sum Y(v / lam) * cellfrac, with the float operations of the solver."""
-    return float(Y(v[None] / np.array([lam])[:, None]).sum(axis=1)[0] * cellfrac)
+    """sum Y(v / lam) * cellfrac, with the float operations of the solver:
+    the terms are added left to right."""
+    total = 0.0
+    for y in Y(v / lam).tolist():
+        total += y
+    return total * cellfrac
 
 
 def _window(f, Q):
@@ -515,6 +524,23 @@ class TestSolverAgainstBisection:
         young_calls.clear()
         _per_width_norms(f, fam, spec)
         assert sum(young_calls) == values  # the same values are evaluated
+
+    def test_young_never_receives_a_zero(self, monkeypatch):
+        # Y(0) = 0 adds nothing to S, so the root-finder leaves zero cells out
+        g = make_grid(1, 1.0, 128)
+        vals = np.random.default_rng(0).lognormal(0.0, 1.0, g.shape)
+        f = GridFunction(g, np.where(np.arange(g.N) < g.N // 2, 0.0, vals))
+        seen, young_call = [], YoungFunction.__call__
+
+        def spied(self, t):
+            seen.append(np.array(t, dtype=float).ravel())
+            return young_call(self, t)
+
+        monkeypatch.setattr(YoungFunction, "__call__", spied)
+        maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [f], g,
+                cube_family(g, "centered"))
+        values = np.concatenate(seen)
+        assert values.size and np.count_nonzero(values == 0.0) == 0
 
     @pytest.mark.parametrize("kind", ["centered", "dyadic"])
     def test_cube_set_and_list_evaluate_the_same(self, young_calls, kind):
