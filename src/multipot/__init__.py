@@ -44,12 +44,10 @@ from .dyadic import (
     m3d,
 )
 from .weights import (
-    bmo_norm,
     gen_bmo_log,
     gen_power_weight,
     parse_weight,
     rh_check,
-    rh_inf_check,
 )
 from .verify import (
     HypothesisUnmet,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -57,6 +58,7 @@ _DEFAULTS = {
 }
 
 _INTEGER_KEYS, _NUMBER_KEYS = ("m", "n", "N", "ell", "seed", "corpus"), ("L", "p", "delta", "a")
+_STRING_KEYS = ("kernel", "theorem", "case", "k_range")
 
 
 def _load_config(args) -> dict:
@@ -70,6 +72,11 @@ def _load_config(args) -> dict:
         val, integer = cfg[key], key in _INTEGER_KEYS
         if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))) and (key, val) != ("a", None):
             raise ValueError(f"config {key} must be {'an integer' if integer else 'a number'}, got {val!r}")
+    for key in _STRING_KEYS:
+        if not isinstance(cfg[key], str):
+            raise ValueError(f"config {key} must be a string, got {cfg[key]!r}")
+    if not re.fullmatch(r"-?\d+\.\.-?\d+", cfg["k_range"]):
+        raise ValueError(f"config k_range must be a string lo..hi, got {cfg['k_range']!r}")
     return cfg
 
 
@@ -188,7 +195,7 @@ def _cmd_cz_decompose(cfg) -> dict:
 
 def _cmd_check_condition_d(cfg) -> dict:
     K = _kernel(cfg)
-    lo, hi = (int(s) for s in str(cfg["k_range"]).split(".."))
+    lo, hi = (int(s) for s in cfg["k_range"].split(".."))
     rep = condition_d_check(K, k_range=range(lo, hi + 1))
     table = sorted(rep["per_k"].items())
     plots = {"condition_d.dat": [(k, r) for k, r in table]}

@@ -374,12 +374,19 @@ def phi_theta(
     eps: float = 0.5,
     max_terms: int = 400,
 ) -> float:
-    """l^theta aggregation of annulus masses at scales 2^-nu below t."""
+    """l^theta aggregation of annulus masses at scales 2^-nu below t.
+
+    A fractional annulus mass is A 2^(-nu alpha), so its series is
+    geometric and summed in closed form; other families sum term by term.
+    """
     if not 0.0 < theta <= 1.0:
         raise ValueError("need theta in (0, 1]")
     if t <= 0:
         raise ValueError("need t > 0")
     nu0 = math.ceil(-math.log2(t) - 1e-12)
+    if K.family == "fractional":
+        first = annulus_integral(K, AnnulusSpec(2.0**-nu0, delta, eps)) ** theta
+        return (first / (1.0 - 2.0 ** (-K.alpha * theta))) ** (1.0 / theta)
     terms = []
     total = 0.0
     growing = 0

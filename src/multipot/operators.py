@@ -93,7 +93,7 @@ def _check_same_grid(fs) -> Grid:
     return grid
 
 
-_BLOCK_ELEMENTS = 2**16  # table values per block of the spectrum build and its shear
+_BLOCK_ELEMENTS = 2**16  # table values per block of the spectrum build, its shear and S o T_m
 
 
 @lru_cache(maxsize=4)
@@ -139,14 +139,13 @@ def _kernel_spectrum(K: Kernel, grid: Grid) -> np.ndarray:
     return spec
 
 
-def _toeplitz(f: np.ndarray, P: int, last: bool) -> np.ndarray:
-    """T[a, b] = F((b - a) mod P) per axis, F = fftn(f) at period P: a
-    zero-copy view over F tiled twice per axis, with its rows reversed.
+def _toeplitz(F: np.ndarray, last: bool) -> np.ndarray:
+    """T[a, b] = F((b - a) mod P) per axis, for a transform F at period P:
+    a zero-copy view over F tiled twice per axis, with its rows reversed.
     The columns of the last slot stop at the half axis."""
-    n = f.ndim
-    tiled = np.tile(np.fft.fftn(f, s=(P,) * n, axes=range(n)), (2,) * n)
+    n, P = F.ndim, F.shape[0]
     window = (P,) * (n - 1) + (P // 2 + 1 if last else P,)
-    return sliding_window_view(tiled, window)[(slice(P, 0, -1),) * n]
+    return sliding_window_view(np.tile(F, (2,) * n), window)[(slice(P, 0, -1),) * n]
 
 
 def apply_potential(K: Kernel, fs) -> GridFunction:
@@ -159,7 +158,10 @@ def apply_potential(K: Kernel, fs) -> GridFunction:
     S(xi) F_1(xi_1) ... F_m(xi_m) over xi_1 + ... + xi_m = eta.  With the
     spectrum in sheared coordinates (`_kernel_spectrum`), slot 1 enters as
     F_1(zeta_1) and slot i > 1 as the Toeplitz view T_i[zeta_(i-1), zeta_i]
-    = F_i(zeta_i - zeta_(i-1)); einsum contracts zeta_(m-1) down to zeta_1.
+    = F_i(zeta_i - zeta_(i-1)).  Per block of first-axis slabs of S, the
+    product S o T_m is formed in one reused workspace, slots m-1 ... 2 are
+    contracted as batched matrix-vector products, and a product with F_1
+    adds the block's share of G.
     """
     fs = list(fs)
     if len(fs) != K.m:
@@ -167,21 +169,29 @@ def apply_potential(K: Kernel, fs) -> GridFunction:
     grid = _check_same_grid(fs)
     N, n, m = grid.N, grid.n, K.m
     P, axes = 2 * N, tuple(range(n))
-    first = np.fft.rfftn if m == 1 else np.fft.fftn
-    ts = [first(fs[0].values, s=(P,) * n, axes=axes)]
-    ts += [_toeplitz(f.values, P, i == m - 1) for i, f in enumerate(fs[1:], 1)]
-    z = [list(range(i * n, (i + 1) * n)) for i in range(m)]  # einsum labels of zeta_1 ... zeta_m
-    g, g_z = _kernel_spectrum(K, grid), sum(z, [])
-    pending = [ts[-1], sum(z[-2:], [])]  # slot m joins the first contraction
-    for i in range(m - 2, -1, -1):  # contract zeta_(i+1) against slot i+1
-        out = sum(z[:i], []) + z[-1]
-        g = np.einsum(g, g_z, *pending, ts[i], sum(z[max(i - 1, 0) : i + 1], []), out)
-        g_z, pending = out, []
-    if m == 1:
-        g = g * ts[0]
+    S = _kernel_spectrum(K, grid)
+    if m == 1:  # zeta_1 is eta: nothing to contract
+        G = S * np.fft.rfftn(fs[0].values, s=(P,) * n, axes=axes)
+    else:
+        F1, *Fs = (np.fft.fftn(f.values, s=(P,) * n, axes=axes) for f in fs)
+        Ts = [_toeplitz(F, i == m) for i, F in enumerate(Fs, 2)]  # T_2 ... T_m
+        eta = S.shape[(m - 1) * n :]  # the zeta_m axes, the last one half
+        G = np.zeros(math.prod(eta), dtype=complex)
+        slab, Z = P ** (n - 1), P**n  # zeta_1 cells per first-axis slab; cells per slot
+        rows = max(1, _BLOCK_ELEMENTS // S[0].size)  # first-axis slabs per block
+        work = np.empty(rows * S[0].size, dtype=complex)  # reused: fresh blocks page-fault
+        for lo in range(0, P, rows):
+            cut = slice(lo, lo + rows)
+            A = work[: S[cut].size].reshape(S[cut].shape)
+            np.multiply(S[cut], Ts[-1][cut] if m == 2 else Ts[-1], out=A)
+            for i in range(m - 1, 1, -1):  # contract zeta_i against T_i[zeta_(i-1), zeta_i]
+                T = np.ascontiguousarray(Ts[i - 2][cut] if i == 2 else Ts[i - 2]).reshape(-1, Z)
+                A = T[:, None, :] @ A.reshape(-1, T.shape[0], Z, G.size)
+            G += F1.ravel()[lo * slab : (lo + rows) * slab] @ A.reshape(-1, G.size)
+        G = G.reshape(eta)
     for axis in range(n - 1):  # inverse transform, keeping rows [0, N) of each axis
-        g = np.fft.ifft(g, axis=axis)[(slice(None),) * axis + (slice(N),)]
-    conv = np.fft.irfft(g, n=P, axis=-1)[..., :N]
+        G = np.fft.ifft(G, axis=axis)[(slice(None),) * axis + (slice(N),)]
+    conv = np.fft.irfft(G, n=P, axis=-1)[..., :N]
     return GridFunction(grid, conv * (grid.h**K.nm / P ** (n * (m - 1))))
 
 

@@ -1,22 +1,17 @@
-"""Test weights, BMO symbols and reverse-Holder certifiers."""
+"""Test weights, BMO symbols and the reverse-Holder certifier."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .orlicz import NormSpec, YoungFunction, luxemburg_norm
 
 __all__ = [
     "gen_power_weight",
     "gen_bmo_log",
-    "bmo_norm",
-    "BmoNorms",
     "rh_check",
-    "rh_inf_check",
     "parse_weight",
 ]
 
@@ -75,33 +70,6 @@ def gen_bmo_log(grid: Grid) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-class BmoNorms(NamedTuple):
-    l1: float
-    exp: float
-
-
-_EXP_YOUNG = NormSpec.orlicz(YoungFunction("exp"))
-
-
-def bmo_norm(b: GridFunction, family) -> BmoNorms:
-    """sup over the family of the mean oscillation, in L^1 and exp L form."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty cube family")
-    grid = b.grid
-    l1 = 0.0
-    expv = 0.0
-    for Q in family:
-        sub = b.restrict(Q)
-        if sub.size == 0:
-            continue
-        mean = float(sub.mean())
-        dev = GridFunction(grid, np.abs(b.values - mean))
-        l1 = max(l1, float(np.abs(sub - mean).mean()))
-        expv = max(expv, luxemburg_norm(dev, Q, _EXP_YOUNG, tol=1e-8))
-    return BmoNorms(l1=l1, exp=expv)
-
-
 def rh_check(w: GridFunction, s: float, family) -> float:
     """Reverse Holder constant on the family:
     max over Q of (avg w^s)^(1/s) / (avg w)."""
@@ -116,20 +84,6 @@ def rh_check(w: GridFunction, s: float, family) -> float:
         if den == 0.0:
             continue
         worst = max(worst, float(np.mean(sub**s)) ** (1.0 / s) / den)
-    return worst
-
-
-def rh_inf_check(w: GridFunction, family) -> float:
-    """max over Q of (sup of w on Q) / (avg of w on Q)."""
-    worst = 0.0
-    for Q in family:
-        sub = w.restrict(Q)
-        if sub.size == 0:
-            continue
-        den = float(sub.mean())
-        if den == 0.0:
-            continue
-        worst = max(worst, float(sub.max()) / den)
     return worst
 
 

@@ -168,6 +168,11 @@ class TestConfigTypes:
         ("L", "1.0"),    # a string for a numeric key
         ("delta", False),  # a bool for a numeric key
         ("a", "2"),
+        ("kernel", 5),   # a number for a string key
+        ("theorem", ["control"]),
+        ("case", 3),
+        ("k_range", 5),
+        ("k_range", "-5"),  # not of the form lo..hi
     ])
     def test_bad_type_exits_one(self, tmp_path, capsys, key, val):
         path = tmp_path / "cfg.json"

@@ -312,6 +312,27 @@ class TestPhiTheta:
         )
         assert phi_theta(K, 1.0, t) == pytest.approx(manual, rel=1e-6)
 
+    @pytest.mark.parametrize("n,m,alpha,theta,t", [
+        (1, 2, 0.5, 0.75, 0.3), (1, 1, 0.5, 1.0, 1.0), (2, 1, 1.2, 0.5, 0.1),
+        (1, 2, 0.5, 0.25, 3.0), (2, 2, 3.5, 0.6, 0.01),
+    ])
+    def test_fractional_closed_form_is_the_series_sum(self, n, m, alpha, theta, t):
+        # the fractional terms are geometric; an exactly rounded sum of
+        # enough of them is the reference
+        K = frac(alpha, n, m)
+        nu0 = math.ceil(-math.log2(t) - 1e-12)
+        terms = [annulus_integral(K, AnnulusSpec(2.0**-nu, 1.0, 0.5)) ** theta
+                 for nu in range(nu0, nu0 + 1000)]
+        assert phi_theta(K, theta, t) == pytest.approx(math.fsum(terms) ** (1.0 / theta),
+                                                       rel=1e-13)
+
+    def test_series_path_matches_the_closed_form(self):
+        # a profile kernel with the fractional profile takes the series
+        K = frac(0.5, 1, 2)
+        P = Kernel("profile", 1, 2, profile_fn=lambda s: s ** (0.5 - 2.0))
+        for theta in (0.5, 1.0):
+            assert phi_theta(P, theta, 0.3) == pytest.approx(phi_theta(K, theta, 0.3), rel=1e-6)
+
     def test_small_theta_dominates(self):
         K = frac(0.5)
         for t in (0.1, 0.5, 1.0):

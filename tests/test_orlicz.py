@@ -290,12 +290,12 @@ class TestBmoPairing:
     def test_oscillation_against_logl_norm(self):
         # (1/|Q|) int |b - b_Q| |f| <= C ||b||_* ||f||_{L(logL),Q}
         # with one finite constant across the dyadic family
-        from multipot import bmo_norm, gen_bmo_log
+        from multipot import gen_bmo_log
 
         g = make_grid(1, 1.0, 32)
         fam = cube_family(g, "dyadic")
         b = gen_bmo_log(g)
-        bstar = bmo_norm(b, fam).l1
+        bstar = max(float(np.abs(b.restrict(Q) - b.restrict(Q).mean()).mean()) for Q in fam)
         assert bstar > 0
         rng = np.random.default_rng(9)
         spec = NormSpec.power_log(1.0, 1.0)
