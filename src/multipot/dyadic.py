@@ -47,7 +47,9 @@ def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
     in units of its width.  Averages use the full |3Q| with h_i extended by
     zero off the box, so a clipped 3Q sums only its cells inside the box.
     Each box sum takes the corners of a summed-area table in np.ndindex
-    order, the same float operations a single-cube box sum takes.
+    order, the same float operations a single-cube box sum takes.  The
+    table is padded with N cells on each side, zeros before and the edge
+    value after, so every level reads its corners as strided slices.
     """
     grid = lat.grid
     N, n = grid.N, grid.n
@@ -56,20 +58,27 @@ def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
         p = h.values
         for ax in range(n):
             p = np.cumsum(p, axis=ax)
-        prefixes.append(np.pad(p, [(1, 0)] * n))
+        prefix = np.zeros((3 * N + 1,) * n)
+        prefix[(slice(N + 1, 2 * N + 1),) * n] = p
+        for ax in range(n):  # the edge value after the box, one axis after another
+            before = (slice(None),) * ax
+            prefix[before + (slice(2 * N + 1, None),)] = prefix[before + (slice(2 * N, 2 * N + 1),)]
+        prefixes.append(prefix)
+    # box + (-1)^(n - |corner|) x, as box + x or box - x
+    corners = [(corner, (n - sum(corner)) % 2) for corner in np.ndindex(*((2,) * n))]
     cellvol = grid.cell_volume
     pyramid = []
     for level in range(lat.depth):
         w = lat.level_width(level)
-        i = np.arange(N // w)
-        ends = (np.maximum(i * w - w, 0), np.minimum(i * w + 2 * w, N))
+        # clip(i w - w, 0, N) and clip(i w + 2 w, 0, N) for i < N / w, shifted by N
+        ends = (slice(N - w, 2 * N - w, w), slice(N + 2 * w, 2 * N + 2 * w, w))
         meas = Cube(grid, (-w,) * n, 3 * w).measure
         prod = 1.0
         for prefix in prefixes:
             box = 0.0
-            for corner in np.ndindex(*((2,) * n)):
-                sign = (-1) ** (n - sum(corner))
-                box = box + sign * prefix[np.ix_(*(ends[c] for c in corner))]
+            for corner, negative in corners:
+                x = prefix[tuple(ends[c] for c in corner)]
+                box = box - x if negative else box + x
             prod = prod * (box * cellvol / meas)
         pyramid.append(prod)
     return pyramid
@@ -105,7 +114,18 @@ class CZLevel:
     k: int
     cubes: CubeSet  # selected at a^k: coarse to fine, corners in C order within a width
     prod_norms: list
-    e_masks: list  # boolean arrays, one per cube
+    below_next: np.ndarray  # M <= a^(k+1) on the grid; E_Q is its part in Q
+    e_counts: np.ndarray  # |E_Q| in cells, one per cube
+
+    @property
+    def e_masks(self) -> list:
+        """E_Q = Q minus {M > a^(k+1)}, one boolean grid per cube, built on demand."""
+        masks = []
+        for Q in self.cubes:
+            E = np.zeros_like(self.below_next)
+            E[Q.slices()] = self.below_next[Q.slices()]
+            masks.append(E)
+        return masks
 
 
 @dataclass
@@ -181,32 +201,59 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     ks = list(range(min(k_lo, k_hi), k_hi + 1))
     if len(ks) > max_levels:
         ks = ks[-max_levels:]
-    # Q is maximal above thr iff its product exceeds thr and no strict
-    # ancestor's does: the max over its strict ancestors is <= thr
-    ancestors = [np.full((1,) * grid.n, -np.inf)]
-    for prod in pyramid[:-1]:
-        ancestors.append(_upsample(np.maximum(ancestors[-1], prod), 2))
-    levels = []
-    for k in ks:
-        thr = a**k
-        sets, prod_norms = [], []
-        # coarse to fine, corners in C order: sorted by (-w, lo)
-        for level, (prod, anc) in enumerate(zip(pyramid, ancestors)):
-            idx = np.nonzero((prod > thr) & (anc <= thr))
-            if idx[0].size:
-                w = lat.level_width(level)
-                sets.append(CubeSet(grid, np.stack(idx, axis=1) * w, w))
-                prod_norms.extend(prod[idx].tolist())
-        if not sets:
+    thr, nxt = np.array([a**k for k in ks]), np.array([a ** (k + 1) for k in ks])
+    # M <= a^(k_j+1) exactly for j >= the bin of M
+    bins = np.searchsorted(nxt, vals)
+    # Q is maximal above a^k iff its product exceeds a^k and no strict
+    # ancestor's does: anc <= a^k < prod, so its thresholds j form [first, stop)
+    anc = np.full((1,) * grid.n, -np.inf)
+    picked, keys, used = [], [], 0  # used: histogram slots taken by the cubes before
+    for level, prod in enumerate(pyramid):
+        if level:
+            anc = _upsample(np.maximum(anc, pyramid[level - 1]), 2)
+        first, stop = np.searchsorted(thr, anc.ravel()), np.searchsorted(thr, prod.ravel())
+        idx = np.flatnonzero(first < stop)
+        if idx.size == 0:
             continue
-        selected = CubeSet.concat(grid, sets)
-        # E = Q minus {M > a^(k+1)} for all cubes at once, one axis of Q per step
-        e = np.broadcast_to(vals <= a ** (k + 1), (len(selected),) + grid.shape).copy()
-        for ax, lo in enumerate(selected.lo.T):
-            inside = (lo[:, None] <= np.arange(grid.N)) & (np.arange(grid.N) < (lo + selected.w)[:, None])
-            e &= inside.reshape((-1,) + (1,) * ax + (grid.N,) + (1,) * (grid.n - ax - 1))
-        levels.append(CZLevel(k, selected, prod_norms, list(e)))
+        first, span = first[idx], stop[idx] - first[idx]
+        # a histogram per cube of its cells' bins from first on, with the
+        # bins from stop on in one last slot: its running sum is |E| per j
+        offset = used + np.cumsum(span + 1) - (span + 1)
+        cells = _cube_cells(bins, lat.level_width(level))[idx]
+        keys.append((np.clip(cells - first[:, None], 0, span[:, None]) + offset[:, None]).ravel())
+        used += int(span.sum()) + idx.size
+        picked.append((np.full(idx.size, level), idx, first, span, offset, prod.ravel()[idx]))
+    if not picked:
+        return CZDecomposition(a, grid, [], mx)
+    lev, idx, first, span, start, prod = (np.concatenate(x) for x in zip(*picked))
+    hist = np.bincount(np.concatenate(keys), minlength=used)
+    run = np.cumsum(hist)
+    # one (cube, j) pair per threshold a cube is selected at, cube by cube
+    cube = np.repeat(np.arange(idx.size), span)
+    step = np.arange(cube.size) - np.repeat(np.cumsum(span) - span, span)
+    j, counts = first[cube] + step, run[start[cube] + step] - (run - hist)[start[cube]]
+    # the corner of cube i of a level, with 2^level cubes per axis, in C order
+    lo, rest = np.empty((idx.size, grid.n), dtype=np.int64), idx
+    for ax in reversed(range(grid.n)):
+        lo[:, ax] = (rest & ((1 << lev) - 1)) * (grid.N >> lev)
+        rest = rest >> lev
+    # coarse to fine, corners in C order within each threshold
+    order = np.argsort(j, kind="stable")
+    j, cube, counts = j[order], cube[order], counts[order]
+    bounds = np.flatnonzero(np.diff(j)) + 1
+    levels = []
+    for sel in np.split(np.arange(j.size), bounds):
+        c = cube[sel]
+        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], grid.N >> lev[c]), prod[c].tolist(),
+                              vals <= nxt[j[sel[0]]], counts[sel]))
     return CZDecomposition(a, grid, levels, mx)
+
+
+def _cube_cells(a: np.ndarray, w: int) -> np.ndarray:
+    """The cells of each width-w dyadic cube, one row per cube in C order of corners."""
+    c, n = a.shape[0] // w, a.ndim
+    blocks = a.reshape(sum(((c, w) for _ in range(n)), ()))
+    return blocks.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))).reshape(c**n, w**n)
 
 
 def discretization_rhs(
@@ -259,14 +306,13 @@ def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecompositi
     """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
     with non-empty E, in cube order; factors are (g, spec, power) triples.
 
-    |E| takes one count per level, phi_theta one call per width, and the
-    norms one luxemburg_norms call per factor over all triples.
+    |E| comes from the counts of each level, phi_theta takes one call per
+    width, and the norms one luxemburg_norms call per factor over all triples.
     """
     grid, levels = cz.grid, [lev for lev in cz.levels if len(lev.cubes)]
     if not levels:
         return np.zeros(0)
-    axes = tuple(range(1, grid.n + 1))  # the cells of each stacked E
-    esizes = np.concatenate([np.count_nonzero(lev.e_masks, axis=axes) for lev in levels]) * grid.cell_volume
+    esizes = np.concatenate([lev.e_counts for lev in levels]) * grid.cell_volume
     keep = esizes != 0.0
     cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
     terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side, delta, eps) ** q)

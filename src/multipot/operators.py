@@ -70,20 +70,6 @@ class PhiScaling:
         self._cache[measure] = val
         return val
 
-    def essential_monotonicity_witness(self, tmin: float = 1e-4, tmax: float = 1e2,
-                                       samples: int = 200) -> float:
-        """Smallest rho with phi(t) <= rho phi(s) for sampled t <= s."""
-        ts = np.logspace(math.log10(tmin), math.log10(tmax), samples)
-        vals = np.array([self(float(t)) for t in ts])
-        run_max_after = np.maximum.accumulate(vals[::-1])[::-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.nanmax(np.where(run_max_after > 0, vals / run_max_after, 1.0))
-        return float(max(rho, 1.0))
-
-    def vanishing_slope(self, t_large: float = 1e8) -> float:
-        """phi(t)/t at a large sampled t (should be near zero)."""
-        return self(t_large) / t_large
-
 
 def _check_same_grid(fs) -> Grid:
     grid = fs[0].grid

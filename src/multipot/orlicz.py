@@ -205,7 +205,8 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
     values, block after block; the cells of block k have cellfrac[k].
 
     For a Young spec: the least lam with S(lam) = sum Y(v / lam) * cellfrac
-    <= 1.  Doubling hi from the row max, then halving lo, brackets it with
+    <= 1.  Doubling hi from the row max, or else one step down by the
+    growth bound of Y and halving from there, brackets it with
     S(lo) > 1 >= S(hi); Illinois regula falsi (Dowell & Jarratt 1971) on
     log S against log lam, a line for S = c lam^-p, shrinks the bracket,
     each step at least tol * hi / 2 inside it.  A row stops at S(hi) == 1
@@ -245,8 +246,22 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
         hi[todo] *= 2.0
     if todo.size:
         raise ArithmeticError("Luxemburg bracket failed to close upward")
-    # a lo below 1e-300 counts as infeasible and is not evaluated
+    # S(hi) < 1 at the row max: Y(t) / t^p nondecreasing gives S(lam) >=
+    # S(hi) (hi / lam)^p, so S(x) >= 1 at x = hi S(hi)^(1/p), and x is lo
+    # when S(x) > 1; when rounding or a Y outside that bound leaves S(x) <= 1,
+    # x is hi and the halving goes on from there (as it does from an x
+    # below 1e-300, taken at hi)
+    p = Y.p if Y.kind == "power-log" else 1.0
     todo, cells = np.flatnonzero((lo == 0.0) & (ghi < 0.0)), full
+    if todo.size:
+        x = hi[todo] * np.exp(ghi[todo] / p)
+        x = np.where(x > 1e-300, x, hi[todo])
+        g = log_s(rows[todo], x)
+        fit = g <= 0.0
+        lo[todo[~fit]], glo[todo[~fit]] = x[~fit], g[~fit]
+        hi[todo[fit]], ghi[todo[fit]] = x[fit], g[fit]
+        todo = todo[g < 0.0]
+    # a lo below 1e-300 counts as infeasible and is not evaluated
     for _ in range(_MAX_STEPS):
         lo[todo] = 0.5 * hi[todo]
         todo = todo[lo[todo] > 1e-300]

@@ -332,6 +332,8 @@ def verify_fefferman_stein(
 ) -> InequalityReport:
     """Two-weight bound with a maximal function of the weights on the right."""
     m = kernel.m
+    if len(p_list) != m:
+        raise ValueError("one exponent per linear slot")
     p = 1.0 / sum(1.0 / pi for pi in p_list)
     if case == "i":
         if not (p > 1 and 0 < delta < 1):

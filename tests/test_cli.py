@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestCzDecompose:
         assert doc["result"]["output"] == "cz.json"
         cz = json.loads((tmp_path / "cz.json").read_text())
         assert "levels" in cz
+
+    @pytest.mark.parametrize("args,recorded", [
+        (["--m", 1, "--N", 64, "--a", 2, "--seed", 1], "cz_1d_N64_a2_seed1.json"),
+        (["--n", 2, "--m", 2, "--N", 16, "--a", 2, "--seed", 3], "cz_2d_N16_m2_a2_seed3.json"),
+    ])
+    def test_output_matches_recording(self, tmp_path, args, recorded):
+        # recorded from the per-threshold selection loop with one mask per cube
+        assert run_cli(["cz-decompose", *args, "--out-dir", tmp_path]) == 0
+        expected = (Path(__file__).parent / "data" / recorded).read_bytes()
+        assert (tmp_path / "cz.json").read_bytes() == expected
 
     def test_zero_base_exits_one(self, tmp_path, capsys):
         code = run_cli(["cz-decompose", "--a", 0, "--N", 16, "--out-dir", tmp_path])
@@ -120,6 +131,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "exponents.q" in err
+
+    @pytest.mark.parametrize("ps", [[2.0], [2.0, 2.0, 7.0]])
+    def test_fefferman_stein_exponent_count_exits_one(self, tmp_path, capsys, ps):
+        cfg = {"theorem": "fefferman-stein", "case": "i", "m": 2, "exponents": {"p": ps},
+               "N": 16, "corpus": 2, "out_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: one exponent per linear slot\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_fefferman_stein_two_exponents_at_m2(self, tmp_path):
+        cfg = {"theorem": "fefferman-stein", "case": "i", "m": 2, "exponents": {"p": [4.0, 4.0]},
+               "N": 16, "corpus": 2, "out_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["verify", "--config", path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["exponents"]["p"] == [4.0, 4.0]
+        assert doc["result"]["max_ratio"] > 0
 
     def test_empty_corpus_exits_one(self, tmp_path, capsys):
         code = run_cli(["verify", "--theorem", "control", "--corpus", 0,

@@ -357,6 +357,97 @@ class TestPyramidAgainstPerCubeLoops:
             assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
 
 
+def cz_per_threshold(hs, a, lat, max_levels=64):
+    """cz_decompose as a loop over the thresholds a^k: per k, the cubes of
+    every level with anc <= a^k < prod, coarse to fine, and one (cubes x
+    grid) mask tensor for E.  Returns (k, lo, w, prod_norms, e_masks) per
+    level that selects a cube."""
+    grid = lat.grid
+    pyramid = _triple_average_pyramid(hs, lat)
+    vals = m3d(hs, lat).values
+    pos = vals[vals > 0]
+    vmin, vmax = float(pos.min()), float(vals.max())
+    k_lo = math.ceil(math.log(vmin) / math.log(a) - 1e-12)
+    k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
+    if a**k_hi >= vmax:
+        k_hi -= 1
+    ks = list(range(min(k_lo, k_hi), k_hi + 1))[-max_levels:]
+    ancestors = [np.full((1,) * grid.n, -np.inf)]
+    for prod in pyramid[:-1]:
+        up = np.maximum(ancestors[-1], prod)
+        for ax in range(grid.n):
+            up = np.repeat(up, 2, axis=ax)
+        ancestors.append(up)
+    levels = []
+    for k in ks:
+        thr = a**k
+        lo, ws, prod_norms = [], [], []
+        for level, (prod, anc) in enumerate(zip(pyramid, ancestors)):
+            idx = np.nonzero((prod > thr) & (anc <= thr))
+            w = lat.level_width(level)
+            lo += (np.stack(idx, axis=1) * w).tolist()
+            ws += [w] * idx[0].size
+            prod_norms.extend(prod[idx].tolist())
+        if not lo:
+            continue
+        e = np.broadcast_to(vals <= a ** (k + 1), (len(lo),) + grid.shape).copy()
+        for ax, corner in enumerate(np.array(lo).T):
+            inside = (corner[:, None] <= np.arange(grid.N)) & (np.arange(grid.N) < (corner + ws)[:, None])
+            e &= inside.reshape((-1,) + (1,) * ax + (grid.N,) + (1,) * (grid.n - ax - 1))
+        levels.append((k, lo, ws, prod_norms, list(e)))
+    return levels
+
+
+def _tie_heavy(n, m, N, seed, kind):
+    """Data whose products land on the thresholds 2^k: powers of two, or a
+    constant 2, with zeros between them for kind 'pow2'."""
+    g = make_grid(n, 1.0, N)
+    rng = np.random.default_rng(seed)
+    hs = []
+    for _ in range(m):
+        if kind == "pow2":
+            vals = 2.0 ** rng.integers(-3, 4, g.shape) * (rng.uniform(size=g.shape) < 0.5)
+            vals[(0,) * n] = 1.0
+        else:
+            vals = np.full(g.shape, 2.0)
+        hs.append(GridFunction(g, vals, nonneg=True))
+    return g, hs
+
+
+class TestCzAgainstPerThresholdLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        m=st.sampled_from([1, 2]),
+        log2_N=st.integers(2, 6),
+        kind=st.sampled_from(["uniform", "sparse", "pow2", "constant"]),
+        a=st.sampled_from([1.5, 2.0, 4.0, None]),
+        max_levels=st.sampled_from([64, 1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_levels_cubes_and_carved_sets(self, n, m, log2_N, kind, a, max_levels, seed):
+        N = 2 ** min(log2_N, _MAX_LOG2_N[n])
+        if kind in ("pow2", "constant"):
+            g, hs = _tie_heavy(n, m, N, seed, kind)
+        else:
+            g, hs = _inputs(n, m, N, kind, seed)
+        a = default_cz_base(n, m) if a is None else a
+        lat = DyadicLattice(g)
+        cz = cz_decompose(hs, a, lat, max_levels=max_levels)
+        expected = cz_per_threshold(hs, a, lat, max_levels)
+        assert len(cz.levels) == len(expected)
+        for lev, (k, lo, ws, prod_norms, e_masks) in zip(cz.levels, expected):
+            assert lev.k == k
+            assert lev.cubes.lo.tolist() == lo and lev.cubes.w.tolist() == ws
+            assert lev.prod_norms == prod_norms
+            assert all(type(p) is float for p in lev.prod_norms)
+            assert lev.e_counts.tolist() == [int(E.sum()) for E in e_masks]
+            assert len(lev.e_masks) == len(e_masks)
+            for E, want in zip(lev.e_masks, e_masks):
+                assert E.dtype == bool
+                np.testing.assert_array_equal(E, want)
+
+
 def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
     """discretization_rhs with one luxemburg_norm call per cube and factor."""
     cellvol = cz0.grid.cell_volume
@@ -491,9 +582,10 @@ class TestCzArraysAgainstPerCubeLoops:
             for lev in cz.levels:
                 assert isinstance(lev.cubes, CubeSet)
                 assert len(lev.e_masks) == len(lev.cubes)
-                for E, expected in zip(lev.e_masks, e_masks_per_cube(cz, lev)):
+                for E, count, expected in zip(lev.e_masks, lev.e_counts, e_masks_per_cube(cz, lev)):
                     assert E.shape == g.shape and E.dtype == bool
                     np.testing.assert_array_equal(E, expected)
+                    assert count == np.count_nonzero(expected)
         K = Kernel("fractional", n, m, alpha=0.5)
         for q in (0.5, 1.0):
             for ell in (0, 1):
@@ -510,11 +602,13 @@ class TestCzArraysAgainstPerCubeLoops:
         K = frac(0.5)
         factors = [(fs[0], NormSpec.lebesgue(1.0), 1.0)]
         for lev in cz.levels:
-            lev.e_masks = [np.zeros(g.shape, dtype=bool) for _ in lev.e_masks]
-        cz.levels[0].e_masks[0] = np.ones(g.shape, dtype=bool)
+            lev.e_counts = np.zeros_like(lev.e_counts)
+        cz.levels[0].e_counts[0] = g.N
         got = _cube_terms(K, 1.0, 1.0, 0.5, cz, factors)
-        np.testing.assert_array_equal(got, cube_terms_per_cube(K, 1.0, 1.0, 0.5, cz, factors))
+        Q = cz.levels[0].cubes[0]
+        norm = luxemburg_norms(fs[0], [Q.dilate3()], factors[0][1])[0]
         assert got.shape == (1,)
+        assert got[0] == phi_theta(K, 1.0, Q.side, 1.0, 0.5) * norm * (g.N * g.cell_volume)
 
     def test_hand_built_levels_with_cube_lists(self):
         g, fs = _inputs(2, 1, 16, "uniform", 9)

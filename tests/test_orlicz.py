@@ -525,6 +525,43 @@ class TestSolverAgainstBisection:
         _per_width_norms(f, fam, spec)
         assert sum(young_calls) == values  # the same values are evaluated
 
+    def test_growth_bound_step_takes_fewer_young_calls(self, young_calls):
+        # on a row with S(vmax) < 1 the step to vmax S(vmax)^(1/p) closes the
+        # bracket; halving from the row max took 12 calls on each
+        g = make_grid(1, 1.0, 128)
+        rng = np.random.default_rng(1)
+        dense = rng.lognormal(0.0, 1.0, g.shape)
+        sparse = dense * (np.random.default_rng(2).uniform(size=g.shape) < 0.3)
+        for vals, most in ((dense, 10), (sparse, 9)):
+            young_calls.clear()
+            maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [GridFunction(g, vals)],
+                    g, cube_family(g, "centered"))
+            assert len(young_calls) <= most
+
+    def test_growth_bound_fallback_for_a_nonconvex_young(self, monkeypatch):
+        # expL^{1/2}, e^sqrt(t) - 1, is concave near 0, so on half ones and
+        # half zeros S(x) = (e^(1 / sqrt(x)) - 1) / 2 < 1 at x = S(1): x
+        # becomes hi and the halving starts from it
+        g = make_grid(1, 1.0, 16)
+        f = GridFunction(g, (np.arange(g.N) < g.N // 2).astype(float))
+        spec = parse_norm_spec("expL^{1/2}")
+        lams, young_call = [], YoungFunction.__call__
+
+        def spied(self, t):
+            lams.append(1.0 / float(np.max(t)))  # the cells are 0 or 1
+            return young_call(self, t)
+
+        monkeypatch.setattr(YoungFunction, "__call__", spied)
+        tol = 1e-10
+        got = luxemburg_norm(f, g.whole_box(), spec, tol)
+        s_max = 0.5 * math.expm1(1.0)
+        assert lams[0] == 1.0
+        assert lams[1] == pytest.approx(s_max, rel=1e-15)
+        assert 0.5 * math.expm1(1.0 / math.sqrt(lams[1])) < 1.0
+        assert lams[2] == pytest.approx(0.5 * lams[1], rel=1e-15)
+        assert got == pytest.approx(1.0 / math.log(3.0) ** 2, rel=2 * tol)
+        _assert_solved(got, _bisection_norm(f, g.whole_box(), spec, tol), f.values, g.whole_box(), spec, tol)
+
     def test_young_never_receives_a_zero(self, monkeypatch):
         # Y(0) = 0 adds nothing to S, so the root-finder leaves zero cells out
         g = make_grid(1, 1.0, 128)
