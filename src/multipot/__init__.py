@@ -36,7 +36,6 @@ from .orlicz import (
 )
 from .dyadic import (
     CZDecomposition,
-    DyadicLattice,
     cz_decompose,
     default_cz_base,
     discretization_rhs,

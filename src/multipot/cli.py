@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dyadic import DyadicLattice, cz_decompose, default_cz_base
+from .dyadic import cz_decompose, default_cz_base
 from .grid import Grid, cube_family
 from .kernels import Kernel, condition_d_check, parse_kernel
 from .operators import PhiScaling, apply_commutator, apply_potential, maximal
@@ -183,7 +183,7 @@ def _cmd_cz_decompose(cfg) -> dict:
     m = int(cfg["m"])
     hs = make_corpus(grid, m, count=1, seed=int(cfg["seed"]))[0]
     a = default_cz_base(grid.n, m) if cfg["a"] is None else cfg["a"]
-    cz = cz_decompose(list(hs), float(a), DyadicLattice(grid))
+    cz = cz_decompose(list(hs), float(a), grid)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     with open(os.path.join(cfg["out_dir"], "cz.json"), "w") as fh:
         fh.write(cz.to_json())

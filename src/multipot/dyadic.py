@@ -1,5 +1,5 @@
-"""Dyadic lattice, strong maximal function over triples, CZ selection and
-the discretized tail sums they control."""
+"""The dyadic cubes of a grid: the strong maximal function over triples,
+CZ selection and the discretized tail sums they control."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, CubeSet, Grid, GridFunction, _dyadic_cubes, cube_family
+from .grid import Cube, CubeSet, Grid, GridFunction, _dyadic_cubes
 from .kernels import Kernel, bar_phi, phi_theta
 from .orlicz import L1, NormSpec, luxemburg_norm, luxemburg_norms
 
 __all__ = [
-    "DyadicLattice",
     "CZDecomposition",
     "CZLevel",
     "m3d",
@@ -25,22 +24,14 @@ __all__ = [
 ]
 
 
-class DyadicLattice:
-    """All dyadic subcubes of the box, whole box down to single cells."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.depth = grid.num_levels  # levels 0..depth-1
-
-    def level_width(self, level: int) -> int:
-        return self.grid.N >> level
-
-    def cubes(self) -> list:
-        """Level by level, whole box first; corners in C order within a level."""
-        return cube_family(self.grid, "dyadic")
+def DyadicLattice(grid: Grid) -> Grid:
+    """The grid itself: its dyadic cubes are those of `cube_family(grid,
+    "dyadic")`.  Kept only because the benchmark's cz-dyadic-2d set-up
+    (perfbench/workloads.py) still calls it; remove it with that call."""
+    return grid
 
 
-def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
+def _triple_average_pyramid(hs, grid: Grid) -> list:
     """prod_i (avg of h_i over 3Q) for every dyadic cube, one array per level.
 
     Level l holds an array of (2^l)^n products indexed by the corner of Q
@@ -51,7 +42,6 @@ def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
     table is padded with N cells on each side, zeros before and the edge
     value after, so every level reads its corners as strided slices.
     """
-    grid = lat.grid
     N, n = grid.N, grid.n
     prefixes = []
     for h in hs:
@@ -68,8 +58,8 @@ def _triple_average_pyramid(hs, lat: DyadicLattice) -> list:
     corners = [(corner, (n - sum(corner)) % 2) for corner in np.ndindex(*((2,) * n))]
     cellvol = grid.cell_volume
     pyramid = []
-    for level in range(lat.depth):
-        w = lat.level_width(level)
+    for level in range(grid.num_levels):
+        w = N >> level
         # clip(i w - w, 0, N) and clip(i w + 2 w, 0, N) for i < N / w, shifted by N
         ends = (slice(N - w, 2 * N - w, w), slice(N + 2 * w, 2 * N + 2 * w, w))
         meas = Cube(grid, (-w,) * n, 3 * w).measure
@@ -90,19 +80,18 @@ def _upsample(a: np.ndarray, factor: int) -> np.ndarray:
     return a
 
 
-def _sup_over_levels(pyramid, lat: DyadicLattice) -> np.ndarray:
+def _sup_over_levels(pyramid, grid: Grid) -> np.ndarray:
     """At each cell, the max of 0 and the products of the cubes containing it."""
-    out = np.zeros(lat.grid.shape)
+    out = np.zeros(grid.shape)
     for level, prod in enumerate(pyramid):
-        np.maximum(out, _upsample(prod, lat.level_width(level)), out=out)
+        np.maximum(out, _upsample(prod, grid.N >> level), out=out)
     return out
 
 
-def m3d(hs, lat: DyadicLattice) -> GridFunction:
+def m3d(hs, grid: Grid) -> GridFunction:
     """Pointwise sup over dyadic cubes containing x of the product of
     triple-cube averages."""
-    pyramid = _triple_average_pyramid(hs, lat)
-    return GridFunction(lat.grid, _sup_over_levels(pyramid, lat), nonneg=True)
+    return GridFunction(grid, _sup_over_levels(_triple_average_pyramid(hs, grid), grid), nonneg=True)
 
 
 def default_cz_base(n: int, m: int) -> float:
@@ -117,16 +106,6 @@ class CZLevel:
     below_next: np.ndarray  # M <= a^(k+1) on the grid; E_Q is its part in Q
     e_counts: np.ndarray  # |E_Q| in cells, one per cube
 
-    @property
-    def e_masks(self) -> list:
-        """E_Q = Q minus {M > a^(k+1)}, one boolean grid per cube, built on demand."""
-        masks = []
-        for Q in self.cubes:
-            E = np.zeros_like(self.below_next)
-            E[Q.slices()] = self.below_next[Q.slices()]
-            masks.append(E)
-        return masks
-
 
 @dataclass
 class CZDecomposition:
@@ -135,44 +114,45 @@ class CZDecomposition:
     levels: list  # of CZLevel
     maximal_values: GridFunction = None
 
-    def all_cubes(self):
-        for lev in self.levels:
-            for Q, p, E in zip(lev.cubes, lev.prod_norms, lev.e_masks):
-                yield lev.k, Q, p, E
-
     def to_json(self) -> str:
-        payload = {
-            "a": self.a,
-            "levels": [
-                {
-                    "k": lev.k,
-                    "cubes": [
-                        {
-                            "corner": list(Q.corner),
-                            "side": Q.side,
-                            "prod_norm": p,
-                        }
-                        for Q, p in zip(lev.cubes, lev.prod_norms)
-                    ],
-                    "E_masks": [_rle(E) for E in lev.e_masks],
-                }
-                for lev in self.levels
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
+        grid, levels = self.grid, []
+        for lev in self.levels:
+            cubes = CubeSet.of(grid, lev.cubes)
+            corners, sides = (-grid.L + cubes.lo * grid.h).tolist(), (cubes.w * grid.h).tolist()
+            levels.append({
+                "k": lev.k,
+                "cubes": [{"corner": c, "side": s, "prod_norm": p}
+                          for c, s, p in zip(corners, sides, lev.prod_norms)],
+                "E_masks": _e_runs(lev.below_next, cubes),
+            })
+        return json.dumps({"a": self.a, "levels": levels}, sort_keys=True)
 
 
-def _rle(mask: np.ndarray) -> list:
-    """Run-length encoding of a flattened boolean mask: [start, length] runs."""
-    flat = np.asarray(mask).ravel()
-    runs = []
-    idx = np.flatnonzero(np.diff(np.concatenate([[0], flat.view(np.int8), [0]])))
-    for start, stop in zip(idx[::2], idx[1::2]):
-        runs.append([int(start), int(stop - start)])
-    return runs
+def _e_runs(below_next: np.ndarray, cubes: CubeSet) -> list:
+    """E_Q = Q minus {M > a^(k+1)} for each cube, as [start, length] runs of
+    flat grid indices: the cells of Q where below_next holds, gathered one
+    width at a time, so a run ends at the edge of its cube."""
+    shape, flat = below_next.shape, below_next.ravel()
+    owner, cells = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for w in np.unique(cubes.w).tolist():
+        sel = np.flatnonzero(cubes.w == w)
+        # the flat indices of each cube's cells in C order, which is ascending
+        offsets = np.ravel_multi_index(tuple(np.indices((w,) * len(shape)).reshape(len(shape), -1)), shape)
+        idx = np.ravel_multi_index(tuple(cubes.lo[sel].T), shape)[:, None] + offsets
+        keep = flat[idx]
+        owner.append(np.repeat(sel, keep.sum(axis=1)))
+        cells.append(idx[keep])
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    owner, cells = np.concatenate(owner)[order], np.concatenate(cells)[order]
+    new = np.ones(cells.size, dtype=bool)  # a run starts a cube or follows a gap
+    new[1:] = (np.diff(cells) != 1) | (np.diff(owner) != 0)
+    start = np.flatnonzero(new)
+    runs = np.stack([cells[start], np.diff(start, append=cells.size)], axis=1).tolist()
+    ends = np.cumsum(np.bincount(owner[start], minlength=len(cubes))).tolist()
+    return [runs[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
-def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDecomposition:
+def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposition:
     """Maximal dyadic cubes whose triple-average product exceeds a^k.
 
     Selection is top-down, so chosen cubes are maximal and pairwise
@@ -186,9 +166,8 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
-    grid = lat.grid
-    pyramid = _triple_average_pyramid(hs, lat)
-    mx = GridFunction(grid, _sup_over_levels(pyramid, lat), nonneg=True)
+    pyramid = _triple_average_pyramid(hs, grid)
+    mx = GridFunction(grid, _sup_over_levels(pyramid, grid), nonneg=True)
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
@@ -219,7 +198,7 @@ def cz_decompose(hs, a: float, lat: DyadicLattice, max_levels: int = 64) -> CZDe
         # a histogram per cube of its cells' bins from first on, with the
         # bins from stop on in one last slot: its running sum is |E| per j
         offset = used + np.cumsum(span + 1) - (span + 1)
-        cells = _cube_cells(bins, lat.level_width(level))[idx]
+        cells = _cube_cells(bins, grid.N >> level)[idx]
         keys.append((np.clip(cells - first[:, None], 0, span[:, None]) + offset[:, None]).ravel())
         used += int(span.sum()) + idx.size
         picked.append((np.full(idx.size, level), idx, first, span, offset, prod.ravel()[idx]))

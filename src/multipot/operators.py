@@ -28,7 +28,7 @@ class PhiScaling:
 
     Either an essentially nondecreasing profile of the cube measure, or
     the kernel-derived annulus aggregate applied to the side length,
-    raised to a power.  Values are memoized; cube measures repeat.
+    raised to a power.
     """
 
     def __init__(self, profile=None, kernel: Kernel = None, theta: float = 1.0,
@@ -41,7 +41,6 @@ class PhiScaling:
         self.power = power
         self.delta = delta
         self.eps = eps
-        self._cache = {}
 
     @classmethod
     def constant(cls, c: float = 1.0) -> "PhiScaling":
@@ -57,18 +56,10 @@ class PhiScaling:
         return cls(kernel=K, theta=theta, power=power, delta=delta, eps=eps)
 
     def __call__(self, measure: float) -> float:
-        got = self._cache.get(measure)
-        if got is not None:
-            return got
         if self.profile is not None:
-            val = float(self.profile(measure))
-        else:
-            side = measure ** (1.0 / self.kernel.n)
-            val = phi_theta(
-                self.kernel, self.theta, side, self.delta, self.eps
-            ) ** self.power
-        self._cache[measure] = val
-        return val
+            return float(self.profile(measure))
+        side = measure ** (1.0 / self.kernel.n)
+        return phi_theta(self.kernel, self.theta, side, self.delta, self.eps) ** self.power
 
 
 def _check_same_grid(fs) -> Grid:
@@ -243,7 +234,8 @@ def maximal(
     fs, specs = list(fs), list(specs)
     if len(fs) != len(specs):
         raise ValueError("need one norm spec per input function")
-    _check_same_grid(fs + [GridFunction.constant(grid, 0.0)])
+    if not all(grid.compatible(f.grid) for f in fs):
+        raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, family)
     val = cubes.per_width(lambda Q: phis(Q.measure))
     for f, spec in zip(fs, specs):

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import CubeSet, Grid, GridFunction
+from .orlicz import NormSpec, luxemburg_norms
 
 __all__ = [
     "gen_power_weight",
@@ -71,20 +72,17 @@ def gen_bmo_log(grid: Grid) -> GridFunction:
 
 
 def rh_check(w: GridFunction, s: float, family) -> float:
-    """Reverse Holder constant on the family:
-    max over Q of (avg w^s)^(1/s) / (avg w)."""
+    """Reverse Holder constant on the family: max over Q of ||w||_{L^s,Q} /
+    ||w||_{L^1,Q}, the normalized L^s and L^1 norms, over the cubes where
+    the latter is nonzero.  Every cube must lie inside the box."""
     if s <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
-    worst = 0.0
-    for Q in family:
-        sub = w.restrict(Q)
-        if sub.size == 0:
-            continue
-        den = float(sub.mean())
-        if den == 0.0:
-            continue
-        worst = max(worst, float(np.mean(sub**s)) ** (1.0 / s) / den)
-    return worst
+    cubes = CubeSet.of(w.grid, family)
+    if ((cubes.lo < 0) | (cubes.lo + cubes.w[:, None] > w.grid.N)).any():
+        raise ValueError("rh_check takes cubes inside the box")
+    num, den = (luxemburg_norms(w, cubes, NormSpec.lebesgue(r)) for r in (s, 1.0))
+    live = den != 0.0
+    return float(np.max(num[live] / den[live], initial=0.0))
 
 
 def parse_weight(text: str, grid: Grid) -> GridFunction:

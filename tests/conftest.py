@@ -25,6 +25,18 @@ def spike_tuple(grid, m, seed):
     return out
 
 
+def e_masks_per_cube(cz, lev):
+    """E_Q = Q minus {M > a^(k+1)} for each cube of a level, one boolean
+    grid per cube, from the maximal function of the decomposition."""
+    next_mask = cz.maximal_values.values > cz.a ** (lev.k + 1)
+    masks = []
+    for Q in lev.cubes:
+        E = np.zeros(cz.grid.shape, dtype=bool)
+        E[Q.slices()] = True
+        masks.append(E & ~next_mask)
+    return masks
+
+
 def weak_maximal_lhs_at(M, u, Bm, m, lam_m):
     """max over the given values of lambda^m of u({M > lambda^m})^m /
     B_m(1/lambda), with one masked sum per lambda: the weak-maximal

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import log_lambda_samples, spike_tuple, weak_maximal_lhs_at
+from conftest import e_masks_per_cube, log_lambda_samples, spike_tuple, weak_maximal_lhs_at
 
 from multipot import (
     Grid,
@@ -28,7 +28,6 @@ from multipot import (
 )
 from multipot.cli import main as cli_main
 from multipot.dyadic import (
-    DyadicLattice,
     cz_decompose,
     default_cz_base,
     discretization_rhs,
@@ -132,8 +131,7 @@ def test_04_commutator_vanishing():
 
 
 def _cz_invariants(g, hs, a):
-    lat = DyadicLattice(g)
-    cz = cz_decompose(list(hs), a, lat)
+    cz = cz_decompose(list(hs), a, g)
     m = len(hs)
     vals = cz.maximal_values.values
     cell = g.cell_volume
@@ -143,7 +141,7 @@ def _cz_invariants(g, hs, a):
     for lev in cz.levels:
         thr = a**lev.k
         level_mask = np.zeros(g.shape, dtype=int)
-        for Q, p, E in zip(lev.cubes, lev.prod_norms, lev.e_masks):
+        for Q, p, E in zip(lev.cubes, lev.prod_norms, e_masks_per_cube(cz, lev)):
             ok = ok and thr < p <= 2.0 ** (g.n * m) * thr
             level_mask[Q.slices()] += 1
             global_e += E.astype(int)
@@ -179,12 +177,11 @@ def test_06_discretization_ratio_stability():
             ratios = {}
             for N in (64, 128):
                 g = make_grid(1, 1.0, N)
-                lat = DyadicLattice(g)
                 f = spike_tuple(g, 1, 0)[0]
                 u = GridFunction.constant(g, 1.0)
                 b = gen_bmo_log(g)
                 a = default_cz_base(1, 1)
-                cz = cz_decompose([f], a, lat)
+                cz = cz_decompose([f], a, g)
                 kw = {"czj": cz, "j": 0} if ell else {}
                 if ell == 0:
                     T = apply_potential(K, [f])
@@ -195,7 +192,7 @@ def test_06_discretization_ratio_stability():
                 ratios[N] = lhs / rhs
                 ok = ok and math.isfinite(ratios[N]) and ratios[N] > 0
                 if N == 64:
-                    cz2 = cz_decompose([f], a / 2.0, lat)
+                    cz2 = cz_decompose([f], a / 2.0, g)
                     kw2 = {"czj": cz2, "j": 0} if ell else {}
                     rhs2 = discretization_rhs(K, [f], u, q, ell, cz2, **kw2)
                     sweep = max(rhs, rhs2) / min(rhs, rhs2)

@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import spike_tuple
+from conftest import e_masks_per_cube, spike_tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipot import (
     Cube,
     CubeSet,
-    DyadicLattice,
     GridFunction,
     Kernel,
     NormSpec,
@@ -20,6 +19,7 @@ from multipot import (
     dyadic_tail_check,
     integrate,
     bar_phi,
+    cube_family,
     luxemburg_norm,
     luxemburg_norms,
     m3d,
@@ -28,7 +28,7 @@ from multipot import (
     parse_weight,
     phi_theta,
 )
-from multipot.dyadic import _cube_terms, _triple_average_pyramid
+from multipot.dyadic import CZDecomposition, CZLevel, _cube_terms, _triple_average_pyramid
 from multipot.verify import make_corpus
 from multipot.operators import apply_potential
 
@@ -40,9 +40,8 @@ def frac(alpha, n=1, m=1):
 class TestM3d:
     def test_constant_interior_value_and_max(self):
         g = make_grid(1, 1.0, 16)
-        lat = DyadicLattice(g)
         hs = [GridFunction.constant(g, 2.0), GridFunction.constant(g, 3.0)]
-        out = m3d(hs, lat)
+        out = m3d(hs, g)
         # interior cells see a fully inside triple cube, so the sup is the
         # plain product; near the box edge every 3Q loses mass to the
         # zero extension and the sup drops below it
@@ -54,23 +53,21 @@ class TestM3d:
 
     def test_indicator_support_lower_bound(self):
         g = make_grid(1, 2.0, 16)
-        lat = DyadicLattice(g)
         h = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0,
                                        nonneg=True)
-        out = m3d([h], lat)
+        out = m3d([h], g)
         sup_cells = np.flatnonzero(h.values > 0)
         assert np.all(out.values[sup_cells] >= 1.0 / 3.0)
 
     def test_brute_force_oracle(self):
         g = make_grid(1, 1.0, 8)
-        lat = DyadicLattice(g)
         rng = np.random.default_rng(0)
         hs = [GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
               for _ in range(2)]
-        got = m3d(hs, lat)
+        got = m3d(hs, g)
         # independent direct computation
         expected = np.zeros(g.shape)
-        for Q in lat.cubes():
+        for Q in cube_family(g, "dyadic"):
             Q3 = Q.dilate3()
             prod = 1.0
             for h in hs:
@@ -82,11 +79,10 @@ class TestM3d:
 
     def test_monotone(self):
         g = make_grid(1, 1.0, 16)
-        lat = DyadicLattice(g)
         rng = np.random.default_rng(1)
         h = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
         bigger = h + GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
-        assert np.all(m3d([h], lat).values <= m3d([bigger], lat).values + 1e-14)
+        assert np.all(m3d([h], g).values <= m3d([bigger], g).values + 1e-14)
 
 
 class TestCzDecompose:
@@ -94,10 +90,9 @@ class TestCzDecompose:
         for m in (1, 2):
             a = default_cz_base(1, m)
             g = make_grid(1, 1.0, 128)
-            lat = DyadicLattice(g)
             for seed in range(3):
                 hs = spike_tuple(g, m, seed)
-                cz = cz_decompose(hs, a, lat)
+                cz = cz_decompose(hs, a, g)
                 assert cz.levels
                 vals = cz.maximal_values.values
                 global_e = np.zeros(g.shape, dtype=int)
@@ -105,7 +100,7 @@ class TestCzDecompose:
                     thr = a**lev.k
                     # per-level cubes disjoint, selection bound two-sided
                     level_mask = np.zeros(g.shape, dtype=int)
-                    for Q, p, E in zip(lev.cubes, lev.prod_norms, lev.e_masks):
+                    for Q, p, E in zip(lev.cubes, lev.prod_norms, e_masks_per_cube(cz, lev)):
                         assert thr < p <= 2.0 ** (g.n * m) * thr
                         level_mask[Q.slices()] += 1
                         assert np.all(E[~np.asarray(
@@ -120,9 +115,8 @@ class TestCzDecompose:
 
     def test_constant_input(self):
         g = make_grid(1, 1.0, 16)
-        lat = DyadicLattice(g)
         h = GridFunction.constant(g, 5.0)
-        cz = cz_decompose([h], 8.0, lat)
+        cz = cz_decompose([h], 8.0, g)
         for lev in cz.levels:
             thr = 8.0**lev.k
             for p in lev.prod_norms:
@@ -131,9 +125,8 @@ class TestCzDecompose:
     def test_values_in_one_band_give_a_level(self):
         # m3d runs from 5/3 to 5, all inside (8^0, 8^1]
         g = make_grid(1, 1.0, 16)
-        lat = DyadicLattice(g)
         h = GridFunction.constant(g, 5.0)
-        cz = cz_decompose([h], 8.0, lat)
+        cz = cz_decompose([h], 8.0, g)
         assert [lev.k for lev in cz.levels] == [0]
         covered = np.zeros(g.shape, dtype=bool)
         for Q in cz.levels[0].cubes:
@@ -144,12 +137,11 @@ class TestCzDecompose:
 
     def test_two_bumps_separate(self):
         g = make_grid(1, 1.0, 64)
-        lat = DyadicLattice(g)
         x = g.centers_1d()
         vals = 0.01 + 5.0 * (np.exp(-((x + 0.6) / 0.05) ** 2)
                              + np.exp(-((x - 0.6) / 0.05) ** 2))
         h = GridFunction(g, vals, nonneg=True)
-        cz = cz_decompose([h], 8.0, lat)
+        cz = cz_decompose([h], 8.0, g)
         top = cz.levels[-1]
         assert len(top.cubes) >= 2
         corners = sorted(Q.corner[0] for Q in top.cubes)
@@ -158,17 +150,16 @@ class TestCzDecompose:
     def test_bad_base(self):
         g = make_grid(1, 1.0, 16)
         with pytest.raises(ValueError):
-            cz_decompose([GridFunction.constant(g, 1.0)], 1.0, DyadicLattice(g))
+            cz_decompose([GridFunction.constant(g, 1.0)], 1.0, g)
 
     def test_zero_input_rejected(self):
         g = make_grid(1, 1.0, 16)
         with pytest.raises(ValueError):
-            cz_decompose([GridFunction.constant(g, 0.0)], 8.0, DyadicLattice(g))
+            cz_decompose([GridFunction.constant(g, 0.0)], 8.0, g)
 
     def test_json_export(self):
         g = make_grid(1, 1.0, 64)
-        lat = DyadicLattice(g)
-        cz = cz_decompose(spike_tuple(g, 1, 0), 8.0, lat)
+        cz = cz_decompose(spike_tuple(g, 1, 0), 8.0, g)
         doc = json.loads(cz.to_json())
         assert doc["a"] == 8.0
         assert doc["levels"]
@@ -176,7 +167,7 @@ class TestCzDecompose:
         assert set(lev) == {"k", "cubes", "E_masks"}
         assert set(lev["cubes"][0]) == {"corner", "side", "prod_norm"}
         # masks round-trip through the run-length encoding
-        for runs, E in zip(lev["E_masks"], cz.levels[0].e_masks):
+        for runs, E in zip(lev["E_masks"], e_masks_per_cube(cz, cz.levels[0])):
             flat = np.zeros(E.size, dtype=bool)
             for start, length in runs:
                 flat[start:start + length] = True
@@ -186,22 +177,20 @@ class TestCzDecompose:
 class TestDiscretizationRhs:
     def test_zero_slot_gives_zero(self):
         g = make_grid(1, 1.0, 32)
-        lat = DyadicLattice(g)
         K = frac(0.5)
         z = GridFunction.constant(g, 0.0)
         u = GridFunction.constant(g, 1.0)
-        cz = cz_decompose([z, GridFunction.constant(g, 1.0)], 32.0, lat)
+        cz = cz_decompose([z, GridFunction.constant(g, 1.0)], 32.0, g)
         got = discretization_rhs(frac(1.0, 1, 2), [z, GridFunction.constant(g, 1.0)],
                                  u, 1.0, 0, cz)
         assert got == 0.0
 
     def test_ratio_finite_simple_case(self):
         g = make_grid(1, 1.0, 64)
-        lat = DyadicLattice(g)
         K = frac(0.5)
         f = spike_tuple(g, 1, 0)[0]
         u = GridFunction.constant(g, 1.0)
-        cz = cz_decompose([f], default_cz_base(1, 1), lat)
+        cz = cz_decompose([f], default_cz_base(1, 1), g)
         rhs = discretization_rhs(K, [f], u, 1.0, 0, cz)
         T = apply_potential(K, [f])
         lhs = integrate(T.map(np.abs))
@@ -210,10 +199,9 @@ class TestDiscretizationRhs:
 
     def test_parameter_validation(self):
         g = make_grid(1, 1.0, 32)
-        lat = DyadicLattice(g)
         f = spike_tuple(g, 1, 0)[0]
         u = GridFunction.constant(g, 1.0)
-        cz = cz_decompose([f], 8.0, lat)
+        cz = cz_decompose([f], 8.0, g)
         K = frac(0.5)
         with pytest.raises(ValueError):
             discretization_rhs(K, [f], u, 1.5, 0, cz)
@@ -248,13 +236,12 @@ class _BoxSummer:
         return float(total)
 
 
-def _triple_average_products(hs, lat):
+def _triple_average_products(hs, grid):
     """Per-cube oracle: prod_i (avg of h_i over 3Q) keyed (lo, w)."""
-    grid = lat.grid
     summers = [_BoxSummer(h.values) for h in hs]
     cellvol = grid.cell_volume
     out = {}
-    for Q in lat.cubes():
+    for Q in cube_family(grid, "dyadic"):
         Q3 = Q.dilate3()
         meas = Q3.measure
         lo = Q3.lo
@@ -266,18 +253,18 @@ def _triple_average_products(hs, lat):
     return out
 
 
-def _m3d_per_cube(prods, lat):
-    out = np.zeros(lat.grid.shape)
-    for Q in lat.cubes():
+def _m3d_per_cube(prods, grid):
+    out = np.zeros(grid.shape)
+    for Q in cube_family(grid, "dyadic"):
         sl = Q.slices()
         np.maximum(out[sl], prods[(Q.lo, Q.w)], out=out[sl])
     return out
 
 
-def _stack_walk(prods, lat, thr):
+def _stack_walk(prods, grid, thr):
     """Maximal dyadic cubes with product > thr, sorted by (-w, lo)."""
     selected = []
-    stack = [lat.grid.whole_box()]
+    stack = [grid.whole_box()]
     while stack:
         Q = stack.pop()
         if prods[(Q.lo, Q.w)] > thr:
@@ -320,25 +307,24 @@ class TestPyramidAgainstPerCubeLoops:
     )
     def test_pyramid_m3d_and_selection(self, n, m, log2_N, kind, seed):
         g, hs = _inputs(n, m, 2 ** min(log2_N, _MAX_LOG2_N[n]), kind, seed)
-        lat = DyadicLattice(g)
-        prods = _triple_average_products(hs, lat)
-        pyramid = _triple_average_pyramid(hs, lat)
+        prods = _triple_average_products(hs, g)
+        pyramid = _triple_average_pyramid(hs, g)
         assert len(pyramid) == g.num_levels
-        for Q in lat.cubes():
+        for Q in cube_family(g, "dyadic"):
             level = g.num_levels - 1 - int(math.log2(Q.w))
             assert pyramid[level][tuple(l // Q.w for l in Q.lo)] == prods[(Q.lo, Q.w)]
-        expected_m3d = _m3d_per_cube(prods, lat)
-        np.testing.assert_array_equal(m3d(hs, lat).values, expected_m3d)
+        expected_m3d = _m3d_per_cube(prods, g)
+        np.testing.assert_array_equal(m3d(hs, g).values, expected_m3d)
         a = 2.0
-        cz = cz_decompose(hs, a, lat)
+        cz = cz_decompose(hs, a, g)
         np.testing.assert_array_equal(cz.maximal_values.values, expected_m3d)
         # the k band can be empty, e.g. for a constant input at N = 4
         ks = [lev.k for lev in cz.levels]
         for k in range(min(ks, default=0), max(ks, default=-1) + 1):
             if k not in ks:
-                assert _stack_walk(prods, lat, a**k) == []
+                assert _stack_walk(prods, g, a**k) == []
         for lev in cz.levels:
-            expected = _stack_walk(prods, lat, a**lev.k)
+            expected = _stack_walk(prods, g, a**lev.k)
             assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
             assert lev.prod_norms == [prods[(Q.lo, Q.w)] for Q in expected]
             assert all(type(p) is float for p in lev.prod_norms)
@@ -346,25 +332,23 @@ class TestPyramidAgainstPerCubeLoops:
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
     def test_products_at_the_threshold_are_not_selected(self, n, m):
         g, hs = _inputs(n, m, 8, "constant", 0)
-        lat = DyadicLattice(g)
-        prods = _triple_average_products(hs, lat)
+        prods = _triple_average_products(hs, g)
         # interior triples sit exactly at a^m, which strict > leaves out
         assert max(prods.values()) == 2.0**m
-        cz = cz_decompose(hs, 2.0, lat)
+        cz = cz_decompose(hs, 2.0, g)
         assert all(lev.k < m for lev in cz.levels)
         for lev in cz.levels:
-            expected = _stack_walk(prods, lat, 2.0**lev.k)
+            expected = _stack_walk(prods, g, 2.0**lev.k)
             assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
 
 
-def cz_per_threshold(hs, a, lat, max_levels=64):
+def cz_per_threshold(hs, a, grid, max_levels=64):
     """cz_decompose as a loop over the thresholds a^k: per k, the cubes of
     every level with anc <= a^k < prod, coarse to fine, and one (cubes x
     grid) mask tensor for E.  Returns (k, lo, w, prod_norms, e_masks) per
     level that selects a cube."""
-    grid = lat.grid
-    pyramid = _triple_average_pyramid(hs, lat)
-    vals = m3d(hs, lat).values
+    pyramid = _triple_average_pyramid(hs, grid)
+    vals = m3d(hs, grid).values
     pos = vals[vals > 0]
     vmin, vmax = float(pos.min()), float(vals.max())
     k_lo = math.ceil(math.log(vmin) / math.log(a) - 1e-12)
@@ -384,7 +368,7 @@ def cz_per_threshold(hs, a, lat, max_levels=64):
         lo, ws, prod_norms = [], [], []
         for level, (prod, anc) in enumerate(zip(pyramid, ancestors)):
             idx = np.nonzero((prod > thr) & (anc <= thr))
-            w = lat.level_width(level)
+            w = grid.N >> level
             lo += (np.stack(idx, axis=1) * w).tolist()
             ws += [w] * idx[0].size
             prod_norms.extend(prod[idx].tolist())
@@ -432,9 +416,8 @@ class TestCzAgainstPerThresholdLoop:
         else:
             g, hs = _inputs(n, m, N, kind, seed)
         a = default_cz_base(n, m) if a is None else a
-        lat = DyadicLattice(g)
-        cz = cz_decompose(hs, a, lat, max_levels=max_levels)
-        expected = cz_per_threshold(hs, a, lat, max_levels)
+        cz = cz_decompose(hs, a, g, max_levels=max_levels)
+        expected = cz_per_threshold(hs, a, g, max_levels)
         assert len(cz.levels) == len(expected)
         for lev, (k, lo, ws, prod_norms, e_masks) in zip(cz.levels, expected):
             assert lev.k == k
@@ -442,10 +425,82 @@ class TestCzAgainstPerThresholdLoop:
             assert lev.prod_norms == prod_norms
             assert all(type(p) is float for p in lev.prod_norms)
             assert lev.e_counts.tolist() == [int(E.sum()) for E in e_masks]
-            assert len(lev.e_masks) == len(e_masks)
-            for E, want in zip(lev.e_masks, e_masks):
-                assert E.dtype == bool
-                np.testing.assert_array_equal(E, want)
+            np.testing.assert_array_equal(lev.below_next, m3d(hs, g).values <= a ** (k + 1))
+            for Q, want in zip(lev.cubes, e_masks):
+                np.testing.assert_array_equal(lev.below_next[Q.slices()], want[Q.slices()])
+
+
+def _rle(mask):
+    """Run-length encoding of a flattened boolean mask: [start, length] runs."""
+    idx = np.flatnonzero(np.diff(np.concatenate([[0], np.asarray(mask).ravel().view(np.int8), [0]])))
+    return [[int(start), int(stop - start)] for start, stop in zip(idx[::2], idx[1::2])]
+
+
+def to_json_per_cube(cz):
+    """CZDecomposition.to_json with one full-grid mask per selected cube,
+    run-length encoded over the whole grid."""
+    return json.dumps({
+        "a": cz.a,
+        "levels": [{
+            "k": lev.k,
+            "cubes": [{"corner": list(Q.corner), "side": Q.side, "prod_norm": p}
+                      for Q, p in zip(lev.cubes, lev.prod_norms)],
+            "E_masks": [_rle(E) for E in e_masks_per_cube(cz, lev)],
+        } for lev in cz.levels],
+    }, sort_keys=True)
+
+
+class TestToJsonAgainstFullGridMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        m=st.sampled_from([1, 2]),
+        log2_N=st.integers(2, 6),
+        kind=st.sampled_from(["uniform", "sparse", "pow2", "constant"]),
+        a=st.sampled_from([1.5, 2.0, 8.0, None]),
+        L=st.sampled_from([1.0, 1.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decompositions(self, n, m, log2_N, kind, a, L, seed):
+        N = 2 ** min(log2_N, _MAX_LOG2_N[n])
+        if kind in ("pow2", "constant"):
+            _, hs = _tie_heavy(n, m, N, seed, kind)
+        else:
+            _, hs = _inputs(n, m, N, kind, seed)
+        g = make_grid(n, L, N)  # the corners and sides scale with L
+        hs = [GridFunction(g, h.values, nonneg=True) for h in hs]
+        cz = cz_decompose(hs, default_cz_base(n, m) if a is None else a, g)
+        assert cz.to_json() == to_json_per_cube(cz)
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 16), (3, 8)])
+    def test_constant_input_selects_the_whole_box(self, n, N):
+        # M runs from 1.1 (the box) to 1.1 * 3^n, all inside (1, 4^n]
+        g = make_grid(n, 1.0, N)
+        cz = cz_decompose([GridFunction.constant(g, 1.1 * 3**n)], 4.0**n, g)
+        assert cz.levels[0].cubes.w.tolist() == [N]
+        assert json.loads(cz.to_json())["levels"][0]["E_masks"] == [[[0, N**n]]]
+        assert cz.to_json() == to_json_per_cube(cz)
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("density", [0.2, 0.9, 1.0])
+    def test_runs_across_grid_rows(self, n, N, density):
+        # cubes of width N and N/2; in a width-N cube a run goes on from
+        # the end of one grid row to the start of the next
+        g = make_grid(n, 1.0, N)
+        vals = np.where(np.random.default_rng(N).uniform(size=g.shape) < density, 1.0, 4.0)
+        cubes = CubeSet(g, [[0] * n, [N // 2] * n, [0] * (n - 1) + [N // 2]], [N, N // 2, N // 2])
+        # M > a^(k+1) = 2 where vals is 4; to_json reads no counts
+        lev = CZLevel(0, cubes, [3.0] * 3, vals <= 2.0, np.zeros(3, dtype=np.int64))
+        cz = CZDecomposition(2.0, g, [lev], GridFunction(g, vals, nonneg=True))
+        assert cz.to_json() == to_json_per_cube(cz)
+        if density == 1.0:
+            assert json.loads(cz.to_json())["levels"][0]["E_masks"][0] == [[0, N**n]]
+
+
+def all_cubes(cz):
+    """(k, Q, prod_norm, E_Q) for every selected cube, level by level."""
+    for lev in cz.levels:
+        yield from ((lev.k, Q, p, E) for Q, p, E in zip(lev.cubes, lev.prod_norms, e_masks_per_cube(cz, lev)))
 
 
 def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
@@ -454,7 +509,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
     uq = GridFunction(cz0.grid, u.values**q)
     L1 = NormSpec.lebesgue(1.0)
     total = 0.0
-    for _, Q, _, E in cz0.all_cubes():
+    for _, Q, _, E in all_cubes(cz0):
         esize = float(E.sum()) * cellvol
         if esize == 0.0:
             continue
@@ -465,7 +520,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
             term *= luxemburg_norm(f, Q3, L1) ** q
         total += term * esize
     if ell == 1:
-        for _, Q, _, E in czj.all_cubes():
+        for _, Q, _, E in all_cubes(czj):
             esize = float(E.sum()) * cellvol
             if esize == 0.0:
                 continue
@@ -485,15 +540,14 @@ class TestDiscretizationRhsBatched:
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_matches_per_cube_norms(self, ell, n, m, N, q):
         g, fs = _inputs(n, m, N, "uniform", N + m)
-        lat = DyadicLattice(g)
         K = Kernel("fractional", n, m, alpha=0.5)
         rng = np.random.default_rng(7)
         u = GridFunction(g, rng.uniform(0.5, 3.0, size=g.shape), nonneg=True)
-        cz0 = cz_decompose(fs, 2.0, lat)
-        czj = cz_decompose([u] + fs[1:], 2.0, lat)
+        cz0 = cz_decompose(fs, 2.0, g)
+        czj = cz_decompose([u] + fs[1:], 2.0, g)
         # data filling the box gives selected cubes at its edge, whose
         # triples are clipped
-        clipped = [Q.dilate3().clipped for _, Q, _, E in cz0.all_cubes() if E.any()]
+        clipped = [Q.dilate3().clipped for _, Q, _, E in all_cubes(cz0) if E.any()]
         assert any(clipped) and not all(clipped)
         got = discretization_rhs(K, fs, u, q, ell, cz0, czj, j=0)
         expected = _rhs_per_cube(K, fs, u, q, ell, cz0, czj, j=0)
@@ -534,18 +588,11 @@ def _mask_of(Q, grid):
     return out
 
 
-def e_masks_per_cube(cz, lev):
-    """One full-grid mask per selected cube: Q minus {M > a^(k+1)}."""
-    grid = cz.grid
-    next_mask = cz.maximal_values.values > cz.a ** (lev.k + 1)
-    return [_mask_of(Q, grid) & ~next_mask for Q in lev.cubes]
-
-
 def cube_terms_per_cube(K, q, delta, eps, cz, factors):
     """_cube_terms with |E|, phi_theta and the triple taken cube by cube."""
     cellvol = cz.grid.cell_volume
     cubes, esizes = [], []
-    for _, Q, _, E in cz.all_cubes():
+    for _, Q, _, E in all_cubes(cz):
         esize = float(E.sum()) * cellvol
         if esize != 0.0:
             cubes.append(Q)
@@ -572,19 +619,17 @@ class TestCzArraysAgainstPerCubeLoops:
     @pytest.mark.parametrize("n,m,N", [(1, 1, 64), (1, 2, 32), (2, 1, 16), (2, 2, 8), (3, 1, 8)])
     def test_e_masks_and_cube_terms(self, n, m, N, kind):
         g, fs = _inputs(n, m, N, kind, 11 * N + m)
-        lat = DyadicLattice(g)
         rng = np.random.default_rng(N)
         u = GridFunction(g, rng.uniform(0.5, 3.0, size=g.shape), nonneg=True)
-        cz0 = cz_decompose(fs, 2.0, lat)
-        czj = cz_decompose([u] + fs[1:], 2.0, lat)
+        cz0 = cz_decompose(fs, 2.0, g)
+        czj = cz_decompose([u] + fs[1:], 2.0, g)
         assert cz0.levels and czj.levels
         for cz in (cz0, czj):
             for lev in cz.levels:
                 assert isinstance(lev.cubes, CubeSet)
-                assert len(lev.e_masks) == len(lev.cubes)
-                for E, count, expected in zip(lev.e_masks, lev.e_counts, e_masks_per_cube(cz, lev)):
-                    assert E.shape == g.shape and E.dtype == bool
-                    np.testing.assert_array_equal(E, expected)
+                assert len(lev.e_counts) == len(lev.cubes)
+                for Q, count, expected in zip(lev.cubes, lev.e_counts, e_masks_per_cube(cz, lev)):
+                    np.testing.assert_array_equal(lev.below_next[Q.slices()], expected[Q.slices()])
                     assert count == np.count_nonzero(expected)
         K = Kernel("fractional", n, m, alpha=0.5)
         for q in (0.5, 1.0):
@@ -598,7 +643,7 @@ class TestCzArraysAgainstPerCubeLoops:
 
     def test_empty_carved_sets_are_skipped(self):
         g, fs = _inputs(1, 1, 32, "uniform", 5)
-        cz = cz_decompose(fs, 2.0, DyadicLattice(g))
+        cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5)
         factors = [(fs[0], NormSpec.lebesgue(1.0), 1.0)]
         for lev in cz.levels:
@@ -612,7 +657,7 @@ class TestCzArraysAgainstPerCubeLoops:
 
     def test_hand_built_levels_with_cube_lists(self):
         g, fs = _inputs(2, 1, 16, "uniform", 9)
-        cz = cz_decompose(fs, 2.0, DyadicLattice(g))
+        cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5, 2)
         factors = [(fs[0], NormSpec.power_log(1.0, 1.0), 0.5)]
         expected = _cube_terms(K, 0.5, 1.0, 0.5, cz, factors)
@@ -627,10 +672,9 @@ class TestConstructionsPerWidth:
         g = make_grid(2, 1.0, 32)
         (f,) = make_corpus(g, 1, count=4, seed=3)[2]
         u = parse_weight("pow0.3", g)
-        lat = DyadicLattice(g)
         cube_constructions.clear()
-        cz0 = cz_decompose([f], 2.0, lat)
-        czj = cz_decompose([u], 2.0, lat)
+        cz0 = cz_decompose([f], 2.0, g)
+        czj = cz_decompose([u], 2.0, g)
         rhs = discretization_rhs(frac(0.5, 2), [f], u, 0.5, 1, cz0, czj, j=0)
         selected = sum(len(lev.cubes) for cz in (cz0, czj) for lev in cz.levels)
         assert rhs > 0 and selected >= 50

@@ -142,6 +142,16 @@ class TestEvalKernel:
         a, b = coarse.radial(0.5), fine.radial(0.5)
         assert a == pytest.approx(b, rel=1e-6)
 
+    @pytest.mark.parametrize("n,m,alpha,four_pi", [(1, 2, 1.0, False), (1, 3, 2.0, True),
+                                                    (3, 1, 2.0, True)])
+    def test_bessel_default_quadrature_matches_closed_forms(self, n, m, alpha, four_pi):
+        # G_1 in R^2 is e^-s / (2 pi s) and G_2 in R^3 is e^-s / (4 pi s);
+        # the small s test that the quadrature range reaches t ~ s^2
+        s = np.logspace(-5, math.log10(30.0), 200)
+        expected = np.exp(-s) / ((4.0 if four_pi else 2.0) * math.pi * s)
+        np.testing.assert_allclose(Kernel("bessel", n, m, alpha=alpha).radial(s), expected,
+                                   rtol=1e-12, atol=0)
+
 
 class TestKernelCellValue:
     def test_far_cell_uses_center(self):

@@ -309,6 +309,14 @@ class TestMaximal:
         out = maximal(PhiScaling.constant(1.0), specs, fs, g, fam)
         np.testing.assert_allclose(out.values, 6.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("other", [(1, 1.0, 16), (1, 2.0, 8), (2, 1.0, 8)])
+    def test_input_on_another_grid_raises(self, other):
+        g = make_grid(1, 1.0, 8)
+        fs = [GridFunction.constant(g, 1.0), GridFunction.constant(make_grid(*other), 1.0)]
+        with pytest.raises(ValueError, match="share one grid"):
+            maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)] * 2, fs, g,
+                    cube_family(g, "centered"))
+
     def test_brute_force_oracle(self):
         g = make_grid(1, 2.0, 16)
         fam = cube_family(g, "centered")

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipot import (
+    Cube,
     Grid,
     GridFunction,
     cube_family,
@@ -141,6 +144,60 @@ class TestRhInfCheck:
         assert math.isfinite(cinf)
         for s in (1.5, 2.0, 4.0):
             assert rh_check(w, s, fam) <= cinf + 1e-12
+
+
+def rh_check_per_cube(w, s, family):
+    """rh_check as a loop over the cubes, averaging over the cells of each
+    cube inside the box."""
+    worst = 0.0
+    for Q in family:
+        sub = w.restrict(Q)
+        if sub.size == 0:
+            continue
+        den = float(sub.mean())
+        if den == 0.0:
+            continue
+        worst = max(worst, float(np.mean(sub**s)) ** (1.0 / s) / den)
+    return worst
+
+
+_WEIGHTS = {
+    "one": lambda g: GridFunction.constant(g, 1.0),
+    "pow0.3": lambda g: gen_power_weight(0.3, g),
+    "pow-0.5": lambda g: gen_power_weight(-0.5, g),
+    "|bmolog|": lambda g: gen_bmo_log(g).map(np.abs, nonneg=True),
+}
+
+
+class TestRhCheckAgainstPerCubeLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        log2_N=st.integers(2, 7),
+        kind=st.sampled_from(["centered", "dyadic"]),
+        weight=st.sampled_from(sorted(_WEIGHTS)),
+        L=st.sampled_from([1.0, 1.3]),
+        s=st.sampled_from([1.5, 2.0, 4.0, 64.0]),
+    )
+    def test_equal_to_the_bit(self, n, log2_N, kind, weight, L, s):
+        g = make_grid(n, L, 2 ** min(log2_N, {1: 7, 2: 5, 3: 3}[n]))
+        w, fam = _WEIGHTS[weight](g), cube_family(g, kind)
+        assert rh_check(w, s, fam) == rh_check_per_cube(w, s, fam)
+
+    def test_zero_cubes_are_skipped(self):
+        g = make_grid(2, 1.0, 16)
+        w = GridFunction(g, np.where(g.radius() < 0.5, 0.0, g.radius()), nonneg=True)
+        fam = cube_family(g, "centered")
+        assert rh_check(w, 2.0, fam) == rh_check_per_cube(w, 2.0, fam) > 1.0
+        assert rh_check(w, 2.0, []) == 0.0
+
+    @pytest.mark.parametrize("lo", [(-1, 0), (0, 13), (16, 16), (-8, 3)])
+    def test_cube_outside_the_box_raises(self, lo):
+        # clipped by the box edge, or wholly off the box
+        g = make_grid(2, 1.0, 16)
+        fam = list(cube_family(g, "dyadic")) + [Cube(g, lo, 4)]
+        with pytest.raises(ValueError, match="inside the box"):
+            rh_check(GridFunction.constant(g, 1.0), 2.0, fam)
 
 
 class TestParseWeight:
