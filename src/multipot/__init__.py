@@ -23,6 +23,7 @@ from .operators import (
     apply_potential,
     apply_potential_reference,
     maximal,
+    maximal_corpus,
     maximal_single,
 )
 from .orlicz import (

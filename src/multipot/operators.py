@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import orlicz
 from .grid import CubeSet, Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value, phi_theta
 from .orlicz import NormSpec, luxemburg_norms
@@ -19,6 +20,7 @@ __all__ = [
     "apply_potential_reference",
     "apply_commutator",
     "maximal",
+    "maximal_corpus",
     "maximal_single",
 ]
 
@@ -216,6 +218,51 @@ def apply_commutator(K: Kernel, bs, fs) -> GridFunction:
     return GridFunction(grid, out)
 
 
+def maximal_corpus(
+    phis: PhiScaling,
+    specs,
+    corpus,
+    grid: Grid,
+    family,
+    tol: float = 1e-10,
+) -> list:
+    """maximal(phis, specs, fs, grid, family, tol) for each tuple fs of
+    corpus, as a list.
+
+    phi(|Q|) is taken once per width.  The tuples go in batches of at most
+    _CHUNK_ELEMENTS // |family| (at least one), so the (tuple, cube) arrays
+    of a batch stay the size of one root-finder chunk.  Per batch, each slot
+    takes one luxemburg_norms call over the (tuple, cube) pairs whose
+    product is not yet 0, and each width one scatter-max over all tuples.
+    """
+    specs, corpus = list(specs), [list(fs) for fs in corpus]
+    for fs in corpus:
+        if len(fs) != len(specs):
+            raise ValueError("need one norm spec per input function")
+        if not all(grid.compatible(f.grid) for f in fs):
+            raise ValueError("all input functions must share one grid")
+    cubes = CubeSet.of(grid, family)
+    phi, widths = cubes.per_width(lambda Q: phis(Q.measure)), np.unique(cubes.w).tolist()
+    step, out = max(1, orlicz._CHUNK_ELEMENTS // max(1, len(cubes))), []
+    for first in range(0, len(corpus), step):
+        batch = corpus[first : first + step]
+        val = np.tile(phi, len(batch))  # entry t |family| + k: tuple t, cube k
+        for i, spec in enumerate(specs):
+            live = np.flatnonzero(val != 0.0)
+            if live.size == 0:
+                break
+            t, k = np.divmod(live, len(cubes))
+            val[live] *= luxemburg_norms([fs[i] for fs in batch], cubes[k], spec, tol, which=t)
+        val = val.reshape(len(batch), len(cubes))
+        top = np.full((len(batch),) + grid.shape, -np.inf)
+        for w in widths:
+            _scatter_max(top, cubes.lo[cubes.w == w], w, val[:, cubes.w == w])
+        if np.any(~np.isfinite(top)):
+            raise ValueError("cube family leaves part of the grid uncovered")
+        out += [GridFunction(grid, M) for M in top]
+    return out
+
+
 def maximal(
     phis: PhiScaling,
     specs,
@@ -226,42 +273,24 @@ def maximal(
 ) -> GridFunction:
     """Pointwise sup over family cubes containing x of
     phi(|Q|) * prod_i ||f_i||_{X_i, Q}; family is a CubeSet or a list of
-    cubes on grid.
-
-    phi(|Q|) is taken once per width, and each f takes one batched norm
-    call over the cubes whose product is not yet 0.
+    cubes on grid.  The one-tuple case of maximal_corpus.
     """
-    fs, specs = list(fs), list(specs)
-    if len(fs) != len(specs):
-        raise ValueError("need one norm spec per input function")
-    if not all(grid.compatible(f.grid) for f in fs):
-        raise ValueError("all input functions must share one grid")
-    cubes = CubeSet.of(grid, family)
-    val = cubes.per_width(lambda Q: phis(Q.measure))
-    for f, spec in zip(fs, specs):
-        live = np.flatnonzero(val != 0.0)
-        if live.size == 0:
-            break
-        val[live] *= luxemburg_norms(f, cubes[live], spec, tol)
-    out = np.full(grid.shape, -np.inf)
-    for w in np.unique(cubes.w).tolist():
-        _scatter_max(out, cubes.lo[cubes.w == w], w, val[cubes.w == w])
-    if np.any(~np.isfinite(out)):
-        raise ValueError("cube family leaves part of the grid uncovered")
-    return GridFunction(grid, out)
+    return maximal_corpus(phis, specs, [fs], grid, family, tol)[0]
 
 
 def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> None:
-    """out[x] = max(out[x], val[k]) over the cubes (lo[k], w) that contain x.
+    """out[t, x] = max(out[t, x], val[t, k]) over the cubes (lo[k], w) that
+    contain x, for each t of the leading axis.
 
     The values go onto the lattice of corners that reach the grid, then a
-    running max of width w along each axis carries each one over its cube.
+    running max of width w along each grid axis carries each one over its cube.
     """
-    N, n = out.shape[0], out.ndim
+    N, n = out.shape[1], out.ndim - 1
     reach = np.all((lo > -w) & (lo < N), axis=1)
-    corners = np.full((N + w - 1,) * n, -np.inf)  # corner lo sits at lo + w - 1
-    np.maximum.at(corners, tuple((lo[reach] + w - 1).T), val[reach])
-    for axis in range(n):
+    corners = np.full(out.shape[:1] + (N + w - 1,) * n, -np.inf)  # corner lo sits at lo + w - 1
+    tuples = np.arange(len(out))[:, None]
+    np.maximum.at(corners, (tuples, *(lo[reach] + w - 1).T), val[:, reach])
+    for axis in range(1, n + 1):
         corners = sliding_window_view(corners, w, axis=axis).max(axis=-1)
     np.maximum(out, corners, out=out)
 

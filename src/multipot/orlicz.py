@@ -57,8 +57,11 @@ class YoungFunction:
         if self.kind == "identity":
             out = t
         elif self.kind == "power-log":
-            logplus = np.where(t > 1, np.log(np.maximum(t, 1e-300)), 0.0)
-            out = t**self.p * (1.0 + logplus) ** self.alpha
+            # x ** 1.0 == x and a factor y ** 0.0 == 1.0 changes no bit, so they are skipped
+            out = t if self.p == 1 else t**self.p
+            if self.alpha:
+                logterm = 1.0 + np.log(np.maximum(t, 1.0))  # 1 + log+ t
+                out = out * (logterm if self.alpha == 1 else logterm**self.alpha)
         elif self.kind == "exp":
             out = np.expm1(t)
         elif self.kind == "exp-power":
@@ -161,25 +164,38 @@ _CHUNK_ELEMENTS = 1 << 16
 _MAX_STEPS = 200  # cap on each loop of _row_norms
 
 
-def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) -> np.ndarray:
+def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) -> np.ndarray:
     """luxemburg_norm(f, Q, spec, tol) for each Q of a CubeSet or a list of
     cubes of any widths, on the grid of f.
+
+    With `which`, f is a sequence of functions on one grid and cube k is
+    taken on f[which[k]]; a row's norm depends only on its own cells, so
+    it equals that of the one-function call bit for bit.
 
     The windows of |f| come from one zero-padded copy, which is the
     zero-extension that clipped cubes assume.  The root-finder on lambda
     runs on all windows of a chunk at once, a chunk may hold several
-    widths, and each row stops on its own.
+    widths and functions, and each row stops on its own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid, cubes = f.grid, CubeSet.of(f.grid, cubes)
+    fs = [f] if which is None else list(f)
+    grid = fs[0].grid
+    if not all(grid.compatible(g.grid) for g in fs):
+        raise ValueError("all input functions must share one grid")
+    cubes = CubeSet.of(grid, cubes)
+    which = np.zeros(len(cubes), dtype=np.int64) if which is None else np.asarray(which, dtype=np.int64)
+    if which.shape != (len(cubes),) or (which < 0).any() or (which >= len(fs)).any():
+        raise ValueError("which needs one function index per cube")
     out, ws = np.zeros(len(cubes)), cubes.w
     if not len(cubes):
         return out
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
     lo = np.clip(cubes.lo, -ws[:, None], grid.N)
     before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - grid.N)
-    padded, starts = np.pad(np.abs(f.values), (before, after)), lo + before
+    stacked = np.abs(np.stack([g.values for g in fs]))  # function, then grid axes
+    padded = np.pad(stacked, [(0, 0)] + [(before, after)] * grid.n)
+    starts = lo + before
     parts, used = [], 0  # (cube indices, their windows) of the chunk being filled
 
     def solve():
@@ -187,14 +203,16 @@ def luxemburg_norms(f: GridFunction, cubes, spec: NormSpec, tol: float = 1e-10) 
         fracs = [grid.cell_volume / cubes[k[0]].measure for k in idx]
         out[np.concatenate(idx)] = _row_norms(blocks, spec, fracs, tol)
 
+    grid_axes = tuple(range(1, grid.n + 1))
     for w in np.unique(ws).tolist():
-        idx, windows = np.flatnonzero(ws == w), sliding_window_view(padded, (w,) * grid.n)
+        idx, windows = np.flatnonzero(ws == w), sliding_window_view(padded, (w,) * grid.n, axis=grid_axes)
         while idx.size:
             if used and used + w**grid.n > _CHUNK_ELEMENTS:  # flush before the cap
                 solve()
                 parts, used = [], 0
             k = max(1, (_CHUNK_ELEMENTS - used) // w**grid.n)  # a wider cube goes alone
-            parts.append((idx[:k], windows[tuple(starts[idx[:k]].T)].reshape(-1, w**grid.n)))
+            sel = idx[:k]
+            parts.append((sel, windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n)))
             idx, used = idx[k:], used + parts[-1][1].size
     solve()
     return out
@@ -209,13 +227,16 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
     growth bound of Y and halving from there, brackets it with
     S(lo) > 1 >= S(hi); Illinois regula falsi (Dowell & Jarratt 1971) on
     log S against log lam, a line for S = c lam^-p, shrinks the bracket,
-    each step at least tol * hi / 2 inside it.  A row stops at S(hi) == 1
+    each step at least tol * hi / 2 inside it (the geometric mean of the
+    ends when S(lo) overflowed to inf).  A row stops at S(hi) == 1
     or hi - lo <= tol * hi and returns hi, feasible and within tol of lo.
     A step makes one Y call on the nonzero cells of its rows and sums each row
     left to right, so a row's result depends on neither its chunk nor its zeros.
     """
     if spec.r is not None:
         sums = np.concatenate([np.sum(v**spec.r, axis=1) * c for v, c in zip(blocks, cellfrac)])
+        if spec.r == 1:  # s ** 1.0 == s
+            return sums
         # numpy's vectorized power can round differently from the scalar
         # power of the closed form, so the root is taken row by row
         return np.array([s ** (1.0 / spec.r) for s in sums.tolist()])
@@ -284,8 +305,10 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
         if rows.size == 0:
             return out
         d = 0.5 * tol * hi
-        # a NaN step (lo not evaluated) goes to lo + d
-        x = np.fmin(np.fmax(hi * (lo / hi) ** (ghi / (ghi - glo)), lo + d), hi - d)
+        # a NaN step (lo not evaluated) goes to lo + d; where S(lo) overflowed
+        # the line has no slope, and the step bisects log lam instead
+        step = np.where(np.isinf(glo), 0.5, ghi / (ghi - glo))
+        x = np.fmin(np.fmax(hi * (lo / hi) ** step, lo + d), hi - d)
         g = log_s(rows, x)
         fit = g <= 0.0
         # the value at the end that stays put a second step running is halved

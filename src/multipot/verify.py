@@ -18,7 +18,7 @@ from .operators import (
     PhiScaling,
     apply_commutator,
     apply_potential,
-    maximal,
+    maximal_corpus,
     maximal_single,
 )
 from .orlicz import NormSpec, YoungFunction, luxemburg_norms
@@ -353,9 +353,7 @@ def verify_fefferman_stein(
     else:
         raise ValueError(f"unknown case {case!r}")
     grid = us[0].grid
-    mweights = [
-        maximal_single(phis, wspec, ui, grid, family) for ui in us
-    ]
+    mweights = maximal_corpus(phis, [wspec], [[ui] for ui in us], grid, family)
     report = InequalityReport(
         "fefferman-stein",
         {"case": case, "ell": ell, "p": p_list, "delta": delta, "m": m,
@@ -417,9 +415,10 @@ def verify_coifman(
         {"case": case, "ell": ell, "p": p, "m": kernel.m, "n": grid.n,
          "N": grid.N, "rh_exponent": s, "rh_constant": rh},
     )
-    for i, fs in enumerate(corpus):
+    corpus = list(corpus)
+    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
-        M = maximal(phis, specs, fs, grid, family)
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * w.values))
         rhs = integrate(GridFunction(grid, M.values**p * w.values))
         report.add(lhs, rhs, f"tuple{i}")
@@ -459,9 +458,10 @@ def verify_ftd(
         {"case": case, "ell": ell, "p": p, "gamma": gamma, "m": kernel.m,
          "n": grid.n, "N": grid.N},
     )
-    for i, fs in enumerate(corpus):
+    corpus = list(corpus)
+    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
-        M = maximal(phis, specs, fs, grid, family)
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * u.values))
         rhs = integrate(GridFunction(grid, M.values**p * Mu.values))
         report.add(lhs, rhs, f"tuple{i}")
@@ -499,13 +499,11 @@ def verify_weak_maximal(
     u = GridFunction(
         grid, np.prod([ui.values for ui in us], axis=0) ** (1.0 / m)
     )
-    mw = [
-        maximal_single(psi, NormSpec.lebesgue(1.0), ui, grid, family) for ui in us
-    ]
-    spec = NormSpec.orlicz(B)
+    mw = maximal_corpus(psi, [NormSpec.lebesgue(1.0)], [[ui] for ui in us], grid, family)
     report = InequalityReport("weak-maximal", {"m": m, "n": grid.n, "N": grid.N})
-    for i, fs in enumerate(corpus):
-        M = maximal(phis, [spec] * m, fs, grid, family)
+    corpus = list(corpus)
+    Ms = maximal_corpus(phis, [NormSpec.orlicz(B)] * m, corpus, grid, family)
+    for i, (fs, M) in enumerate(zip(corpus, Ms)):
         v, mass = _upper_level_masses(M, u)
         denom = Bm(v ** (-1.0 / m))
         ok = denom > 0
@@ -548,29 +546,14 @@ def verify_control(
     )
     cor_weights = None
     if us is not None:
-        inner = [
-            maximal_single(
-                PhiScaling.constant(1.0),
-                NormSpec.power_log(1.0, corollary_delta),
-                ui,
-                grid,
-                family,
-            )
-            for ui in us
-        ]
-        cor_weights = [
-            maximal_single(
-                PhiScaling.from_kernel(kernel, theta=1.0, power=1.0 / m),
-                NormSpec.lebesgue(1.0),
-                w,
-                grid,
-                family,
-            )
-            for w in inner
-        ]
-    for i, fs in enumerate(corpus):
+        inner = maximal_corpus(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, corollary_delta)],
+                               [[ui] for ui in us], grid, family)
+        cor_weights = maximal_corpus(PhiScaling.from_kernel(kernel, theta=1.0, power=1.0 / m),
+                                     [NormSpec.lebesgue(1.0)], [[w] for w in inner], grid, family)
+    corpus = list(corpus)
+    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
-        M = maximal(phis, specs, fs, grid, family)
         lhs = lorentz_weak_quasinorm(T, u, 1.0 / m)
         rhs = lorentz_weak_quasinorm(M, weight, 1.0 / m)
         report.add(lhs, rhs, f"tuple{i}")

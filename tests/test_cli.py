@@ -225,3 +225,47 @@ class TestConfigTypes:
         assert run_cli(["cz-decompose", "--config", path]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config"]["L"] == 1 and doc["result"]["levels"] >= 1
+
+
+def assert_same_report(got, want, path="report"):
+    """Equal structure and non-float values; floats to rtol 1e-12, which
+    covers rounding differences between CPUs."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_report(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0), path
+    else:
+        assert got == want, path
+
+
+FS_M2 = {"exponents": {"p": [1.5, 1.5], "q": 2.0}}
+
+
+@pytest.mark.parametrize("recorded,args", [
+    ("control", ["--theorem", "control", "--ell", 1, "--N", 32, "--corpus", 6]),
+    ("coifman_i", ["--theorem", "coifman", "--case", "i", "--m", 2, "--N", 16, "--corpus", 4]),
+    ("coifman_iii", ["--theorem", "coifman", "--case", "iii", "--ell", 1, "--p", 2, "--n", 2,
+                     "--N", 8, "--corpus", 3]),
+    ("ftd_i", ["--theorem", "ftd", "--case", "i", "--ell", 1, "--p", 0.5, "--N", 32, "--corpus", 5]),
+    ("weak_maximal", ["--theorem", "weak-maximal", "--m", 2, "--N", 16, "--norms", "Lp1logL1",
+                      "--corpus", 4]),
+    ("fs_iii", ["--theorem", "fefferman-stein", "--case", "iii", "--ell", 1, "--m", 2, "--N", 16,
+                "--weights", "pow0.3", "--corpus", 4]),
+])
+def test_verify_report_matches_recording(tmp_path, recorded, args):
+    # recorded from the harnesses that took one maximal call per tuple
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FS_M2))
+    extra = ["--config", config] if recorded == "fs_iii" else []
+    assert run_cli(["verify", *extra, *args, "--out-dir", tmp_path / "out"]) == 0
+    got = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert got["config"].pop("out_dir") == str(tmp_path / "out")
+    want = json.loads((Path(__file__).parent / "data" / f"report_{recorded}.json").read_text())
+    assert_same_report(got, want)

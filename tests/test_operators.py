@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multipot import operators, orlicz
 from multipot import (
+    Cube,
     GridFunction,
     Kernel,
     NormSpec,
@@ -19,6 +20,7 @@ from multipot import (
     luxemburg_norm,
     make_grid,
     maximal,
+    maximal_corpus,
     maximal_single,
     parse_norm_spec,
 )
@@ -506,6 +508,87 @@ class TestMaximalBatched:
         got = maximal(phis, specs, fs, g, fam).values
         want = per_cube_maximal(phis, specs, fs, g, fam)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+CORPUS_SPECS = ["L^1", "L^1.5", "Lp1logL1", "Lp1.5logL2", "expL"]
+
+
+def corpus_family(g, kind, rng):
+    """A cube family of the given kind; "list" is a plain list of Cube: the
+    whole box and up to two cubes that may stick out of it."""
+    if kind != "list":
+        return cube_family(g, kind)
+    extra = [Cube(g, tuple(int(i) for i in rng.integers(-2, g.N, g.n)), int(rng.integers(1, 4)))
+             for _ in range(int(rng.integers(0, 3)))]
+    return [g.whole_box()] + extra
+
+
+class TestMaximalCorpus:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        m=st.integers(1, 3),
+        kind=st.sampled_from(["centered", "dyadic", "list"]),
+        specs=st.lists(st.sampled_from(CORPUS_SPECS), min_size=3, max_size=3),
+        small_chunks=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_call_per_tuple(self, n, m, kind, specs, small_chunks, seed):
+        g = make_grid(n, 1.0, BATCH_N[n])
+        rng = np.random.default_rng(seed)
+        fam = corpus_family(g, kind, rng)
+        shared = GridFunction(g, rng.lognormal(0.0, 1.0, g.shape))  # in every tuple
+        corpus = [[GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.6))
+                   for _ in range(m - 1)] + [shared] for _ in range(4)]
+        corpus.insert(int(rng.integers(0, 5)), [GridFunction.constant(g, 0.0)] * m)
+        specs = [parse_norm_spec(s) for s in specs[:m]]
+        phis = PhiScaling.from_profile(lambda t: t**0.25)
+        with pytest.MonkeyPatch.context() as patch:
+            if small_chunks:  # batches split the corpus; with a small family chunks mix tuples
+                patch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+            got = maximal_corpus(phis, specs, corpus, g, fam)
+        assert len(got) == len(corpus)
+        for fs, M in zip(corpus, got):
+            np.testing.assert_array_equal(M.values, maximal(phis, specs, fs, g, fam).values)
+
+    def test_one_norm_call_per_slot_and_batch(self, monkeypatch):
+        g = make_grid(1, 1.0, 16)
+        rng = np.random.default_rng(3)
+        corpus = [[GridFunction(g, rng.uniform(0.5, 2.0, g.shape)) for _ in range(2)] for _ in range(5)]
+        fam, specs = [g.whole_box(), Cube(g, (-1,), 3), Cube(g, (6,), 2)], [parse_norm_spec("Lp1logL1")] * 2
+        calls, norms = [], operators.luxemburg_norms
+
+        def spy(fs, cubes, spec, tol, which):
+            calls.append(np.unique(which).size)
+            return norms(fs, cubes, spec, tol, which=which)
+
+        monkeypatch.setattr(operators, "luxemburg_norms", spy)
+        maximal_corpus(PhiScaling.constant(1.0), specs, corpus, g, fam)
+        assert calls == [5, 5]  # the whole corpus in one batch
+        calls.clear()
+        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)  # two tuples of three cubes per batch
+        maximal_corpus(PhiScaling.constant(1.0), specs, corpus, g, fam)
+        assert calls == [2, 2, 2, 2, 1, 1]
+
+    def test_empty_corpus(self):
+        g = make_grid(1, 1.0, 8)
+        assert maximal_corpus(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [], g,
+                              cube_family(g, "centered")) == []
+
+    @pytest.mark.parametrize("bad", ["arity", "grid"])
+    def test_bad_tuple_raises_before_any_norm(self, bad, monkeypatch):
+        g = make_grid(1, 1.0, 8)
+        one = GridFunction.constant(g, 1.0)
+        last = [one] if bad == "arity" else [one, GridFunction.constant(make_grid(1, 1.0, 16), 1.0)]
+        corpus = [[one, one]] * 3 + [last]
+
+        def no_norms(*args, **kwargs):
+            raise AssertionError("a norm was computed before the check")
+
+        monkeypatch.setattr(operators, "luxemburg_norms", no_norms)
+        with pytest.raises(ValueError, match="one norm spec per input|share one grid"):
+            maximal_corpus(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)] * 2, corpus, g,
+                           cube_family(g, "centered"))
 
 
 class TestPhiScaling:

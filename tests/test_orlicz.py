@@ -670,3 +670,85 @@ def test_solver_monotonicity_property(spec, n, seed, w):
                   <= luxemburg_norms(h, cubes, spec, tol) * (1 + tol))
     for Q in cubes:
         assert luxemburg_norm(f, Q, spec, tol) <= luxemburg_norm(h, Q, spec, tol) * (1 + tol)
+
+
+def _power_log_two_pass(t, p, alpha):
+    """The earlier power-log evaluation: log+ through np.where over a
+    clamped log, and both powers taken even when the exponent is 1."""
+    t = np.asarray(t, dtype=float)
+    logplus = np.where(t > 1, np.log(np.maximum(t, 1e-300)), 0.0)
+    return t**p * (1.0 + logplus) ** alpha
+
+
+class TestPowerLogAgainstTwoPassFormula:
+    @pytest.mark.parametrize("p,alpha", [(1, 1), (1, 0.5), (1, 1.5), (2, 1), (1.5, 0)])
+    def test_equal_bit_for_bit(self, p, alpha):
+        rng = np.random.default_rng(0)
+        edges = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-320,
+                 1e-300, 1e300, 5e-324, 0.5, 2.0]
+        t = np.concatenate([edges, rng.lognormal(0.0, 3.0, 500), rng.uniform(0.0, 2.0, 500)])
+        Y = YoungFunction("power-log", p=p, alpha=alpha)
+        with np.errstate(over="ignore"):  # (1e300) ** 2 is inf on both sides
+            np.testing.assert_array_equal(Y(t), _power_log_two_pass(t, p, alpha))
+            for s in edges:
+                assert Y(s) == float(_power_log_two_pass(s, p, alpha))
+
+
+def test_l1_row_norms_are_the_sums():
+    # for r = 1 the scalar root s ** 1.0 is skipped: it returns s
+    rng = np.random.default_rng(1)
+    blocks = [rng.lognormal(0.0, 1.0, (5, 4)), rng.uniform(size=(3, 9)), np.zeros((2, 9))]
+    fracs = [0.25, 1 / 9, 1 / 9]
+    sums = np.concatenate([np.sum(v, axis=1) * c for v, c in zip(blocks, fracs)])
+    got = orlicz._row_norms(blocks, NormSpec.lebesgue(1.0), fracs, 1e-10)
+    np.testing.assert_array_equal(got, [s ** (1.0 / 1.0) for s in sums.tolist()])
+
+
+class TestMultiFunctionNorms:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from(_SOLVER_SPECS + ["L^1", "L^1.5"]), n=st.sampled_from([1, 2, 3]),
+           count=st.integers(1, 4), small_chunks=st.booleans(), seed=st.integers(0, 2**16))
+    def test_match_one_call_per_function_property(self, spec, n, count, small_chunks, seed):
+        g = make_grid(n, 1.0, {1: 16, 2: 8, 3: 4}[n])
+        rng = np.random.default_rng(seed)
+        fs = [_banded_function(g, seed + j) for j in range(count)]
+        fs[-1] = GridFunction.constant(g, 0.0) if count > 2 else fs[-1]
+        fs.append(fs[0])  # one object twice
+        spec = parse_norm_spec(spec)
+        cubes = [C for Q in cube_family(g, "dyadic") for C in (Q, Q.dilate3())]
+        cubes += [Cube(g, (-6,) * n, 1), Cube(g, (g.N,) * n, 2)]
+        cubes = [cubes[k] for k in rng.permutation(len(cubes))]
+        which = rng.integers(0, len(fs), len(cubes))
+        with pytest.MonkeyPatch.context() as mp:
+            if small_chunks:
+                mp.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+            got = luxemburg_norms(fs, cubes, spec, which=which)
+        want = np.empty(len(cubes))
+        for j, f in enumerate(fs):
+            idx = np.flatnonzero(which == j)
+            want[idx] = luxemburg_norms(f, [cubes[k] for k in idx], spec)
+        np.testing.assert_array_equal(got, want)
+
+    def test_bad_index_or_grid_raises(self):
+        g = make_grid(1, 1.0, 8)
+        f, cubes = GridFunction.constant(g, 1.0), cube_family(g, "dyadic")
+        for which in ([0] * (len(cubes) - 1), [1] * len(cubes), [-1] * len(cubes)):
+            with pytest.raises(ValueError, match="one function index per cube"):
+                luxemburg_norms([f], cubes, NormSpec.lebesgue(1.0), which=which)
+        other = GridFunction.constant(make_grid(1, 1.0, 16), 1.0)
+        with pytest.raises(ValueError, match="share one grid"):
+            luxemburg_norms([f, other], cubes, NormSpec.lebesgue(1.0), which=[0] * len(cubes))
+
+
+def test_solver_converges_when_the_sum_overflows_at_lo():
+    # expL on lognormal data: e^(v / lam) overflows at the lower end of some
+    # brackets, where the regula falsi step used to creep by tol * hi / 2
+    g = make_grid(3, 1.0, 4)
+    rng = np.random.default_rng(65536)
+    f = GridFunction(g, rng.lognormal(0.0, 2.0, g.shape) * (rng.uniform(size=g.shape) < 0.6))
+    spec, tol = parse_norm_spec("expL"), 1e-10
+    cubes = [Q.dilate3() for Q in cube_family(g, "dyadic")]
+    with np.errstate(over="ignore"):
+        got = luxemburg_norms(f, cubes, spec, tol)
+        for r, Q in zip(got, cubes):
+            _assert_solved(r, _bisection_norm(f, Q, spec, tol), _window(f, Q), Q, spec, tol)
