@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# The s-range on which a callable profile is checked to be monotone, and
+# so the only range on which bar_phi may take its sup at the ends
+PROFILE_RANGE = (1e-4, 100.0)
+
+
 class SingularKernelError(ValueError):
     """Kernel evaluated at its singular point."""
 
@@ -109,7 +114,7 @@ class Kernel:
 
     @staticmethod
     def _check_monotone(fn):
-        s = np.logspace(-4, 2, 200)
+        s = np.logspace(*np.log10(PROFILE_RANGE), 200)
         v = np.asarray([fn(x) for x in s], dtype=float)
         if np.any(v < 0):
             raise ValueError("kernel profile must be nonnegative")
@@ -326,8 +331,13 @@ def bar_phi(K: Kernel, t: float) -> float:
     the profile over s in (t, 2t].  Fractional, Bessel and profile kernels
     are monotone in s, so it sits at an end (the open one taken at
     t(1 + 1e-9)); a tabulated profile is linear between its knots, so its
-    sup also may sit at a knot inside.
+    sup also may sit at a knot inside.  A profile is only known to be
+    monotone on PROFILE_RANGE, so (t, 2t] must lie inside it.
     """
+    lo, hi = PROFILE_RANGE
+    if K.family == "profile" and not (lo <= t and 2.0 * t <= hi):
+        raise ValueError(f"a profile kernel is checked monotone only for s in [{lo:g}, {hi:g}]; "
+                         f"(t, 2t] = ({t:g}, {2.0 * t:g}] leaves it")
     s = [t * (1.0 + 1e-9), 2.0 * t]
     if K.family == "tabulated":
         s += [x for x in K.table_s if t < x < 2.0 * t]

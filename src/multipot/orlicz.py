@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import Cube, CubeSet, GridFunction
 
@@ -172,10 +172,11 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
     taken on f[which[k]]; a row's norm depends only on its own cells, so
     it equals that of the one-function call bit for bit.
 
-    The windows of |f| come from one zero-padded copy, which is the
-    zero-extension that clipped cubes assume.  The root-finder on lambda
-    runs on all windows of a chunk at once, a chunk may hold several
-    widths and functions, and each row stops on its own.
+    |f| is written once into one zero-filled stack (function, then grid
+    axes), which is the zero-extension that clipped cubes assume, and the
+    windows of each width are one read-only strided view of it.  The
+    root-finder on lambda runs on all windows of a chunk at once, a chunk
+    may hold several widths and functions, and each row stops on its own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -193,26 +194,27 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
     lo = np.clip(cubes.lo, -ws[:, None], grid.N)
     before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - grid.N)
-    stacked = np.abs(np.stack([g.values for g in fs]))  # function, then grid axes
-    padded = np.pad(stacked, [(0, 0)] + [(before, after)] * grid.n)
+    padded = np.zeros((len(fs),) + (before + grid.N + after,) * grid.n)
+    for j, g in enumerate(fs):
+        np.abs(g.values, out=padded[(j,) + (slice(before, before + grid.N),) * grid.n])
     starts = lo + before
-    parts, used = [], 0  # (cube indices, their windows) of the chunk being filled
+    parts, used = [], 0  # (cube indices, their windows, cell fraction) of the chunk being filled
 
     def solve():
-        idx, blocks = zip(*parts)
-        fracs = [grid.cell_volume / cubes[k[0]].measure for k in idx]
+        idx, blocks, fracs = zip(*parts)
         out[np.concatenate(idx)] = _row_norms(blocks, spec, fracs, tol)
 
-    grid_axes = tuple(range(1, grid.n + 1))
     for w in np.unique(ws).tolist():
-        idx, windows = np.flatnonzero(ws == w), sliding_window_view(padded, (w,) * grid.n, axis=grid_axes)
+        idx, frac = np.flatnonzero(ws == w), grid.cell_volume / (w * grid.h) ** grid.n  # as Cube.measure
+        windows = as_strided(padded, padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:])
+                             + (w,) * grid.n, padded.strides + padded.strides[1:], writeable=False)
         while idx.size:
             if used and used + w**grid.n > _CHUNK_ELEMENTS:  # flush before the cap
                 solve()
                 parts, used = [], 0
             k = max(1, (_CHUNK_ELEMENTS - used) // w**grid.n)  # a wider cube goes alone
             sel = idx[:k]
-            parts.append((sel, windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n)))
+            parts.append((sel, windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), frac))
             idx, used = idx[k:], used + parts[-1][1].size
     solve()
     return out
@@ -234,24 +236,34 @@ def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
     left to right, so a row's result depends on neither its chunk nor its zeros.
     """
     if spec.r is not None:
-        sums = np.concatenate([np.sum(v**spec.r, axis=1) * c for v, c in zip(blocks, cellfrac)])
-        if spec.r == 1:  # s ** 1.0 == s
+        r = spec.r  # v ** 1.0 == v and s ** 1.0 == s, so r = 1 skips both powers
+        sums = np.concatenate([np.sum(v if r == 1 else v**r, axis=1) * c for v, c in zip(blocks, cellfrac)])
+        if r == 1:
             return sums
         # numpy's vectorized power can round differently from the scalar
         # power of the closed form, so the root is taken row by row
-        return np.array([s ** (1.0 / spec.r) for s in sums.tolist()])
-    Y, frac = spec.young, np.repeat(cellfrac, [len(v) for v in blocks])  # cellfrac per row
+        return np.array([s ** (1.0 / r) for s in sums.tolist()])
+    return _young_row_norms(blocks, spec.young, cellfrac, tol)
+
+
+@np.errstate(over="ignore")  # S(lam) may overflow to inf at a small lam; the steps allow for it
+def _young_row_norms(blocks, Y: YoungFunction, cellfrac, tol: float) -> np.ndarray:
+    """The root-finder of _row_norms for a Young spec."""
+    frac = np.repeat(cellfrac, [len(v) for v in blocks])  # cellfrac per row
     # the nonzero cells in row-major order and their rows; each loop starts from all of them
     full = cells = (np.concatenate([v[v != 0] for v in blocks]), np.repeat(
         np.arange(frac.size), np.concatenate([np.count_nonzero(v, axis=1) for v in blocks])))
+    place = rowfrac = None  # the place of each cell's row in the rows gathered last, their cellfrac
 
     def log_s(rows, lam):
-        """log S(lam) on the given rows (ascending, within those of the last call)."""
-        nonlocal cells
-        live = np.bincount(rows, minlength=frac.size) > 0
-        v, o = cells = tuple(a[live[cells[1]]] for a in cells)  # the cells of rows
-        i = (np.cumsum(live) - 1)[o]  # the place of each cell's row in rows
-        return np.log(np.bincount(i, weights=Y(v / lam[i]), minlength=rows.size) * frac[rows])
+        """log S(lam) on the given rows (ascending, within those of the last call);
+        the cells are gathered again only when a loop restarts from full or rows shrank."""
+        nonlocal cells, place, rowfrac
+        if cells is full or rows.size != rowfrac.size:
+            live = np.bincount(rows, minlength=frac.size) > 0
+            cells = tuple(a[live[cells[1]]] for a in cells)  # the cells of rows
+            place, rowfrac = (np.cumsum(live) - 1)[cells[1]], frac[rows]
+        return np.log(np.bincount(place, weights=Y(cells[0] / lam[place]), minlength=rows.size) * rowfrac)
 
     out = np.concatenate([v.max(axis=1) for v in blocks])  # zero rows have norm 0, take no step
     rows = np.flatnonzero(out > 0)

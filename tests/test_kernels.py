@@ -416,6 +416,15 @@ class TestBarPhi:
     def test_monotone_kernels_match_sampled_sup(self, K, t):
         assert bar_phi(K, t) == pytest.approx(bar_phi_kronecker(K, t), rel=1e-14)
 
+    def test_profile_outside_checked_range_raises(self):
+        # zero on the whole checked range [1e-4, 100], so the monotonicity
+        # check accepts it, but its sup over (150, 300] is 1
+        K = Kernel("profile", 1, 1, profile_fn=lambda s: math.exp(-(s - 200) ** 2))
+        for t in (150.0, 50.0 * (1.0 + 1e-12), 0.5e-4):
+            with pytest.raises(ValueError, match=r"\[0\.0001, 100\]"):
+                bar_phi(K, t)
+        assert bar_phi(K, 50.0) == bar_phi(K, 1e-4) == 0.0  # (t, 2t] inside the range
+
     @settings(max_examples=40, deadline=None)
     @given(K=tabulated_kernels(), t=st.floats(0.01, 8.0))
     def test_tabulated_never_below_sampled_sup(self, K, t):

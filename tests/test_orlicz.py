@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from multipot import (
     Cube,
@@ -752,3 +754,79 @@ def test_solver_converges_when_the_sum_overflows_at_lo():
         got = luxemburg_norms(f, cubes, spec, tol)
         for r, Q in zip(got, cubes):
             _assert_solved(r, _bisection_norm(f, Q, spec, tol), _window(f, Q), Q, spec, tol)
+
+
+def test_overflow_at_lo_raises_no_warning():
+    # the data of the test above: S(lam) overflows to inf at the lower end
+    # of some brackets, which the root-finder allows for, so the overflow
+    # is not reported as a RuntimeWarning (an error under the test settings)
+    g = make_grid(3, 1.0, 4)
+    rng = np.random.default_rng(65536)
+    f = GridFunction(g, rng.lognormal(0.0, 2.0, g.shape) * (rng.uniform(size=g.shape) < 0.6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        luxemburg_norms(f, [Q.dilate3() for Q in cube_family(g, "dyadic")], parse_norm_spec("expL"))
+
+
+def _padded_window_norms(fs, cubes, spec, which, tol=1e-10):
+    """The gather that luxemburg_norms replaced: the stacked |f| through
+    np.pad, the windows of each width from sliding_window_view and the
+    cell fraction from Cube.measure, one _row_norms call per width."""
+    g, n = fs[0].grid, fs[0].grid.n
+    ws = np.array([Q.w for Q in cubes])
+    lo = np.clip([Q.lo for Q in cubes], -ws[:, None], g.N)
+    before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - g.N)
+    padded = np.pad(np.abs(np.stack([f.values for f in fs])), [(0, 0)] + [(before, after)] * n)
+    out = np.empty(len(cubes))
+    for w in set(ws.tolist()):
+        idx = np.flatnonzero(ws == w)
+        windows = sliding_window_view(padded, (w,) * n, axis=tuple(range(1, n + 1)))
+        block = windows[(which[idx], *(lo[idx] + before).T)].reshape(-1, w**n)
+        out[idx] = orlicz._row_norms([block], spec, [g.cell_volume / cubes[idx[0]].measure], tol)
+    return out
+
+
+def _gather_case(n, count, seed):
+    """count banded functions on a small grid whose cell side is not a
+    power of two, and dyadic cubes, their clipped triples and cubes that
+    miss the box, shuffled, with a random function index per cube."""
+    g = make_grid(n, 1.3, {1: 16, 2: 8, 3: 4}[n])
+    rng = np.random.default_rng(seed)
+    fs = [_banded_function(g, seed + j) for j in range(count)]
+    cubes = [C for Q in cube_family(g, "dyadic") for C in (Q, Q.dilate3())]
+    cubes += [Cube(g, (-6,) * n, 1), Cube(g, (-8,) * n, 3), Cube(g, (g.N,) * n, 2),
+              Cube(g, (g.N + 3,) * n, 5)]
+    cubes = [cubes[k] for k in rng.permutation(len(cubes))[: rng.integers(1, len(cubes) + 1)]]
+    return fs, cubes, rng.integers(0, count, len(cubes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(_SOLVER_SPECS + ["L^1", "L^1.5"]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 3), small_chunks=st.booleans(), seed=st.integers(0, 2**16))
+def test_gather_matches_padded_windows_property(spec, n, count, small_chunks, seed):
+    fs, cubes, which = _gather_case(n, count, seed)
+    spec = parse_norm_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_chunks:
+            mp.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        got = luxemburg_norms(fs, cubes, spec, which=which)
+    np.testing.assert_array_equal(got, _padded_window_norms(fs, cubes, spec, which))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=st.sampled_from(_SOLVER_SPECS), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_batched_young_values_are_those_of_one_cube_calls_property(young_calls, spec, n, count,
+                                                                   seed):
+    # the root-finder gathers a row's cells again only when rows finish, and
+    # never evaluates a finished row, so a batch evaluates what its cubes
+    # would one at a time
+    fs, cubes, which = _gather_case(n, count, seed)
+    spec = parse_norm_spec(spec)
+    young_calls.clear()
+    luxemburg_norms(fs, cubes, spec, which=which)
+    batched = sum(young_calls)
+    young_calls.clear()
+    for Q, j in zip(cubes, which.tolist()):
+        luxemburg_norm(fs[j], Q, spec)
+    assert batched == sum(young_calls)
