@@ -15,7 +15,6 @@ from .kernels import (
     kernel_cell_value,
     parse_kernel,
     phi_theta,
-    tilde_phi,
 )
 from .operators import (
     PhiScaling,
@@ -24,24 +23,19 @@ from .operators import (
     apply_potential_reference,
     maximal,
     maximal_corpus,
-    maximal_single,
 )
 from .orlicz import (
     NormSpec,
     YoungFunction,
-    holder_check,
     luxemburg_norm,
     luxemburg_norms,
     parse_norm_spec,
-    young_inverse,
 )
 from .dyadic import (
     CZDecomposition,
     cz_decompose,
     default_cz_base,
     discretization_rhs,
-    dyadic_tail_check,
-    m3d,
 )
 from .weights import (
     gen_bmo_log,

@@ -133,10 +133,12 @@ def _kernel(cfg) -> Kernel:
 
 
 def _weights(cfg, grid, count) -> list:
+    """count weights from the config: one spec serves every place, or
+    there is one spec per place."""
     specs = _spec_list(cfg, "weights")
-    if len(specs) == 1 and count > 1:
-        specs = specs * count
-    return [parse_weight(s, grid) for s in specs]
+    if len(specs) not in (1, count):
+        raise ValueError(f"config weights needs 1 or {count} entries here, got {len(specs)}")
+    return [parse_weight(s, grid) for s in specs * (count // len(specs))]
 
 
 def _cmd_eval_op(cfg) -> dict:

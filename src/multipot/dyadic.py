@@ -9,17 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, CubeSet, Grid, GridFunction, _dyadic_cubes
-from .kernels import Kernel, bar_phi, phi_theta
-from .orlicz import L1, NormSpec, luxemburg_norm, luxemburg_norms
+from .grid import Cube, CubeSet, Grid, GridFunction
+from .kernels import Kernel, phi_theta
+from .orlicz import L1, NormSpec, luxemburg_norms
 
 __all__ = [
     "CZDecomposition",
     "CZLevel",
-    "m3d",
     "cz_decompose",
     "discretization_rhs",
-    "dyadic_tail_check",
     "default_cz_base",
 ]
 
@@ -86,12 +84,6 @@ def _sup_over_levels(pyramid, grid: Grid) -> np.ndarray:
     for level, prod in enumerate(pyramid):
         np.maximum(out, _upsample(prod, grid.N >> level), out=out)
     return out
-
-
-def m3d(hs, grid: Grid) -> GridFunction:
-    """Pointwise sup over dyadic cubes containing x of the product of
-    triple-cube averages."""
-    return GridFunction(grid, _sup_over_levels(_triple_average_pyramid(hs, grid), grid), nonneg=True)
 
 
 def default_cz_base(n: int, m: int) -> float:
@@ -163,6 +155,8 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     """
     if a <= 1.0:
         raise ValueError("CZ base a must exceed 1")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
@@ -177,9 +171,7 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
     if a**k_hi >= vmax:
         k_hi -= 1
-    ks = list(range(min(k_lo, k_hi), k_hi + 1))
-    if len(ks) > max_levels:
-        ks = ks[-max_levels:]
+    ks = list(range(min(k_lo, k_hi), k_hi + 1))[-max_levels:]
     thr, nxt = np.array([a**k for k in ks]), np.array([a ** (k + 1) for k in ks])
     # M <= a^(k_j+1) exactly for j >= the bin of M
     bins = np.searchsorted(nxt, vals)
@@ -244,8 +236,6 @@ def discretization_rhs(
     cz0: CZDecomposition,
     czj: CZDecomposition = None,
     j: int = None,
-    delta: float = 1.0,
-    eps: float = 0.5,
 ) -> float:
     """Right side of the discretization bound for int [|T_{b_j^ell} f| u]^q.
 
@@ -267,12 +257,12 @@ def discretization_rhs(
         raise ValueError("commutator sum needs the j-th decomposition")
     uq = GridFunction(cz0.grid, u.values**q)
     factors = [(uq, NormSpec.power_log(1.0, ell * q), 1.0)] + [(f, L1, q) for f in fs]
-    terms = _cube_terms(K, q, delta, eps, cz0, factors)
+    terms = _cube_terms(K, q, cz0, factors)
     if ell == 1:
         factors = [(u, L1, q)]
         factors += [(f, NormSpec.power_log(1.0, 1.0 if i == j else 0.0), q)
                     for i, f in enumerate(fs)]
-        terms = np.concatenate([terms, _cube_terms(K, q, delta, eps, czj, factors)])
+        terms = np.concatenate([terms, _cube_terms(K, q, czj, factors)])
     # one add per cube in cube order, the rounding of a per-cube running sum
     total = 0.0
     for term in terms.tolist():
@@ -280,8 +270,7 @@ def discretization_rhs(
     return total
 
 
-def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecomposition,
-                factors) -> np.ndarray:
+def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray:
     """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
     with non-empty E, in cube order; factors are (g, spec, power) triples.
 
@@ -294,33 +283,8 @@ def _cube_terms(K: Kernel, q: float, delta: float, eps: float, cz: CZDecompositi
     esizes = np.concatenate([lev.e_counts for lev in levels]) * grid.cell_volume
     keep = esizes != 0.0
     cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
-    terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side, delta, eps) ** q)
+    terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side) ** q)
     for g, spec, power in factors:
         terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
     return terms * esizes[keep]
 
-
-def dyadic_tail_check(
-    K: Kernel,
-    Q0: Cube,
-    psi: NormSpec,
-    f: GridFunction,
-    q: float,
-    delta: float = 1.0,
-    eps: float = 0.5,
-) -> float:
-    """LHS/RHS of the dyadic tail-sum bound below Q0.
-
-    LHS sums annulus-sup kernel weights over all dyadic subcubes of Q0
-    down to cell level; RHS is the aggregated annulus mass at the top
-    scale times the top triple-cube norm.  The width of Q0 must be a power
-    of two, so that its dyadic subcubes tile it.
-    """
-    cubes, rhs_norm = _dyadic_cubes(Q0.grid, Q0.lo, Q0.w), luxemburg_norm(f, Q0.dilate3(), psi)
-    if rhs_norm == 0.0:
-        return 0.0
-    weights = cubes.per_width(
-        lambda Q: bar_phi(K, Q.side / 2.0) ** q * Q.dilate3().measure ** (K.m * q + 1.0))
-    lhs = float(np.dot(weights, luxemburg_norms(f, cubes.dilate3(), psi)))
-    rhs = phi_theta(K, q, Q0.side, delta, eps) ** q * Q0.dilate3().measure * rhs_norm
-    return lhs / rhs

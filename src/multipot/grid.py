@@ -116,16 +116,8 @@ class Cube:
         N = self.grid.N
         return any(l < 0 or l + self.w > N for l in self.lo)
 
-    @property
-    def measure_clipped(self) -> float:
-        N, h = self.grid.N, self.grid.h
-        return math.prod(max(0, min(l + self.w, N) - max(l, 0)) * h for l in self.lo)
-
     def slices(self) -> tuple:
         return tuple(slice(max(l, 0), max(min(l + self.w, self.grid.N), 0)) for l in self.lo)
-
-    def cell_count(self) -> int:
-        return math.prod(max(0, s.stop - s.start) for s in self.slices())
 
     def dilate3(self) -> "Cube":
         """The concentric triple 3Q."""
@@ -284,7 +276,8 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
     to fit inside the box, deduplicated in order of first appearance.
     """
     if kind == "dyadic":
-        return _dyadic_cubes(grid, (0,) * grid.n, grid.N)
+        return CubeSet.concat(grid, [CubeSet(grid, _c_order(np.arange(0, grid.N, w), grid.n), w)
+                                     for w in (grid.N >> k for k in range(grid.num_levels))])
     if kind == "centered":
         # per axis the shifted corner is nondecreasing in the point, so
         # first appearances come in C order of the distinct corners
@@ -292,20 +285,6 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
             CubeSet(grid, _c_order(np.unique(np.clip(np.arange(grid.N) - w // 2, 0, grid.N - w)), grid.n), w)
             for w in (1 << k for k in range(grid.num_levels))])
     raise ValueError(f"unknown cube family kind {kind!r}")
-
-
-def _dyadic_cubes(grid: Grid, lo, w: int) -> CubeSet:
-    """The cube (lo, w) and its descendants under halving, down to width 1:
-    one width after another, corners in C order within a width."""
-    if not _is_power_of_two(w):  # halving would then not tile the cube
-        raise ValueError(f"a dyadic cube needs a power-of-two width, got {w}")
-    off, sets = np.zeros(1, dtype=np.int64), []
-    while True:
-        sets.append(CubeSet(grid, np.asarray(lo) + _c_order(off, grid.n), w))
-        if w == 1:
-            return CubeSet.concat(grid, sets)
-        w //= 2
-        off = (off[:, None] + [0, w]).ravel()
 
 
 def _c_order(coords: np.ndarray, n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "eval_kernel",
     "kernel_cell_value",
     "annulus_integral",
-    "tilde_phi",
     "phi_theta",
     "bar_phi",
     "condition_d_check",
@@ -270,13 +269,16 @@ def _shell_integral(K: Kernel, sides: np.ndarray) -> float:
     return float(np.sum(weight * K.radial(s)))
 
 
-def annulus_integral(K: Kernel, A: AnnulusSpec, nodes: int = 4096) -> float:
+_ANNULUS_NODES = 4096  # log-spaced midpoints of a non-fractional annulus integral
+
+
+def annulus_integral(K: Kernel, A: AnnulusSpec) -> float:
     """Integral of phi over the annulus A, by the exact 1-D reduction
     against the slice measure of the l1-of-norms sphere."""
     if K.family == "fractional":
         c = _slice_measure_coeff(K.n, K.m)
         return c * (A.outer**K.alpha - A.inner**K.alpha) / K.alpha
-    return _radial_integral(K, A.inner, A.outer, nodes)
+    return _radial_integral(K, A.inner, A.outer, _ANNULUS_NODES)
 
 
 def _radial_integral(K: Kernel, lo: float, hi: float, nodes: int) -> float:
@@ -290,37 +292,6 @@ def _radial_integral(K: Kernel, lo: float, hi: float, nodes: int) -> float:
     s = np.exp(ulo + (np.arange(nodes) + 0.5) * du)
     vals = K.radial(s)
     return float(np.sum(vals * c * s**K.nm) * du)
-
-
-def tilde_phi(K: Kernel, t: float, shell_nodes: int = 64, max_shells: int = 2000) -> float:
-    """Cumulative kernel mass over {sum |y_i| <= t}.
-
-    Closed form for the fractional family; dyadic-shell quadrature with a
-    geometric convergence test otherwise.
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    if K.family == "fractional":
-        c = _slice_measure_coeff(K.n, K.m)
-        return c * t**K.alpha / K.alpha
-    total = 0.0
-    growing = 0
-    prev = None
-    for j in range(max_shells):
-        shell = _radial_integral(K, t * 2.0 ** (-j - 1), t * 2.0**-j, shell_nodes)
-        total += shell
-        if prev is not None and shell >= prev * (1.0 - 1e-12) and shell > 0:
-            growing += 1
-            if growing >= 10:
-                raise DivergentSeriesError(
-                    "cumulative kernel mass is not converging near 0"
-                )
-        else:
-            growing = 0
-        prev = shell
-        if total > 0 and shell < 1e-14 * total:
-            break
-    return total
 
 
 @lru_cache(maxsize=65536)
@@ -376,19 +347,18 @@ def condition_d_check(
     }
 
 
+_MAX_TERMS = 400  # annulus terms of a non-fractional phi_theta before its geometric tail
+
+
 @lru_cache(maxsize=65536)
-def phi_theta(
-    K: Kernel,
-    theta: float,
-    t: float,
-    delta: float = 1.0,
-    eps: float = 0.5,
-    max_terms: int = 400,
-) -> float:
-    """l^theta aggregation of annulus masses at scales 2^-nu below t.
+def phi_theta(K: Kernel, theta: float, t: float, delta: float = 1.0, eps: float = 0.5) -> float:
+    """l^theta aggregation of the masses of the annuli A(2^-nu, delta, eps)
+    at scales 2^-nu below t.  Every caller in the package takes the
+    defaults delta = 1, eps = 1/2.
 
     A fractional annulus mass is A 2^(-nu alpha), so its series is
-    geometric and summed in closed form; other families sum term by term.
+    geometric and summed in closed form; other families sum term by term,
+    at most _MAX_TERMS of them.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("need theta in (0, 1]")
@@ -402,7 +372,7 @@ def phi_theta(
     total = 0.0
     growing = 0
     truncated = True
-    for i in range(max_terms):
+    for i in range(_MAX_TERMS):
         nu = nu0 + i
         a = annulus_integral(K, AnnulusSpec(2.0**-nu, delta, eps))
         term = a**theta

@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import orlicz
 from .grid import CubeSet, Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value, phi_theta
-from .orlicz import NormSpec, luxemburg_norms
+from .orlicz import luxemburg_norms
 
 __all__ = [
     "PhiScaling",
@@ -21,7 +21,6 @@ __all__ = [
     "apply_commutator",
     "maximal",
     "maximal_corpus",
-    "maximal_single",
 ]
 
 
@@ -34,15 +33,13 @@ class PhiScaling:
     """
 
     def __init__(self, profile=None, kernel: Kernel = None, theta: float = 1.0,
-                 power: float = 1.0, delta: float = 1.0, eps: float = 0.5):
+                 power: float = 1.0):
         if (profile is None) == (kernel is None):
             raise ValueError("PhiScaling needs exactly one of profile, kernel")
         self.profile = profile
         self.kernel = kernel
         self.theta = theta
         self.power = power
-        self.delta = delta
-        self.eps = eps
 
     @classmethod
     def constant(cls, c: float = 1.0) -> "PhiScaling":
@@ -53,15 +50,14 @@ class PhiScaling:
         return cls(profile=fn)
 
     @classmethod
-    def from_kernel(cls, K: Kernel, theta: float = 1.0, power: float = 1.0,
-                    delta: float = 1.0, eps: float = 0.5) -> "PhiScaling":
-        return cls(kernel=K, theta=theta, power=power, delta=delta, eps=eps)
+    def from_kernel(cls, K: Kernel, theta: float = 1.0, power: float = 1.0) -> "PhiScaling":
+        return cls(kernel=K, theta=theta, power=power)
 
     def __call__(self, measure: float) -> float:
         if self.profile is not None:
             return float(self.profile(measure))
         side = measure ** (1.0 / self.kernel.n)
-        return phi_theta(self.kernel, self.theta, side, self.delta, self.eps) ** self.power
+        return phi_theta(self.kernel, self.theta, side) ** self.power
 
 
 def _check_same_grid(fs) -> Grid:
@@ -293,14 +289,3 @@ def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> No
     for axis in range(1, n + 1):
         corners = sliding_window_view(corners, w, axis=axis).max(axis=-1)
     np.maximum(out, corners, out=out)
-
-
-def maximal_single(
-    phis: PhiScaling,
-    spec: NormSpec,
-    u: GridFunction,
-    grid: Grid,
-    family,
-    tol: float = 1e-10,
-) -> GridFunction:
-    return maximal(phis, [spec], [u], grid, family, tol)

@@ -1,10 +1,9 @@
-"""Young functions, Luxemburg cube norms and generalized Holder checks."""
+"""Young functions and Luxemburg cube norms."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -14,17 +13,10 @@ from .grid import Cube, CubeSet, GridFunction
 __all__ = [
     "YoungFunction",
     "NormSpec",
-    "young_inverse",
     "luxemburg_norm",
     "luxemburg_norms",
-    "holder_check",
     "parse_norm_spec",
-    "InvalidHolderTriple",
 ]
-
-
-class InvalidHolderTriple(ValueError):
-    """The (A, B, C) triple fails the inverse-product inequality."""
 
 
 @dataclass(frozen=True)
@@ -79,33 +71,6 @@ class YoungFunction:
         return YoungFunction("composed", parts=(self,) * m)
 
 
-def young_inverse(Y: YoungFunction, s: float, tol: float = 1e-12) -> float:
-    """Inverse by bracketing bisection: t with Y(t) ~ s."""
-    if s < 0:
-        raise ValueError("need s >= 0")
-    if s == 0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if Y(hi) >= s:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("young_inverse bracket did not close (malformed Y?)")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if Y(mid) >= s:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    else:
-        raise ArithmeticError("young_inverse did not converge in 200 iterations")
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """A cube-norm: either plain L^r or the Orlicz norm of a Young function."""
@@ -132,11 +97,6 @@ class NormSpec:
         if alpha == 0:
             return cls.lebesgue(p)
         return cls(young=YoungFunction("power-log", p=p, alpha=alpha))
-
-    def inverse(self, t: float) -> float:
-        if self.r is not None:
-            return float(np.asarray(t, dtype=float) ** (1.0 / self.r))
-        return young_inverse(self.young, t)
 
 
 L1 = NormSpec.lebesgue(1.0)
@@ -329,39 +289,6 @@ def _young_row_norms(blocks, Y: YoungFunction, cellfrac, tol: float) -> np.ndarr
         glo, ghi = np.where(fit, half * glo, g), np.where(fit, g, half * ghi)
         hi_moved = fit
     raise ArithmeticError("Luxemburg solver did not converge")
-
-
-@lru_cache(maxsize=64)  # NormSpec is frozen; a failing triple raises and is not cached
-def validate_holder_triple(A: NormSpec, B: NormSpec, C: NormSpec, tol: float = 0.15) -> None:
-    """Check A^-1(t) B^-1(t) <= C^-1(t) on a sampled t-range.
-
-    A uniform constant up to 1 + tol is allowed: the product bound
-    survives a constant in the inverse inequality, and the canonical
-    pairing L log L x exp L -> L^1 needs about 1.14.
-    """
-    for t in np.logspace(-3, 6, 40):
-        if A.inverse(t) * B.inverse(t) > C.inverse(t) * (1.0 + tol):
-            raise InvalidHolderTriple(
-                f"A^-1(t)B^-1(t) > C^-1(t) at t={t:.4g}"
-            )
-
-
-def holder_check(
-    f: GridFunction,
-    g: GridFunction,
-    Q: Cube,
-    A: NormSpec,
-    B: NormSpec,
-    C: NormSpec,
-    tol: float = 1e-10,
-) -> float:
-    """||fg||_{C,Q} / (||f||_{A,Q} ||g||_{B,Q}) after validating the triple."""
-    validate_holder_triple(A, B, C)
-    num = luxemburg_norm(f * g, Q, C, tol)
-    den = luxemburg_norm(f, Q, A, tol) * luxemburg_norm(g, Q, B, tol)
-    if den == 0.0:
-        return 0.0
-    return num / den
 
 
 _POWER_LOG_RE = re.compile(r"^Lp([0-9.]+)logL([0-9.]+)$")

@@ -14,13 +14,7 @@ import numpy as np
 
 from .grid import CubeSet, Grid, GridFunction, integrate
 from .kernels import Kernel, phi_theta
-from .operators import (
-    PhiScaling,
-    apply_commutator,
-    apply_potential,
-    maximal_corpus,
-    maximal_single,
-)
+from .operators import PhiScaling, apply_commutator, apply_potential, maximal, maximal_corpus
 from .orlicz import NormSpec, YoungFunction, luxemburg_norms
 from .weights import gen_bmo_log, rh_check
 
@@ -181,13 +175,13 @@ class TestingCondition:
     p: float
     q: float
     family: CubeSet  # the cubes of the sup; a list of cubes on the grid of u also works
-    delta: float = 1.0
-    eps: float = 0.5
 
     def __post_init__(self):
         m = self.kernel.m
         if len(self.Y) != m or any(len(row) != m for row in self.Y):
             raise ValueError("Y must be an m x m matrix of norm specs")
+        if len(self.vs) != m:
+            raise ValueError(f"need one weight v per linear slot: m = {m}, got {len(self.vs)}")
         if self.gamma <= 0:
             raise ValueError("need gamma > 0")
 
@@ -203,7 +197,7 @@ def testing_condition_W(tc: TestingCondition) -> float:
     invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
     expo = 1.0 / tc.q - 1.0 / tc.p
     cubes = CubeSet.of(grid, tc.family)
-    base = cubes.per_width(lambda Q: phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps) * Q.measure**expo)
+    base = cubes.per_width(lambda Q: phi_theta(K, tc.theta, Q.side) * Q.measure**expo)
     # a scalar power per cube: numpy's vectorized power can round differently
     base *= [x ** (1.0 / tc.gamma) for x in luxemburg_norms(ug, cubes, tc.X).tolist()]
     cubes, base = cubes[base != 0.0], base[base != 0.0]
@@ -262,8 +256,6 @@ def verify_strong(
     family,
     bs=None,
     delta_rem: float = 0.5,
-    delta: float = 1.0,
-    eps: float = 0.5,
 ) -> InequalityReport:
     """Two-weight strong bound: weighted L^q norm of the operator against
     the product of weighted L^{p_i} norms."""
@@ -279,19 +271,19 @@ def verify_strong(
     if q > 1:
         Xl = bundle["X1"] if ell == 1 else bundle["X0"]
         wvals["W(1,1,X^l,Y0)"] = testing_condition_W(
-            TestingCondition(1.0, 1.0, Xl, bundle["Y0"], u, list(vs), kernel, p, q, family, delta, eps)
+            TestingCondition(1.0, 1.0, Xl, bundle["Y0"], u, list(vs), kernel, p, q, family)
         )
         if ell == 1:
             wvals["W(1,1,X0,Y1)"] = testing_condition_W(
-                TestingCondition(1.0, 1.0, bundle["X0"], bundle["Y1"], u, list(vs), kernel, p, q, family, delta, eps)
+                TestingCondition(1.0, 1.0, bundle["X0"], bundle["Y1"], u, list(vs), kernel, p, q, family)
             )
     else:
         wvals["W(q,q,LlogL^lq,Y0)"] = testing_condition_W(
-            TestingCondition(q, q, NormSpec.power_log(1.0, ell * q), bundle["Y0"], u, list(vs), kernel, p, q, family, delta, eps)
+            TestingCondition(q, q, NormSpec.power_log(1.0, ell * q), bundle["Y0"], u, list(vs), kernel, p, q, family)
         )
         if ell == 1:
             wvals["W(q,1,L,Y1)"] = testing_condition_W(
-                TestingCondition(q, 1.0, NormSpec.lebesgue(1.0), bundle["Y1"], u, list(vs), kernel, p, q, family, delta, eps)
+                TestingCondition(q, 1.0, NormSpec.lebesgue(1.0), bundle["Y1"], u, list(vs), kernel, p, q, family)
             )
     for name, val in wvals.items():
         if not math.isfinite(val):
@@ -374,6 +366,9 @@ def verify_fefferman_stein(
     return report
 
 
+_RH_EXPONENT = 2.0  # the reverse-Holder class the Coifman harness certifies the weight in
+
+
 def verify_coifman(
     case: str,
     ell: int,
@@ -383,28 +378,29 @@ def verify_coifman(
     corpus,
     family,
     bs=None,
-    rh_exponent: float = 2.0,
 ) -> InequalityReport:
-    """Weighted L^p control of the operator by its maximal operator."""
+    """Weighted L^p control of the operator by its maximal operator, for a
+    weight certified in RH(s): s = _RH_EXPONENT, or max(_RH_EXPONENT, 1/p)
+    in case ii."""
     grid = w.grid
     if case == "i":
         if not (0 < p <= 1 and ell == 0):
             raise ValueError("case i needs 0 < p <= 1 and ell = 0")
         phis = PhiScaling.from_kernel(kernel, theta=p)
         specs = [NormSpec.lebesgue(1.0)] * kernel.m
-        s = rh_exponent
+        s = _RH_EXPONENT
     elif case == "ii":
         if not (0 < p <= 1 and ell == 1):
             raise ValueError("case ii needs 0 < p <= 1 and ell = 1")
         phis = PhiScaling.from_kernel(kernel, theta=p)
         specs = [NormSpec.power_log(1.0, 1.0)] * kernel.m
-        s = max(rh_exponent, 1.0 / p) if p < 1 else rh_exponent
+        s = max(_RH_EXPONENT, 1.0 / p)
     elif case == "iii":
         if not p > 1:
             raise ValueError("case iii needs p > 1")
         phis = PhiScaling.from_kernel(kernel, theta=1.0)
         specs = [NormSpec.power_log(1.0, float(ell))] * kernel.m
-        s = rh_exponent
+        s = _RH_EXPONENT
     else:
         raise ValueError(f"unknown case {case!r}")
     rh = rh_check(w, s, family)
@@ -450,9 +446,7 @@ def verify_ftd(
     grid = u.grid
     phis = PhiScaling.from_kernel(kernel, theta=1.0)
     specs = [NormSpec.power_log(1.0, float(ell))] * kernel.m
-    Mu = maximal_single(
-        PhiScaling.constant(1.0), NormSpec.power_log(1.0, gamma), u, grid, family
-    )
+    Mu = maximal(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, gamma)], [u], grid, family)
     report = InequalityReport(
         "for-t-d",
         {"case": case, "ell": ell, "p": p, "gamma": gamma, "m": kernel.m,
@@ -529,17 +523,13 @@ def verify_control(
     """Weak-quasinorm control of the operator by the maximal operator."""
     if delta_l <= 0:
         raise ValueError("need delta_l > 0")
+    if us is not None and ell != 0:
+        raise ValueError("the corollary branch is derived for ell = 0 only")
     grid = u.grid
     m = kernel.m
     phis = PhiScaling.from_kernel(kernel, theta=1.0)
     specs = [NormSpec.power_log(1.0, float(ell))] * m
-    weight = maximal_single(
-        PhiScaling.constant(1.0),
-        NormSpec.power_log(1.0, ell + delta_l),
-        u,
-        grid,
-        family,
-    )
+    weight = maximal(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, ell + delta_l)], [u], grid, family)
     report = InequalityReport(
         "control",
         {"ell": ell, "delta_l": delta_l, "m": m, "n": grid.n, "N": grid.N},
@@ -557,7 +547,7 @@ def verify_control(
         lhs = lorentz_weak_quasinorm(T, u, 1.0 / m)
         rhs = lorentz_weak_quasinorm(M, weight, 1.0 / m)
         report.add(lhs, rhs, f"tuple{i}")
-        if cor_weights is not None and ell == 0:
+        if cor_weights is not None:
             rhs2 = 1.0
             for f, w in zip(fs, cor_weights):
                 rhs2 *= integrate(GridFunction(grid, np.abs(f.values) * w.values))

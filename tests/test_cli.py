@@ -163,6 +163,25 @@ class TestVerify:
         assert "corpus" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("args,cfg,want", [
+        # u and one v per slot: 1 + m = 3 weights
+        (["--theorem", "strong", "--m", 2, "--weights", "one", "pow0.3"],
+         {"exponents": {"p": [4.0, 4.0], "q": 4.0}}, 3),
+        (["--theorem", "fefferman-stein", "--m", 2, "--weights", "one", "pow0.3", "pow0.5"],
+         {"exponents": {"p": [4.0, 4.0]}}, 2),
+        (["--theorem", "coifman", "--weights", "one", "pow0.3"], {}, 1),
+    ])
+    def test_weight_count_exits_one(self, tmp_path, capsys, args, cfg, want):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", path, "--N", 16, "--corpus", 2,
+                        "--out-dir", tmp_path] + args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"weights needs 1 or {want} entries" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("cfg,key", [
         ({"theorem": "weak-maximal", "norms": []}, "norms"),
         ({"theorem": "weak-maximal", "norms": [1.5]}, "norms"),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipot import (
-    Cube,
     CubeSet,
     GridFunction,
     Kernel,
@@ -16,15 +15,11 @@ from multipot import (
     cz_decompose,
     default_cz_base,
     discretization_rhs,
-    dyadic_tail_check,
     integrate,
-    bar_phi,
     cube_family,
     luxemburg_norm,
     luxemburg_norms,
-    m3d,
     make_grid,
-    parse_norm_spec,
     parse_weight,
     phi_theta,
 )
@@ -41,7 +36,7 @@ class TestM3d:
     def test_constant_interior_value_and_max(self):
         g = make_grid(1, 1.0, 16)
         hs = [GridFunction.constant(g, 2.0), GridFunction.constant(g, 3.0)]
-        out = m3d(hs, g)
+        out = cz_decompose(hs, 2.0, g).maximal_values
         # interior cells see a fully inside triple cube, so the sup is the
         # plain product; near the box edge every 3Q loses mass to the
         # zero extension and the sup drops below it
@@ -55,7 +50,7 @@ class TestM3d:
         g = make_grid(1, 2.0, 16)
         h = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0,
                                        nonneg=True)
-        out = m3d([h], g)
+        out = cz_decompose([h], 2.0, g).maximal_values
         sup_cells = np.flatnonzero(h.values > 0)
         assert np.all(out.values[sup_cells] >= 1.0 / 3.0)
 
@@ -64,7 +59,7 @@ class TestM3d:
         rng = np.random.default_rng(0)
         hs = [GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
               for _ in range(2)]
-        got = m3d(hs, g)
+        got = cz_decompose(hs, 2.0, g).maximal_values
         # independent direct computation
         expected = np.zeros(g.shape)
         for Q in cube_family(g, "dyadic"):
@@ -82,7 +77,8 @@ class TestM3d:
         rng = np.random.default_rng(1)
         h = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
         bigger = h + GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
-        assert np.all(m3d([h], g).values <= m3d([bigger], g).values + 1e-14)
+        lo, hi = (cz_decompose([x], 2.0, g).maximal_values.values for x in (h, bigger))
+        assert np.all(lo <= hi + 1e-14)
 
 
 class TestCzDecompose:
@@ -112,6 +108,12 @@ class TestCzDecompose:
                         level_mask.astype(bool), vals > thr
                     )
                 assert global_e.max() <= 1
+
+    @pytest.mark.parametrize("max_levels", [0, -1])
+    def test_max_levels_below_one_raises(self, max_levels):
+        g = make_grid(1, 1.0, 16)
+        with pytest.raises(ValueError, match="max_levels"):
+            cz_decompose([GridFunction.constant(g, 5.0)], 2.0, g, max_levels=max_levels)
 
     def test_constant_input(self):
         g = make_grid(1, 1.0, 16)
@@ -314,7 +316,6 @@ class TestPyramidAgainstPerCubeLoops:
             level = g.num_levels - 1 - int(math.log2(Q.w))
             assert pyramid[level][tuple(l // Q.w for l in Q.lo)] == prods[(Q.lo, Q.w)]
         expected_m3d = _m3d_per_cube(prods, g)
-        np.testing.assert_array_equal(m3d(hs, g).values, expected_m3d)
         a = 2.0
         cz = cz_decompose(hs, a, g)
         np.testing.assert_array_equal(cz.maximal_values.values, expected_m3d)
@@ -348,7 +349,7 @@ def cz_per_threshold(hs, a, grid, max_levels=64):
     grid) mask tensor for E.  Returns (k, lo, w, prod_norms, e_masks) per
     level that selects a cube."""
     pyramid = _triple_average_pyramid(hs, grid)
-    vals = m3d(hs, grid).values
+    vals = cz_decompose(hs, 2.0, grid).maximal_values.values
     pos = vals[vals > 0]
     vmin, vmax = float(pos.min()), float(vals.max())
     k_lo = math.ceil(math.log(vmin) / math.log(a) - 1e-12)
@@ -425,7 +426,7 @@ class TestCzAgainstPerThresholdLoop:
             assert lev.prod_norms == prod_norms
             assert all(type(p) is float for p in lev.prod_norms)
             assert lev.e_counts.tolist() == [int(E.sum()) for E in e_masks]
-            np.testing.assert_array_equal(lev.below_next, m3d(hs, g).values <= a ** (k + 1))
+            np.testing.assert_array_equal(lev.below_next, cz.maximal_values.values <= a ** (k + 1))
             for Q, want in zip(lev.cubes, e_masks):
                 np.testing.assert_array_equal(lev.below_next[Q.slices()], want[Q.slices()])
 
@@ -503,7 +504,7 @@ def all_cubes(cz):
         yield from ((lev.k, Q, p, E) for Q, p, E in zip(lev.cubes, lev.prod_norms, e_masks_per_cube(cz, lev)))
 
 
-def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
+def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None):
     """discretization_rhs with one luxemburg_norm call per cube and factor."""
     cellvol = cz0.grid.cell_volume
     uq = GridFunction(cz0.grid, u.values**q)
@@ -514,7 +515,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
         if esize == 0.0:
             continue
         Q3 = Q.dilate3()
-        term = phi_theta(K, q, Q.side, delta, eps) ** q
+        term = phi_theta(K, q, Q.side) ** q
         term *= luxemburg_norm(uq, Q3, NormSpec.power_log(1.0, ell * q))
         for f in fs:
             term *= luxemburg_norm(f, Q3, L1) ** q
@@ -525,7 +526,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None, delta=1.0, eps=0.5):
             if esize == 0.0:
                 continue
             Q3 = Q.dilate3()
-            term = phi_theta(K, q, Q.side, delta, eps) ** q
+            term = phi_theta(K, q, Q.side) ** q
             term *= luxemburg_norm(u, Q3, L1) ** q
             for i, f in enumerate(fs):
                 spec = NormSpec.power_log(1.0, 1.0 if i == j else 0.0)
@@ -555,40 +556,13 @@ class TestDiscretizationRhsBatched:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-class TestDyadicTailCheck:
-    def test_zero_function(self):
-        g = make_grid(1, 1.0, 32)
-        K = frac(0.5)
-        z = GridFunction.constant(g, 0.0)
-        assert dyadic_tail_check(K, Cube(g, (0,), 8), NormSpec.lebesgue(1.0),
-                                 z, 1.0) == 0.0
-
-    def test_constant_ratio_stable_across_levels(self):
-        g = make_grid(1, 1.0, 64)
-        K = frac(0.5)
-        f = GridFunction.constant(g, 1.0)
-        spec = NormSpec.lebesgue(1.0)
-        ratios = [dyadic_tail_check(K, Cube(g, (0,), w), spec, f, 1.0)
-                  for w in (32, 16, 8)]
-        assert all(math.isfinite(r) and r > 0 for r in ratios)
-        assert max(ratios) / min(ratios) < 1.25
-
-    def test_single_cell(self):
-        g = make_grid(1, 1.0, 32)
-        K = frac(0.5)
-        f = GridFunction.constant(g, 1.0)
-        r = dyadic_tail_check(K, Cube(g, (3,), 1), NormSpec.lebesgue(1.0), f, 1.0)
-        assert math.isfinite(r)
-        assert r > 0
-
-
 def _mask_of(Q, grid):
     out = np.zeros(grid.shape, dtype=bool)
     out[Q.slices()] = True
     return out
 
 
-def cube_terms_per_cube(K, q, delta, eps, cz, factors):
+def cube_terms_per_cube(K, q, cz, factors):
     """_cube_terms with |E|, phi_theta and the triple taken cube by cube."""
     cellvol = cz.grid.cell_volume
     cubes, esizes = [], []
@@ -597,7 +571,7 @@ def cube_terms_per_cube(K, q, delta, eps, cz, factors):
         if esize != 0.0:
             cubes.append(Q)
             esizes.append(esize)
-    terms = np.array([phi_theta(K, q, Q.side, delta, eps) ** q for Q in cubes])
+    terms = np.array([phi_theta(K, q, Q.side) ** q for Q in cubes])
     triples = [Q.dilate3() for Q in cubes]
     for g, spec, power in factors:
         terms *= luxemburg_norms(g, triples, spec) ** power
@@ -636,8 +610,8 @@ class TestCzArraysAgainstPerCubeLoops:
             for ell in (0, 1):
                 first, second = _rhs_factors(fs, u, q, ell, 0)
                 for cz, factors in [(cz0, first)] + [(czj, second)] * ell:
-                    got = _cube_terms(K, q, 1.0, 0.5, cz, factors)
-                    expected = cube_terms_per_cube(K, q, 1.0, 0.5, cz, factors)
+                    got = _cube_terms(K, q, cz, factors)
+                    expected = cube_terms_per_cube(K, q, cz, factors)
                     assert got.size > 0
                     np.testing.assert_array_equal(got, expected)
 
@@ -649,21 +623,21 @@ class TestCzArraysAgainstPerCubeLoops:
         for lev in cz.levels:
             lev.e_counts = np.zeros_like(lev.e_counts)
         cz.levels[0].e_counts[0] = g.N
-        got = _cube_terms(K, 1.0, 1.0, 0.5, cz, factors)
+        got = _cube_terms(K, 1.0, cz, factors)
         Q = cz.levels[0].cubes[0]
         norm = luxemburg_norms(fs[0], [Q.dilate3()], factors[0][1])[0]
         assert got.shape == (1,)
-        assert got[0] == phi_theta(K, 1.0, Q.side, 1.0, 0.5) * norm * (g.N * g.cell_volume)
+        assert got[0] == phi_theta(K, 1.0, Q.side) * norm * (g.N * g.cell_volume)
 
     def test_hand_built_levels_with_cube_lists(self):
         g, fs = _inputs(2, 1, 16, "uniform", 9)
         cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5, 2)
         factors = [(fs[0], NormSpec.power_log(1.0, 1.0), 0.5)]
-        expected = _cube_terms(K, 0.5, 1.0, 0.5, cz, factors)
+        expected = _cube_terms(K, 0.5, cz, factors)
         for lev in cz.levels:
             lev.cubes = list(lev.cubes)
-        np.testing.assert_array_equal(_cube_terms(K, 0.5, 1.0, 0.5, cz, factors), expected)
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, cz, factors), expected)
 
 
 class TestConstructionsPerWidth:
@@ -682,51 +656,3 @@ class TestConstructionsPerWidth:
         # selected cube and one per triple were built before
         widths = {w for k in range(g.num_levels) for w in (g.N >> k, 3 * (g.N >> k))}
         assert len(cube_constructions) <= 4 * len(widths) < selected
-
-
-def tail_check_stack_walk(K, Q0, psi, f, q, delta=1.0, eps=0.5):
-    """dyadic_tail_check as a walk over the subcubes of Q0 with one
-    luxemburg_norm per triple."""
-    rhs_norm = luxemburg_norm(f, Q0.dilate3(), psi)
-    if rhs_norm == 0.0:
-        return 0.0
-    mq = K.m * q
-    lhs = 0.0
-    stack = [Q0]
-    while stack:
-        Q = stack.pop()
-        Q3 = Q.dilate3()
-        lhs += bar_phi(K, Q.side / 2.0) ** q * Q3.measure ** (mq + 1.0) * luxemburg_norm(f, Q3, psi)
-        if Q.w > 1:
-            stack.extend(Q.children())
-    rhs = phi_theta(K, q, Q0.side, delta, eps) ** q * Q0.dilate3().measure * rhs_norm
-    return lhs / rhs
-
-
-class TestDyadicTailCheckAgainstStackWalk:
-    @pytest.mark.parametrize("spec", ["L^1", "Lp1logL1"])
-    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
-    @pytest.mark.parametrize("where", ["box", "edge", "inner"])
-    @pytest.mark.parametrize("q", [0.5, 1.0])
-    def test_matches_within_1e9(self, n, N, where, spec, q):
-        g = make_grid(n, 1.0, N)
-        rng = np.random.default_rng(N + n)
-        f = GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.7))
-        Q0 = {"box": g.whole_box(), "edge": Cube(g, (N - N // 4,) + (0,) * (n - 1), N // 4),
-              "inner": Cube(g, (N // 4,) * n, N // 2)}[where]
-        K = Kernel("fractional", n, 1, alpha=0.5)
-        psi = parse_norm_spec(spec)
-        got = dyadic_tail_check(K, Q0, psi, f, q)
-        expected = tail_check_stack_walk(K, Q0, psi, f, q)
-        assert expected > 0
-        assert got == pytest.approx(expected, rel=1e-9, abs=0)
-
-    def test_non_dyadic_width_raises(self):
-        # halving would leave out cells of Q0: 6 and 9 of Cube(g, (4,), 6)
-        g = make_grid(1, 1.0, 32)
-        f = GridFunction(g, np.random.default_rng(1).uniform(0.5, 2.0, g.shape))
-        K, psi = frac(0.5), parse_norm_spec("Lp1logL1")
-        for w in (3, 5, 6, 12):
-            for h in (f, GridFunction.constant(g, 0.0)):
-                with pytest.raises(ValueError, match="power-of-two width"):
-                    dyadic_tail_check(K, Cube(g, (4,), w), psi, h, 0.5)

@@ -256,14 +256,12 @@ class TestCube:
         g = make_grid(1, 1.0, 8)
         Q3 = Cube(g, (0,), 2).dilate3()
         assert Q3.clipped
-        assert Q3.measure_clipped == pytest.approx(4 * g.h)
         assert Q3.measure == pytest.approx(6 * g.h)
 
     def test_cube_outside_box_is_empty(self):
         g = make_grid(1, 1.0, 8)
         f = GridFunction.constant(g, 1.0)
         for Q in (Cube(g, (-7,), 2), Cube(g, (9,), 2)):
-            assert Q.cell_count() == 0
             assert f.restrict(Q).size == 0
 
     def test_children_partition(self):

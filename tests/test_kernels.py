@@ -18,7 +18,6 @@ from multipot import (
     make_grid,
     parse_kernel,
     phi_theta,
-    tilde_phi,
 )
 from multipot.kernels import (
     DivergentSeriesError,
@@ -270,39 +269,6 @@ class TestAnnulusIntegral:
             AnnulusSpec(1.0, 1.0, 1.0)
 
 
-class TestTildePhi:
-    def test_fractional_closed_form(self):
-        assert tilde_phi(frac(0.5), 1.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_small_t_vanishes(self):
-        K = frac(0.5)
-        vals = [tilde_phi(K, t) for t in (1.0, 0.1, 0.01)]
-        assert vals[0] > vals[1] > vals[2] > 0
-        assert vals[2] < 0.5
-
-    def test_bilinear_quadrature_consistency(self):
-        # closed form against the shell-quadrature path via a profile copy
-        K = frac(1.0, 1, 2)
-        P = Kernel("profile", 1, 2, profile_fn=lambda s: 1.0 / s)
-        assert tilde_phi(P, 1.0) == pytest.approx(tilde_phi(K, 1.0), rel=0.02)
-
-    def test_nondecreasing(self):
-        K = frac(0.7)
-        ts = np.logspace(-2, 1, 100)
-        vals = [tilde_phi(K, float(t)) for t in ts]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_divergence_detected(self):
-        # s^(-1) profile in one variable is non-integrable at the origin
-        P = Kernel("profile", 1, 1, profile_fn=lambda s: 1.0 / s**1.5)
-        with pytest.raises(DivergentSeriesError):
-            tilde_phi(P, 1.0)
-
-    def test_bad_t(self):
-        with pytest.raises(ValueError):
-            tilde_phi(frac(0.5), 0.0)
-
-
 class TestPhiTheta:
     def test_scales_like_t_alpha(self):
         K = frac(0.5)
@@ -350,14 +316,16 @@ class TestPhiTheta:
 
     def test_equivalent_to_cumulative_mass(self):
         # Phi_1(t) stays within one constant band of the cumulative mass
-        # at the dilated scale across dyadic t
+        # at the dilated scale across dyadic t; for the fractional family
+        # the mass of {sum |y_i| <= s} is unit_l1ball_volume(n, m) n m s^alpha / alpha
         K = frac(0.5)
         delta, eps = 1.0, 0.5
         ratios = []
         for k in range(0, 6):
             t = 2.0**-k
-            ratios.append(phi_theta(K, 1.0, t, delta, eps)
-                          / tilde_phi(K, delta * (1 + eps) * t))
+            s = delta * (1 + eps) * t
+            mass = unit_l1ball_volume(K.n, K.m) * K.n * K.m * s**K.alpha / K.alpha
+            ratios.append(phi_theta(K, 1.0, t, delta, eps) / mass)
         assert max(ratios) / min(ratios) < 4.0
 
     def test_theta_validation(self):

@@ -21,7 +21,6 @@ from multipot import (
     make_grid,
     maximal,
     maximal_corpus,
-    maximal_single,
     parse_norm_spec,
 )
 
@@ -324,7 +323,7 @@ class TestMaximal:
         fam = cube_family(g, "centered")
         f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
         spec = NormSpec.lebesgue(1.0)
-        out = maximal_single(PhiScaling.constant(1.0), spec, f, g, fam)
+        out = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
         # independent exhaustive scan
         expected = np.full(g.shape, -np.inf)
         for Q in fam:
@@ -341,7 +340,7 @@ class TestMaximal:
         specs = [NormSpec.lebesgue(1.0)] * 2
         joint = maximal(PhiScaling.constant(1.0), specs, fs, g, fam)
         singles = [
-            maximal_single(PhiScaling.constant(1.0), specs[i], fs[i], g, fam)
+            maximal(PhiScaling.constant(1.0), [specs[i]], [fs[i]], g, fam)
             for i in range(2)
         ]
         assert np.all(joint.values <= singles[0].values * singles[1].values + 1e-12)
@@ -352,15 +351,15 @@ class TestMaximal:
         rng = np.random.default_rng(7)
         f = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
         spec = NormSpec.lebesgue(1.0)
-        a = maximal_single(PhiScaling.constant(1.0), spec, f, g, fam)
-        b = maximal_single(PhiScaling.constant(2.5), spec, f, g, fam)
+        a = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        b = maximal(PhiScaling.constant(2.5), [spec], [f], g, fam)
         np.testing.assert_allclose(b.values, 2.5 * a.values, rtol=1e-13)
 
     def test_constant_maximal_single(self):
         g = make_grid(1, 1.0, 8)
         fam = cube_family(g, "centered")
         u = GridFunction.constant(g, 1.0)
-        out = maximal_single(PhiScaling.constant(1.0), NormSpec.lebesgue(1.0), u, g, fam)
+        out = maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [u], g, fam)
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
 
     def test_logl_constant_cross_check(self):
@@ -368,7 +367,7 @@ class TestMaximal:
         fam = cube_family(g, "centered")
         u = GridFunction.constant(g, 1.0)
         spec = NormSpec.power_log(1.0, 1.0)
-        out = maximal_single(PhiScaling.constant(1.0), spec, u, g, fam)
+        out = maximal(PhiScaling.constant(1.0), [spec], [u], g, fam)
         expected = luxemburg_norm(u, g.whole_box(), spec)
         np.testing.assert_allclose(out.values, expected, rtol=1e-8)
 
@@ -376,7 +375,7 @@ class TestMaximal:
         g = make_grid(1, 1.0, 32)
         fam = cube_family(g, "centered")
         u = GridFunction.from_callable(g, lambda x: 1.0 + 0.5 * math.cos(x))
-        out = maximal_single(PhiScaling.constant(1.0), NormSpec.lebesgue(1.0), u, g, fam)
+        out = maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [u], g, fam)
         assert np.all(out.values >= u.values - 1e-10)
 
     def test_unweighted_boundedness_smoke(self):

@@ -14,17 +14,14 @@ from multipot import (
     PhiScaling,
     YoungFunction,
     cube_family,
-    holder_check,
     integrate,
     luxemburg_norm,
     luxemburg_norms,
     make_grid,
     maximal,
     parse_norm_spec,
-    young_inverse,
 )
 from multipot import orlicz
-from multipot.orlicz import InvalidHolderTriple, validate_holder_triple
 
 
 def _random_f(grid, rng):
@@ -68,28 +65,6 @@ class TestYoungEval:
             assert np.all(np.diff(v) >= -1e-9)
             # midpoint convexity on the sample
             assert np.all(v[1:-1] <= 0.5 * (v[:-2] + v[2:]) + 1e-6 * np.abs(v[2:]))
-
-
-class TestYoungInverse:
-    def test_identity(self):
-        assert young_inverse(YoungFunction("identity"), 5.0) == pytest.approx(5.0)
-
-    def test_square_root(self):
-        Y = YoungFunction("power-log", p=2)
-        assert young_inverse(Y, 9.0) == pytest.approx(3.0, rel=1e-9)
-
-    def test_power_log_inverse_of_forward(self):
-        Y = YoungFunction("power-log", p=1, alpha=1)
-        assert young_inverse(Y, 2.0 * math.e) == pytest.approx(math.e, rel=1e-9)
-
-    def test_roundtrip(self):
-        Y = YoungFunction("power-log", p=1.5, alpha=2.0)
-        for s in (0.01, 1.0, 37.5, 1e4):
-            t = young_inverse(Y, s)
-            assert Y(t) == pytest.approx(s, rel=1e-8)
-
-    def test_zero(self):
-        assert young_inverse(YoungFunction("exp"), 0.0) == 0.0
 
 
 class TestLuxemburgNorm:
@@ -222,70 +197,6 @@ class TestLogLNesting:
                     continue
                 worst = max(worst, luxemburg_norm(f, Q, spec) / denom)
             assert worst <= 1.1
-
-
-class TestHolder:
-    def test_constants(self):
-        g = make_grid(1, 1.0, 8)
-        one = GridFunction.constant(g, 1.0)
-        ratio = holder_check(one, one, g.whole_box(),
-                             NormSpec.lebesgue(2.0), NormSpec.lebesgue(2.0),
-                             NormSpec.lebesgue(1.0))
-        assert ratio == pytest.approx(1.0, rel=1e-10)
-
-    def test_cauchy_schwarz(self):
-        g = make_grid(1, 1.0, 16)
-        rng = np.random.default_rng(7)
-        Q = g.whole_box()
-        for _ in range(100):
-            f, h = _random_f(g, rng), _random_f(g, rng)
-            ratio = holder_check(f, h, Q, NormSpec.lebesgue(2.0),
-                                 NormSpec.lebesgue(2.0), NormSpec.lebesgue(1.0))
-            assert ratio <= 1.0 + 1e-9
-
-    def test_logl_exp_pairing(self):
-        g = make_grid(1, 1.0, 16)
-        rng = np.random.default_rng(8)
-        Q = g.whole_box()
-        A = NormSpec.power_log(1.0, 1.0)
-        B = NormSpec.orlicz(YoungFunction("exp"))
-        C = NormSpec.lebesgue(1.0)
-        for _ in range(20):
-            f = _random_f(g, rng)
-            ratio = holder_check(f, GridFunction.constant(g, 1.0), Q, A, B, C)
-            assert ratio <= 2.0 + 1e-9
-
-    def test_invalid_triple_rejected(self):
-        # L^1 x L^1 -> L^1 fails the inverse-product inequality
-        with pytest.raises(InvalidHolderTriple):
-            validate_holder_triple(NormSpec.lebesgue(1.0), NormSpec.lebesgue(1.0),
-                                   NormSpec.lebesgue(1.0))
-
-    def test_validation_cached_per_triple(self, monkeypatch):
-        calls = []
-
-        def counted(Y, s, tol=1e-12):
-            calls.append(s)
-            return young_inverse(Y, s, tol)
-
-        monkeypatch.setattr(orlicz, "young_inverse", counted)
-        validate_holder_triple.cache_clear()
-        g = make_grid(1, 1.0, 16)
-        f = _random_f(g, np.random.default_rng(9))
-        one = GridFunction.constant(g, 1.0)
-        good = (NormSpec.power_log(1.0, 1.0), NormSpec.orlicz(YoungFunction("exp")),
-                NormSpec.lebesgue(1.0))
-        first = holder_check(f, one, g.whole_box(), *good)
-        assert calls
-        seen = len(calls)
-        assert holder_check(f, one, g.whole_box(), *good) == first
-        assert len(calls) == seen
-        bad = (NormSpec.lebesgue(1.0), NormSpec.power_log(1.0, 1.0), NormSpec.lebesgue(1.0))
-        for _ in range(2):
-            with pytest.raises(InvalidHolderTriple):
-                holder_check(f, one, g.whole_box(), *bad)
-        assert len(calls) > seen
-        validate_holder_triple.cache_clear()
 
 
 class TestBmoPairing:

@@ -100,3 +100,61 @@ def test_scanner_finds_unused_private_names():
 def test_no_unused_private_names():
     trees = {p.stem: ast.parse(p.read_text()) for p in Path(multipot.__file__).parent.glob("*.py")}
     assert unused_private_names(trees) == []
+
+
+def _reads(tree, skip=None) -> set:
+    """Names that tree loads or reads as an attribute, outside the node skip."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if id(n) not in skipped and (isinstance(n, ast.Attribute)
+                                         or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+
+
+def public_names_without_caller(trees: dict, readers: list) -> list:
+    """Names in a module's `__all__` that no module reads outside the
+    name's own definition and no reader reads, as "module.name".  trees
+    maps module names to parsed sources; readers are parsed sources from
+    outside the package, such as its acceptance tests."""
+    outside = set().union(*(_reads(tree) for tree in readers))
+    missing = []
+    for mod, tree in trees.items():
+        exported, defs = [], {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                   for t in node.targets):
+                exported = [e.value for e in node.value.elts]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+        for name in exported:
+            inside = set().union(*(_reads(t, defs.get(name) if m == mod else None)
+                                   for m, t in trees.items()))
+            if name not in inside | outside:
+                missing.append(f"{mod}.{name}")
+    return sorted(missing)
+
+
+def test_scanner_finds_public_names_without_caller():
+    a = (
+        "__all__ = ['used', 'recursive', 'read_outside', 'Helper']\n"
+        "class Helper:\n"
+        "    pass\n"
+        "def used():\n"
+        "    return Helper()\n"
+        "def recursive(x):\n"
+        "    return recursive(x - 1) if x else 0\n"
+        "def read_outside():\n"
+        "    return 1\n"
+    )
+    b = "from .a import used\n__all__ = ['run']\ndef run():\n    return used()\n"
+    reader = "import multipot\nmultipot.a.read_outside()\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert public_names_without_caller(trees, [ast.parse(reader)]) == ["a.recursive", "b.run"]
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is read by another part of the package, the acceptance
+    # tests or the benchmark's workloads; tests of its own do not count
+    root = Path(__file__).resolve().parents[1]
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    readers = [ast.parse((root / f).read_text()) for f in ("tests/test_acceptance.py", "perfbench/workloads.py")]
+    assert public_names_without_caller(trees, readers) == []

@@ -17,6 +17,7 @@ from multipot import (
     parse_weight,
     phi_theta,
 )
+from multipot import verify
 from multipot.orlicz import YoungFunction
 from multipot.verify import (
     HypothesisUnmet,
@@ -198,6 +199,13 @@ class TestTestingConditionW:
         with pytest.raises(ValueError):
             eval_condition_W(self._tc(one, [one, one], K, fam, L1, [[L1]]))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_weight_count_validated(self, count):
+        g, fam, K, _, one = small_setup(m=2)
+        L1 = NormSpec.lebesgue(1.0)
+        with pytest.raises(ValueError, match="one weight v per linear slot"):
+            self._tc(one, [one] * count, K, fam, L1, [[L1, L1], [L1, L1]])
+
 
 def per_cube_condition_W(tc):
     """max over j, sup over the family, of the weighted product, with one
@@ -209,7 +217,7 @@ def per_cube_condition_W(tc):
     expo = 1.0 / tc.q - 1.0 / tc.p
     best = 0.0
     for Q in tc.family:
-        base = phi_theta(K, tc.theta, Q.side, tc.delta, tc.eps)
+        base = phi_theta(K, tc.theta, Q.side)
         base *= Q.measure**expo
         base *= luxemburg_norm(ug, Q, tc.X) ** (1.0 / tc.gamma)
         if base == 0.0:
@@ -409,6 +417,14 @@ class TestVerifyControl:
         tags = {i["tag"] for i in rep.instances}
         assert any(t.endswith("-corollary") for t in tags)
         assert 0 < rep.max_ratio < 100.0
+
+    def test_corollary_branch_at_ell_one_raises_before_compute(self, monkeypatch):
+        g, fam, K, corpus, one = small_setup()
+        calls = []
+        monkeypatch.setattr(verify, "maximal_corpus", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="ell = 0 only"):
+            verify_control(1, 0.5, K, one, corpus, fam, us=[one, one])
+        assert calls == []
 
     def test_commutator_variant(self):
         g, fam, K, corpus, one = small_setup()
