@@ -35,55 +35,70 @@ from .weights import gen_bmo_log, parse_weight
 
 CSV_HEADER = "theorem,case,m,n,N,kernel,ell,max_ratio,wall_ms"
 
-_DEFAULTS = {
-    "command": None,
-    "m": 1,
-    "n": 1,
-    "N": 32,
-    "L": 1.0,
-    "kernel": "frac0.5",
-    "weights": ["one"],
-    "norms": ["L^1"],
-    "exponents": {"p": [2.0], "q": 2.0},
-    "ell": 0,
-    "case": "i",
-    "theorem": "coifman",
-    "p": 1.0,
-    "delta": 0.5,
-    "seed": 0,
-    "corpus": 20,
-    "a": None,
-    "k_range": "-5..0",
-    "out_dir": "out",
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_exponents(v) -> bool:
+    p = v.get("p", [1.0]) if isinstance(v, dict) else None
+    return isinstance(p, list) and bool(p) and all(map(_is_number, p)) and _is_number(v.get("q", 1.0))
+
+
+# kind: (argparse options of its flag, check of a config value, what the check wants)
+_KINDS = {
+    "integer": ({"type": int}, lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "number": ({"type": float}, _is_number, "a number"),
+    "string": ({}, lambda v: isinstance(v, str), "a string"),
+    "range": ({}, lambda v: isinstance(v, str) and re.fullmatch(r"-?\d+\.\.-?\d+", v), "a string lo..hi"),
+    "specs": ({"nargs": "+"}, lambda v: isinstance(v, str) or (isinstance(v, list) and bool(v)
+              and all(isinstance(s, str) for s in v)), "a non-empty list of strings"),
+    "exponents": ({}, _is_exponents, 'a dict {"p": [numbers], "q": number}'),
 }
 
-_INTEGER_KEYS, _NUMBER_KEYS = ("m", "n", "N", "ell", "seed", "corpus"), ("L", "p", "delta", "a")
-_STRING_KEYS = ("kernel", "theorem", "case", "k_range")
+# key: (default, kind, flag); null passes the check only where it is the default
+_KEYS = {
+    "m": (1, "integer", "--m"),
+    "n": (1, "integer", "--n"),
+    "N": (32, "integer", "--N"),
+    "L": (1.0, "number", "--L"),
+    "kernel": ("frac0.5", "string", "--kernel"),
+    "weights": (["one"], "specs", "--weights"),
+    "norms": (["L^1"], "specs", "--norms"),
+    "exponents": ({"p": [2.0], "q": 2.0}, "exponents", None),
+    "ell": (0, "integer", "--ell"),
+    "case": ("i", "string", "--case"),
+    "theorem": ("coifman", "string", "--theorem"),
+    "p": (1.0, "number", "--p"),
+    "delta": (0.5, "number", "--delta"),
+    "seed": (0, "integer", "--seed"),
+    "corpus": (20, "integer", "--corpus"),
+    "a": (None, "number", "--a"),
+    "k_range": ("-5..0", "range", "--k"),
+    "out_dir": ("out", "string", "--out-dir"),
+}
 
 
 def _load_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Defaults, then the config file, then the flags; every key is checked
+    against its kind before any command runs, and no value is rewritten."""
+    cfg = {key: default for key, (default, _, _) in _KEYS.items()}
     if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
     cfg.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
-    # integer keys take ints, numeric keys numbers, neither a bool; a null a is the default base
-    for key in _INTEGER_KEYS + _NUMBER_KEYS:
-        val, integer = cfg[key], key in _INTEGER_KEYS
-        if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))) and (key, val) != ("a", None):
-            raise ValueError(f"config {key} must be {'an integer' if integer else 'a number'}, got {val!r}")
-    for key in _STRING_KEYS:
-        if not isinstance(cfg[key], str):
-            raise ValueError(f"config {key} must be a string, got {cfg[key]!r}")
-    if not re.fullmatch(r"-?\d+\.\.-?\d+", cfg["k_range"]):
-        raise ValueError(f"config k_range must be a string lo..hi, got {cfg['k_range']!r}")
+    for key, (default, kind, _) in _KEYS.items():
+        _, check, want = _KINDS[kind]
+        if not (check(cfg[key]) or cfg[key] is None and default is None):
+            raise ValueError(f"config {key} must be {want}, got {cfg[key]!r}")
     return cfg
 
 
 def _write_report(cfg: dict, payload: dict, rows: list, plots: dict) -> None:
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    doc = {"config": _clean(cfg), "version": __version__, "result": payload}
+    config = {k: v for k, v in cfg.items() if v is not None}
+    doc = {"config": config, "version": __version__, "result": payload}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -97,31 +112,18 @@ def _write_report(cfg: dict, payload: dict, rows: list, plots: dict) -> None:
                 fh.write(f"{a} {b}\n")
 
 
-def _clean(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if v is not None}
-
-
 def _required(cfg: dict, path: str):
-    """The config value at a dotted path such as "exponents.q"; a missing
-    key is a configuration error that names the path."""
-    val = cfg
-    for key in path.split("."):
-        if not isinstance(val, dict) or key not in val:
-            raise ValueError(f"config is missing {path}")
-        val = val[key]
-    return val
+    """The config value at a two-part path such as "exponents.q"; a
+    missing key is a configuration error that names the path."""
+    head, key = path.split(".")
+    if key not in cfg[head]:
+        raise ValueError(f"config is missing {path}")
+    return cfg[head][key]
 
 
-def _spec_list(cfg: dict, key: str) -> list:
-    """The config value at `key` as a non-empty list of spec strings, a
-    comma-separated string being split; anything else is a configuration
-    error that names the key."""
-    val = _required(cfg, key)
-    if isinstance(val, str):
-        val = val.split(",")
-    if not isinstance(val, list) or not val or not all(isinstance(v, str) for v in val):
-        raise ValueError(f"config {key} must be a non-empty list of strings")
-    return val
+def _specs(cfg: dict, key: str) -> list:
+    """A spec-list key as a list, a comma-separated string being split."""
+    return cfg[key].split(",") if isinstance(cfg[key], str) else cfg[key]
 
 
 def _grid(cfg) -> Grid:
@@ -135,7 +137,7 @@ def _kernel(cfg) -> Kernel:
 def _weights(cfg, grid, count) -> list:
     """count weights from the config: one spec serves every place, or
     there is one spec per place."""
-    specs = _spec_list(cfg, "weights")
+    specs = _specs(cfg, "weights")
     if len(specs) not in (1, count):
         raise ValueError(f"config weights needs 1 or {count} entries here, got {len(specs)}")
     return [parse_weight(s, grid) for s in specs * (count // len(specs))]
@@ -146,9 +148,8 @@ def _cmd_eval_op(cfg) -> dict:
     K = _kernel(cfg)
     fs = _weights(cfg, grid, K.m)
     out = apply_potential(K, fs)
-    path = os.path.join(cfg["out_dir"], "operator_output.csv")
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    out.to_csv(path)
+    out.to_csv(os.path.join(cfg["out_dir"], "operator_output.csv"))
     return {"max": float(out.values.max()), "min": float(out.values.min()),
             "output": "operator_output.csv"}, [], {}
 
@@ -169,7 +170,7 @@ def _cmd_maximal(cfg) -> dict:
     grid = _grid(cfg)
     K = _kernel(cfg)
     fs = _weights(cfg, grid, K.m)
-    norms = _spec_list(cfg, "norms")
+    norms = _specs(cfg, "norms")
     if len(norms) == 1:
         norms = norms * K.m
     specs = [parse_norm_spec(s) for s in norms]
@@ -238,7 +239,7 @@ def _cmd_verify(cfg) -> dict:
                             delta_rem=float(cfg["delta"]))
     elif theorem == "weak-maximal":
         us = _weights(cfg, grid, m)
-        spec = parse_norm_spec(_spec_list(cfg, "norms")[0])
+        spec = parse_norm_spec(_specs(cfg, "norms")[0])
         B = spec.young if spec.young is not None else YoungFunction("power-log", p=spec.r)
         rep = verify_weak_maximal(PhiScaling.constant(1.0), B, us, corpus, family)
     elif theorem == "control":
@@ -246,10 +247,8 @@ def _cmd_verify(cfg) -> dict:
         rep = verify_control(ell, float(cfg["delta"]), K, u, corpus, family, bs)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    rows = [[
-        rep.theorem, cfg.get("case", ""), m, grid.n, grid.N, cfg["kernel"],
-        ell, f"{rep.max_ratio:.6g}", "{wall_ms}",
-    ]]
+    rows = [[rep.theorem, cfg.get("case", ""), m, grid.n, grid.N, cfg["kernel"], ell,
+             f"{rep.max_ratio:.6g}"]]
     plots = {
         "ratios.dat": [(i, inst["ratio"]) for i, inst in enumerate(rep.instances)],
     }
@@ -270,24 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="multipot")
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config")
-    ap.add_argument("--m", type=int)
-    ap.add_argument("--n", type=int)
-    ap.add_argument("--N", type=int)
-    ap.add_argument("--L", type=float)
-    ap.add_argument("--kernel")
-    ap.add_argument("--weights", nargs="+")
-    ap.add_argument("--w", dest="weights", nargs="+")
-    ap.add_argument("--norms", nargs="+")
-    ap.add_argument("--ell", type=int)
-    ap.add_argument("--case")
-    ap.add_argument("--theorem")
-    ap.add_argument("--p", type=float)
-    ap.add_argument("--delta", type=float)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--corpus", type=int)
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--k", dest="k_range")
-    ap.add_argument("--out-dir", dest="out_dir")
+    for key, (_, kind, flag) in _KEYS.items():
+        if flag:
+            ap.add_argument(flag, dest=key, **_KINDS[kind][0])
     return ap
 
 
@@ -298,9 +282,7 @@ def run(cfg: dict) -> int:
     start = time.monotonic()
     payload, rows, plots = _COMMANDS[command](cfg)
     wall_ms = int((time.monotonic() - start) * 1000)
-    rows = [
-        [c if c != "{wall_ms}" else wall_ms for c in row] for row in rows
-    ]
+    rows = [row + [wall_ms] for row in rows]
     _write_report(cfg, payload, rows, plots)
     return 0
 

@@ -75,9 +75,6 @@ class Grid:
     def whole_box(self) -> "Cube":
         return Cube(self, (0,) * self.n, self.N)
 
-    def compatible(self, other: "Grid") -> bool:
-        return (self.n, self.L, self.N) == (other.n, other.L, other.N)
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -151,7 +148,7 @@ class CubeSet:
         Cube converted once; raises if a cube lives on another grid."""
         is_set = isinstance(cubes, CubeSet)
         cubes = cubes if is_set else list(cubes)
-        if not all(x.grid is grid or grid.compatible(x.grid) for x in ([cubes] if is_set else cubes)):
+        if not all(x.grid == grid for x in ([cubes] if is_set else cubes)):
             raise ValueError("cube does not live on this grid")
         if is_set:
             return cubes
@@ -212,7 +209,7 @@ class GridFunction:
         return cls(grid, np.full(grid.shape, float(c)), nonneg=c >= 0)
 
     def restrict(self, Q: Cube) -> np.ndarray:
-        if not self.grid.compatible(Q.grid):
+        if self.grid != Q.grid:
             raise ValueError("cube does not live on this grid")
         return self.values[Q.slices()]
 
@@ -279,11 +276,9 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
         return CubeSet.concat(grid, [CubeSet(grid, _c_order(np.arange(0, grid.N, w), grid.n), w)
                                      for w in (grid.N >> k for k in range(grid.num_levels))])
     if kind == "centered":
-        # per axis the shifted corner is nondecreasing in the point, so
-        # first appearances come in C order of the distinct corners
-        return CubeSet.concat(grid, [
-            CubeSet(grid, _c_order(np.unique(np.clip(np.arange(grid.N) - w // 2, 0, grid.N - w)), grid.n), w)
-            for w in (1 << k for k in range(grid.num_levels))])
+        # each centred cube, shifted to fit, is an in-box cube of width w, and every in-box corner occurs
+        return CubeSet.concat(grid, [CubeSet(grid, _c_order(np.arange(grid.N - w + 1), grid.n), w)
+                                     for w in (1 << k for k in range(grid.num_levels))])
     raise ValueError(f"unknown cube family kind {kind!r}")
 
 

@@ -63,7 +63,7 @@ class PhiScaling:
 def _check_same_grid(fs) -> Grid:
     grid = fs[0].grid
     for f in fs[1:]:
-        if not grid.compatible(f.grid):
+        if f.grid != grid:
             raise ValueError("all input functions must share one grid")
     return grid
 
@@ -235,7 +235,7 @@ def maximal_corpus(
     for fs in corpus:
         if len(fs) != len(specs):
             raise ValueError("need one norm spec per input function")
-        if not all(grid.compatible(f.grid) for f in fs):
+        if not all(f.grid == grid for f in fs):
             raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, family)
     phi, widths = cubes.per_width(lambda Q: phis(Q.measure)), np.unique(cubes.w).tolist()

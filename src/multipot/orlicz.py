@@ -142,7 +142,7 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
         raise ValueError("tol must be positive")
     fs = [f] if which is None else list(f)
     grid = fs[0].grid
-    if not all(grid.compatible(g.grid) for g in fs):
+    if not all(g.grid == grid for g in fs):
         raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, cubes)
     which = np.zeros(len(cubes), dtype=np.int64) if which is None else np.asarray(which, dtype=np.int64)

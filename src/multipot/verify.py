@@ -326,6 +326,8 @@ def verify_fefferman_stein(
     m = kernel.m
     if len(p_list) != m:
         raise ValueError("one exponent per linear slot")
+    if len(us) != m:
+        raise ValueError(f"one weight per linear slot: m = {m}, got {len(us)}")
     p = 1.0 / sum(1.0 / pi for pi in p_list)
     if case == "i":
         if not (p > 1 and 0 < delta < 1):

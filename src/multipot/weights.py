@@ -96,7 +96,7 @@ def parse_weight(text: str, grid: Grid) -> GridFunction:
         return gen_power_weight(float(text[3:]), grid)
     if text.startswith("file:"):
         f = GridFunction.from_csv(text.split(":", 1)[1])
-        if not f.grid.compatible(grid):
+        if f.grid != grid:
             raise ValueError("weight file grid does not match the run grid")
         return f
     raise ValueError(f"unrecognized weight spec {text!r}")

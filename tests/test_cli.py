@@ -237,6 +237,23 @@ class TestConfigTypes:
         assert f"config {key} must be" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"out_dir": 5}, "out_dir"),
+        ({"exponents": {"p": 2.0, "q": 2.0}}, "exponents"),
+        ({"exponents": {"p": [True], "q": 2.0}}, "exponents"),
+        ({"exponents": {"p": [2.0], "q": None}}, "exponents"),
+        ({"norms": 5}, "norms"),  # a key that strong does not read
+    ])
+    def test_malformed_key_exits_one_before_compute(self, tmp_path, monkeypatch, capsys, cfg, key):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": 16, "corpus": 2, "out_dir": "out", **cfg}))
+        code = run_cli(["verify", "--theorem", "strong", "--config", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
+        assert list(tmp_path.rglob("report.json")) == []
+
     def test_integer_for_numeric_key_and_null_base_run(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"L": 1, "p": 1, "a": None, "N": 16,

@@ -299,7 +299,7 @@ class TestGridFunction:
         path = tmp_path / "f.csv"
         f.to_csv(path)
         back = GridFunction.from_csv(path)
-        assert back.grid.compatible(g)
+        assert back.grid == g
         np.testing.assert_array_equal(back.values, f.values)
 
 

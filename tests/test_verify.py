@@ -370,6 +370,16 @@ class TestVerifyFeffermanStein:
             verify_fefferman_stein("iv", 0, [3.0, 3.0], 0.5, K, [one, one],
                                    corpus, fam)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_weight_count_raises_before_compute(self, monkeypatch, count):
+        # one weight at m = 2 used to drop the second factor from both sides
+        g, fam, K, corpus, one = small_setup()
+        calls = []
+        monkeypatch.setattr(verify, "maximal_corpus", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="one weight per linear slot"):
+            verify_fefferman_stein("i", 0, [4.0, 4.0], 0.5, K, [one] * count, corpus, fam)
+        assert calls == []
+
 
 class TestVerifyCoifman:
     def test_all_cases_run(self):
