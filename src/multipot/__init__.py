@@ -17,7 +17,6 @@ from .kernels import (
     phi_theta,
 )
 from .operators import (
-    PhiScaling,
     apply_commutator,
     apply_potential,
     apply_potential_reference,
@@ -46,7 +45,6 @@ from .weights import (
 from .verify import (
     HypothesisUnmet,
     InequalityReport,
-    TestingCondition,
     lorentz_weak_quasinorm,
     make_corpus,
     remark_bundle,

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .dyadic import cz_decompose, default_cz_base
 from .grid import Grid, cube_family
-from .kernels import Kernel, condition_d_check, parse_kernel
-from .operators import PhiScaling, apply_commutator, apply_potential, maximal
+from .kernels import Kernel, condition_d_check, parse_kernel, phi_theta
+from .operators import apply_commutator, apply_potential, maximal
 from .orlicz import YoungFunction, parse_norm_spec
 from .verify import (
     HypothesisUnmet,
@@ -85,7 +85,10 @@ def _load_config(args) -> dict:
     cfg = {key: default for key, (default, _, _) in _KEYS.items()}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
+        cfg.update(loaded)
     cfg.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
     for key, (default, kind, _) in _KEYS.items():
         _, check, want = _KINDS[kind]
@@ -175,7 +178,7 @@ def _cmd_maximal(cfg) -> dict:
         norms = norms * K.m
     specs = [parse_norm_spec(s) for s in norms]
     family = cube_family(grid, "centered")
-    out = maximal(PhiScaling.from_kernel(K, theta=1.0), specs, fs, grid, family)
+    out = maximal(lambda Q: phi_theta(K, 1.0, Q.side), specs, fs, grid, family)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     out.to_csv(os.path.join(cfg["out_dir"], "maximal_output.csv"))
     return {"max": float(out.values.max()), "output": "maximal_output.csv"}, [], {}
@@ -241,7 +244,7 @@ def _cmd_verify(cfg) -> dict:
         us = _weights(cfg, grid, m)
         spec = parse_norm_spec(_specs(cfg, "norms")[0])
         B = spec.young if spec.young is not None else YoungFunction("power-log", p=spec.r)
-        rep = verify_weak_maximal(PhiScaling.constant(1.0), B, us, corpus, family)
+        rep = verify_weak_maximal(lambda Q: 1.0, B, us, corpus, family)
     elif theorem == "control":
         u = _weights(cfg, grid, 1)[0]
         rep = verify_control(ell, float(cfg["delta"]), K, u, corpus, family, bs)

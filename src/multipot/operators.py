@@ -11,53 +11,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import orlicz
 from .grid import CubeSet, Grid, GridFunction
-from .kernels import Kernel, kernel_cell_value, phi_theta
+from .kernels import Kernel, kernel_cell_value
 from .orlicz import luxemburg_norms
 
 __all__ = [
-    "PhiScaling",
     "apply_potential",
     "apply_potential_reference",
     "apply_commutator",
     "maximal",
     "maximal_corpus",
 ]
-
-
-class PhiScaling:
-    """Scaling factor phi(|Q|) in front of maximal-operator products.
-
-    Either an essentially nondecreasing profile of the cube measure, or
-    the kernel-derived annulus aggregate applied to the side length,
-    raised to a power.
-    """
-
-    def __init__(self, profile=None, kernel: Kernel = None, theta: float = 1.0,
-                 power: float = 1.0):
-        if (profile is None) == (kernel is None):
-            raise ValueError("PhiScaling needs exactly one of profile, kernel")
-        self.profile = profile
-        self.kernel = kernel
-        self.theta = theta
-        self.power = power
-
-    @classmethod
-    def constant(cls, c: float = 1.0) -> "PhiScaling":
-        return cls(profile=lambda t, _c=float(c): _c)
-
-    @classmethod
-    def from_profile(cls, fn) -> "PhiScaling":
-        return cls(profile=fn)
-
-    @classmethod
-    def from_kernel(cls, K: Kernel, theta: float = 1.0, power: float = 1.0) -> "PhiScaling":
-        return cls(kernel=K, theta=theta, power=power)
-
-    def __call__(self, measure: float) -> float:
-        if self.profile is not None:
-            return float(self.profile(measure))
-        side = measure ** (1.0 / self.kernel.n)
-        return phi_theta(self.kernel, self.theta, side) ** self.power
 
 
 def _check_same_grid(fs) -> Grid:
@@ -214,22 +177,16 @@ def apply_commutator(K: Kernel, bs, fs) -> GridFunction:
     return GridFunction(grid, out)
 
 
-def maximal_corpus(
-    phis: PhiScaling,
-    specs,
-    corpus,
-    grid: Grid,
-    family,
-    tol: float = 1e-10,
-) -> list:
-    """maximal(phis, specs, fs, grid, family, tol) for each tuple fs of
-    corpus, as a list.
+def maximal_corpus(phi, specs, corpus, grid: Grid, family) -> list:
+    """maximal(phi, specs, fs, grid, family) for each tuple fs of corpus,
+    as a list.
 
-    phi(|Q|) is taken once per width.  The tuples go in batches of at most
-    _CHUNK_ELEMENTS // |family| (at least one), so the (tuple, cube) arrays
-    of a batch stay the size of one root-finder chunk.  Per batch, each slot
-    takes one luxemburg_norms call over the (tuple, cube) pairs whose
-    product is not yet 0, and each width one scatter-max over all tuples.
+    phi(Q) is taken once per width, on the width's first cube.  The tuples
+    go in batches of at most _CHUNK_ELEMENTS // |family| (at least one), so
+    the (tuple, cube) arrays of a batch stay the size of one root-finder
+    chunk.  Per batch, each slot takes one luxemburg_norms call over the
+    (tuple, cube) pairs whose product is not yet 0, and each width one
+    scatter-max over all tuples.
     """
     specs, corpus = list(specs), [list(fs) for fs in corpus]
     for fs in corpus:
@@ -238,17 +195,17 @@ def maximal_corpus(
         if not all(f.grid == grid for f in fs):
             raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, family)
-    phi, widths = cubes.per_width(lambda Q: phis(Q.measure)), np.unique(cubes.w).tolist()
+    scale, widths = cubes.per_width(phi), np.unique(cubes.w).tolist()
     step, out = max(1, orlicz._CHUNK_ELEMENTS // max(1, len(cubes))), []
     for first in range(0, len(corpus), step):
         batch = corpus[first : first + step]
-        val = np.tile(phi, len(batch))  # entry t |family| + k: tuple t, cube k
+        val = np.tile(scale, len(batch))  # entry t |family| + k: tuple t, cube k
         for i, spec in enumerate(specs):
             live = np.flatnonzero(val != 0.0)
             if live.size == 0:
                 break
             t, k = np.divmod(live, len(cubes))
-            val[live] *= luxemburg_norms([fs[i] for fs in batch], cubes[k], spec, tol, which=t)
+            val[live] *= luxemburg_norms([fs[i] for fs in batch], cubes[k], spec, which=t)
         val = val.reshape(len(batch), len(cubes))
         top = np.full((len(batch),) + grid.shape, -np.inf)
         for w in widths:
@@ -259,19 +216,13 @@ def maximal_corpus(
     return out
 
 
-def maximal(
-    phis: PhiScaling,
-    specs,
-    fs,
-    grid: Grid,
-    family,
-    tol: float = 1e-10,
-) -> GridFunction:
+def maximal(phi, specs, fs, grid: Grid, family) -> GridFunction:
     """Pointwise sup over family cubes containing x of
-    phi(|Q|) * prod_i ||f_i||_{X_i, Q}; family is a CubeSet or a list of
-    cubes on grid.  The one-tuple case of maximal_corpus.
+    phi(Q) * prod_i ||f_i||_{X_i, Q}; phi is a function of the cube, such
+    as lambda Q: phi_theta(K, theta, Q.side), and family is a CubeSet or a
+    list of cubes on grid.  The one-tuple case of maximal_corpus.
     """
-    return maximal_corpus(phis, specs, [fs], grid, family, tol)[0]
+    return maximal_corpus(phi, specs, [fs], grid, family)[0]
 
 
 def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> None:

@@ -14,14 +14,13 @@ import numpy as np
 
 from .grid import CubeSet, Grid, GridFunction, integrate
 from .kernels import Kernel, phi_theta
-from .operators import PhiScaling, apply_commutator, apply_potential, maximal, maximal_corpus
+from .operators import apply_commutator, apply_potential, maximal, maximal_corpus
 from .orlicz import NormSpec, YoungFunction, luxemburg_norms
 from .weights import gen_bmo_log, rh_check
 
 __all__ = [
     "HypothesisUnmet",
     "InequalityReport",
-    "TestingCondition",
     "make_corpus",
     "testing_condition_W",
     "remark_bundle",
@@ -163,49 +162,37 @@ def lorentz_weak_quasinorm(g: GridFunction, u: GridFunction, p: float) -> float:
 # ---------------------------------------------------------------------------
 # testing condition (B)
 
-@dataclass
-class TestingCondition:
-    theta: float
-    gamma: float
-    X: NormSpec
-    Y: list  # m x m nested list of NormSpec; Y[i][j]
-    u: GridFunction
-    vs: list
-    kernel: Kernel
-    p: float
-    q: float
-    family: CubeSet  # the cubes of the sup; a list of cubes on the grid of u also works
-
-    def __post_init__(self):
-        m = self.kernel.m
-        if len(self.Y) != m or any(len(row) != m for row in self.Y):
-            raise ValueError("Y must be an m x m matrix of norm specs")
-        if len(self.vs) != m:
-            raise ValueError(f"need one weight v per linear slot: m = {m}, got {len(self.vs)}")
-        if self.gamma <= 0:
-            raise ValueError("need gamma > 0")
-
-
-def testing_condition_W(tc: TestingCondition) -> float:
+def testing_condition_W(theta: float, gamma: float, X: NormSpec, Y, u: GridFunction, vs,
+                        kernel: Kernel, p: float, q: float, family) -> float:
     """max over j, sup over the cube family, of the weighted product that
-    tests the two-weight hypothesis."""
-    for i, v in enumerate(tc.vs):
+    tests the two-weight hypothesis.
+
+    Y is an m x m nested list of norm specs, Y[i][j]; vs holds one weight
+    per linear slot; family is a CubeSet or a list of cubes on the grid of u.
+    """
+    m, grid, vs = kernel.m, u.grid, list(vs)
+    if len(Y) != m or any(len(row) != m for row in Y):
+        raise ValueError("Y must be an m x m matrix of norm specs")
+    if len(vs) != m:
+        raise ValueError(f"need one weight v per linear slot: m = {m}, got {len(vs)}")
+    if gamma <= 0:
+        raise ValueError("need gamma > 0")
+    for i, v in enumerate(vs):
         if np.any(v.values <= 0):
             raise ValueError(f"weight v_{i + 1} vanishes on a cell")
-    K, m, grid = tc.kernel, tc.kernel.m, tc.u.grid
-    ug = GridFunction(grid, tc.u.values**tc.gamma)
-    invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
-    expo = 1.0 / tc.q - 1.0 / tc.p
-    cubes = CubeSet.of(grid, tc.family)
-    base = cubes.per_width(lambda Q: phi_theta(K, tc.theta, Q.side) * Q.measure**expo)
+    ug = GridFunction(grid, u.values**gamma)
+    invs = [GridFunction(grid, 1.0 / v.values) for v in vs]
+    expo = 1.0 / q - 1.0 / p
+    cubes = CubeSet.of(grid, family)
+    base = cubes.per_width(lambda Q: phi_theta(kernel, theta, Q.side) * Q.measure**expo)
     # a scalar power per cube: numpy's vectorized power can round differently
-    base *= [x ** (1.0 / tc.gamma) for x in luxemburg_norms(ug, cubes, tc.X).tolist()]
+    base *= [x ** (1.0 / gamma) for x in luxemburg_norms(ug, cubes, X).tolist()]
     cubes, base = cubes[base != 0.0], base[base != 0.0]
     best = 0.0
     for j in range(m):
         term = base.copy()
         for i in range(m):
-            term *= luxemburg_norms(invs[i], cubes, tc.Y[i][j])
+            term *= luxemburg_norms(invs[i], cubes, Y[i][j])
         best = max([best] + term.tolist())
     return best
 
@@ -245,6 +232,12 @@ def remark_bundle(ell: int, q: float, p_list, delta: float = 0.5) -> dict:
 # ---------------------------------------------------------------------------
 # harnesses
 
+def _phi_theta_scale(K: Kernel, theta: float, power: float = 1.0):
+    """The scale factor Q -> phi_theta(K, theta, side of Q) ** power that
+    maximal takes."""
+    return lambda Q: phi_theta(K, theta, Q.side) ** power
+
+
 def verify_strong(
     ell: int,
     p_list,
@@ -267,24 +260,16 @@ def verify_strong(
         raise HypothesisUnmet(f"exponents must satisfy 1/m < p <= q, got p={p}, q={q}")
     grid = u.grid
     bundle = remark_bundle(ell, q, p_list, delta_rem)
-    wvals = {}
-    if q > 1:
-        Xl = bundle["X1"] if ell == 1 else bundle["X0"]
-        wvals["W(1,1,X^l,Y0)"] = testing_condition_W(
-            TestingCondition(1.0, 1.0, Xl, bundle["Y0"], u, list(vs), kernel, p, q, family)
-        )
+    if q > 1:  # (theta, gamma, X, Y) of each testing condition
+        conditions = {"W(1,1,X^l,Y0)": (1.0, 1.0, bundle["X1" if ell == 1 else "X0"], bundle["Y0"])}
         if ell == 1:
-            wvals["W(1,1,X0,Y1)"] = testing_condition_W(
-                TestingCondition(1.0, 1.0, bundle["X0"], bundle["Y1"], u, list(vs), kernel, p, q, family)
-            )
+            conditions["W(1,1,X0,Y1)"] = (1.0, 1.0, bundle["X0"], bundle["Y1"])
     else:
-        wvals["W(q,q,LlogL^lq,Y0)"] = testing_condition_W(
-            TestingCondition(q, q, NormSpec.power_log(1.0, ell * q), bundle["Y0"], u, list(vs), kernel, p, q, family)
-        )
+        conditions = {"W(q,q,LlogL^lq,Y0)": (q, q, NormSpec.power_log(1.0, ell * q), bundle["Y0"])}
         if ell == 1:
-            wvals["W(q,1,L,Y1)"] = testing_condition_W(
-                TestingCondition(q, 1.0, NormSpec.lebesgue(1.0), bundle["Y1"], u, list(vs), kernel, p, q, family)
-            )
+            conditions["W(q,1,L,Y1)"] = (q, 1.0, NormSpec.lebesgue(1.0), bundle["Y1"])
+    wvals = {name: testing_condition_W(*args, u, vs, kernel, p, q, family)
+             for name, args in conditions.items()}
     for name, val in wvals.items():
         if not math.isfinite(val):
             raise HypothesisUnmet(f"testing condition {name} is not finite")
@@ -332,22 +317,22 @@ def verify_fefferman_stein(
     if case == "i":
         if not (p > 1 and 0 < delta < 1):
             raise ValueError("case i needs p > 1 and delta in (0, 1)")
-        phis = PhiScaling.from_kernel(kernel, theta=1.0, power=p)
+        phi = _phi_theta_scale(kernel, 1.0, p)
         wspec = NormSpec.power_log(1.0, p * (1 + ell) - 1.0 + delta)
     elif case == "ii":
         if not (p <= 1 and ell == 0):
             raise ValueError("case ii needs p <= 1 and ell = 0")
-        phis = PhiScaling.from_kernel(kernel, theta=p, power=p)
+        phi = _phi_theta_scale(kernel, p, p)
         wspec = NormSpec.lebesgue(1.0)
     elif case == "iii":
         if not (p <= 1 and ell == 1):
             raise ValueError("case iii needs p <= 1 and ell = 1")
-        phis = PhiScaling.from_kernel(kernel, theta=p, power=p)
+        phi = _phi_theta_scale(kernel, p, p)
         wspec = NormSpec.lebesgue(1.0 / p)
     else:
         raise ValueError(f"unknown case {case!r}")
     grid = us[0].grid
-    mweights = maximal_corpus(phis, [wspec], [[ui] for ui in us], grid, family)
+    mweights = maximal_corpus(phi, [wspec], [[ui] for ui in us], grid, family)
     report = InequalityReport(
         "fefferman-stein",
         {"case": case, "ell": ell, "p": p_list, "delta": delta, "m": m,
@@ -388,19 +373,19 @@ def verify_coifman(
     if case == "i":
         if not (0 < p <= 1 and ell == 0):
             raise ValueError("case i needs 0 < p <= 1 and ell = 0")
-        phis = PhiScaling.from_kernel(kernel, theta=p)
+        phi = _phi_theta_scale(kernel, p)
         specs = [NormSpec.lebesgue(1.0)] * kernel.m
         s = _RH_EXPONENT
     elif case == "ii":
         if not (0 < p <= 1 and ell == 1):
             raise ValueError("case ii needs 0 < p <= 1 and ell = 1")
-        phis = PhiScaling.from_kernel(kernel, theta=p)
+        phi = _phi_theta_scale(kernel, p)
         specs = [NormSpec.power_log(1.0, 1.0)] * kernel.m
         s = max(_RH_EXPONENT, 1.0 / p)
     elif case == "iii":
         if not p > 1:
             raise ValueError("case iii needs p > 1")
-        phis = PhiScaling.from_kernel(kernel, theta=1.0)
+        phi = _phi_theta_scale(kernel, 1.0)
         specs = [NormSpec.power_log(1.0, float(ell))] * kernel.m
         s = _RH_EXPONENT
     else:
@@ -414,7 +399,7 @@ def verify_coifman(
          "N": grid.N, "rh_exponent": s, "rh_constant": rh},
     )
     corpus = list(corpus)
-    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    Ms = maximal_corpus(phi, specs, corpus, grid, family)
     for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * w.values))
@@ -446,16 +431,16 @@ def verify_ftd(
     else:
         raise ValueError(f"unknown case {case!r}")
     grid = u.grid
-    phis = PhiScaling.from_kernel(kernel, theta=1.0)
+    phi = _phi_theta_scale(kernel, 1.0)
     specs = [NormSpec.power_log(1.0, float(ell))] * kernel.m
-    Mu = maximal(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, gamma)], [u], grid, family)
+    Mu = maximal(lambda Q: 1.0, [NormSpec.power_log(1.0, gamma)], [u], grid, family)
     report = InequalityReport(
         "for-t-d",
         {"case": case, "ell": ell, "p": p, "gamma": gamma, "m": kernel.m,
          "n": grid.n, "N": grid.N},
     )
     corpus = list(corpus)
-    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    Ms = maximal_corpus(phi, specs, corpus, grid, family)
     for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * u.values))
@@ -474,13 +459,14 @@ def _check_submultiplicative(B: YoungFunction, tol: float = 0.01) -> None:
 
 
 def verify_weak_maximal(
-    phis: PhiScaling,
+    phi,
     B: YoungFunction,
     us,
     corpus,
     family,
 ) -> InequalityReport:
-    """Weighted endpoint bound for the multilinear Orlicz maximal operator.
+    """Weighted endpoint bound for the multilinear Orlicz maximal operator
+    M_{phi,B}, phi a function of the cube such as lambda Q: f(Q.measure).
 
     The left side is sup over lambda of u({M > lambda^m})^m / B_m(1/lambda).
     As lambda^m rises to a value v of M the level set stays {M >= v} and
@@ -491,14 +477,14 @@ def verify_weak_maximal(
     m = len(us)
     grid = us[0].grid
     Bm = B.iterate(m)
-    psi = PhiScaling.from_profile(lambda t: float(Bm(phis(t) ** (1.0 / m))))
     u = GridFunction(
         grid, np.prod([ui.values for ui in us], axis=0) ** (1.0 / m)
     )
-    mw = maximal_corpus(psi, [NormSpec.lebesgue(1.0)], [[ui] for ui in us], grid, family)
+    mw = maximal_corpus(lambda Q: float(Bm(phi(Q) ** (1.0 / m))), [NormSpec.lebesgue(1.0)],
+                        [[ui] for ui in us], grid, family)
     report = InequalityReport("weak-maximal", {"m": m, "n": grid.n, "N": grid.N})
     corpus = list(corpus)
-    Ms = maximal_corpus(phis, [NormSpec.orlicz(B)] * m, corpus, grid, family)
+    Ms = maximal_corpus(phi, [NormSpec.orlicz(B)] * m, corpus, grid, family)
     for i, (fs, M) in enumerate(zip(corpus, Ms)):
         v, mass = _upper_level_masses(M, u)
         denom = Bm(v ** (-1.0 / m))
@@ -529,21 +515,21 @@ def verify_control(
         raise ValueError("the corollary branch is derived for ell = 0 only")
     grid = u.grid
     m = kernel.m
-    phis = PhiScaling.from_kernel(kernel, theta=1.0)
+    phi = _phi_theta_scale(kernel, 1.0)
     specs = [NormSpec.power_log(1.0, float(ell))] * m
-    weight = maximal(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, ell + delta_l)], [u], grid, family)
+    weight = maximal(lambda Q: 1.0, [NormSpec.power_log(1.0, ell + delta_l)], [u], grid, family)
     report = InequalityReport(
         "control",
         {"ell": ell, "delta_l": delta_l, "m": m, "n": grid.n, "N": grid.N},
     )
     cor_weights = None
     if us is not None:
-        inner = maximal_corpus(PhiScaling.constant(1.0), [NormSpec.power_log(1.0, corollary_delta)],
+        inner = maximal_corpus(lambda Q: 1.0, [NormSpec.power_log(1.0, corollary_delta)],
                                [[ui] for ui in us], grid, family)
-        cor_weights = maximal_corpus(PhiScaling.from_kernel(kernel, theta=1.0, power=1.0 / m),
+        cor_weights = maximal_corpus(_phi_theta_scale(kernel, 1.0, 1.0 / m),
                                      [NormSpec.lebesgue(1.0)], [[w] for w in inner], grid, family)
     corpus = list(corpus)
-    Ms = maximal_corpus(phis, specs, corpus, grid, family)
+    Ms = maximal_corpus(phi, specs, corpus, grid, family)
     for i, (fs, M) in enumerate(zip(corpus, Ms)):
         T = _apply_T(kernel, fs, ell, bs)
         lhs = lorentz_weak_quasinorm(T, u, 1.0 / m)

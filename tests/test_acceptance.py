@@ -17,7 +17,6 @@ from multipot import (
     GridFunction,
     Kernel,
     NormSpec,
-    PhiScaling,
     condition_d_check,
     cube_family,
     h_alpha,
@@ -231,16 +230,16 @@ def test_08_weak_maximal_harness():
         YoungFunction("power-log", p=1.0, alpha=1.0),
     )
     scalings = (
-        PhiScaling.constant(1.0),
-        PhiScaling.from_profile(lambda t: math.sqrt(t)),
+        lambda Q: 1.0,
+        lambda Q: math.sqrt(Q.measure),
     )
     for B in youngs:
         spec, Bm = NormSpec.orlicz(B), B.iterate(2)
-        for phis in scalings:
-            rep = verify_weak_maximal(phis, B, [one, one], corpus, fam)
+        for phi in scalings:
+            rep = verify_weak_maximal(phi, B, [one, one], corpus, fam)
             ok = ok and math.isfinite(rep.max_ratio)
             for fs, inst in zip(corpus, rep.instances):
-                M = maximal(phis, [spec] * 2, fs, g, fam)
+                M = maximal(phi, [spec] * 2, fs, g, fam)
                 for points in (64, 128):
                     sampled = weak_maximal_lhs_at(M, one, Bm, 2,
                                                   log_lambda_samples(M, points))

@@ -254,6 +254,15 @@ class TestConfigTypes:
         assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
         assert list(tmp_path.rglob("report.json")) == []
 
+    @pytest.mark.parametrize("text", ["[1]", '"ab"'])
+    def test_config_not_an_object_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = run_cli(["verify", "--config", path, "--out-dir", tmp_path])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_integer_for_numeric_key_and_null_base_run(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"L": 1, "p": 1, "a": None, "N": 16,
@@ -305,3 +314,25 @@ def test_verify_report_matches_recording(tmp_path, recorded, args):
     assert got["config"].pop("out_dir") == str(tmp_path / "out")
     want = json.loads((Path(__file__).parent / "data" / f"report_{recorded}.json").read_text())
     assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("recorded,q", [("strong_q_le_1", 0.9), ("strong_q_gt_1", 2.0)])
+def test_strong_report_matches_recording(tmp_path, recorded, q):
+    # the two branches of the testing conditions, recorded before the scale
+    # factor became a plain function of the cube
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"exponents": {"p": [1.5, 1.5], "q": q}}))
+    assert run_cli(["verify", "--config", config, "--theorem", "strong", "--m", 2, "--ell", 1,
+                    "--weights", "pow0.3", "pow-0.2", "pow0.4", "--N", 16, "--corpus", 4,
+                    "--out-dir", tmp_path / "out"]) == 0
+    got = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert got["config"].pop("out_dir") == str(tmp_path / "out")
+    want = json.loads((Path(__file__).parent / "data" / f"report_{recorded}.json").read_text())
+    assert_same_report(got, want)
+
+
+def test_maximal_output_matches_recording(tmp_path):
+    assert run_cli(["maximal", "--n", 2, "--m", 2, "--N", 16, "--L", 1.3, "--kernel", "bessel1.0",
+                    "--norms", "Lp1logL1", "--out-dir", tmp_path]) == 0
+    expected = (Path(__file__).parent / "data" / "maximal_bessel1.0_2d_N16_L1.3.csv").read_bytes()
+    assert (tmp_path / "maximal_output.csv").read_bytes() == expected

@@ -11,7 +11,6 @@ from multipot import (
     Grid,
     GridFunction,
     NormSpec,
-    PhiScaling,
     cube_family,
     integrate,
     luxemburg_norms,
@@ -226,7 +225,7 @@ class TestCubeSet:
             with pytest.raises(ValueError, match="does not live on this grid"):
                 luxemburg_norms(f, fam, spec)
             with pytest.raises(ValueError, match="does not live on this grid"):
-                maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+                maximal(lambda Q: 1.0, [spec], [f], g, fam)
         mixed = list(cube_family(g, "dyadic")) + [Cube(other, (0,), 2)]
         with pytest.raises(ValueError, match="does not live on this grid"):
             luxemburg_norms(f, mixed, spec)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from multipot import (
     AnnulusSpec,
+    Grid,
     Kernel,
     annulus_integral,
     bar_phi,
     condition_d_check,
+    cube_family,
     eval_kernel,
     h_alpha,
     kernel_cell_value,
@@ -301,6 +303,20 @@ class TestPhiTheta:
                  for nu in range(nu0, nu0 + 1000)]
         assert phi_theta(K, theta, t) == pytest.approx(math.fsum(terms) ** (1.0 / theta),
                                                        rel=1e-13)
+
+    @pytest.mark.parametrize("family", ["fractional", "bessel"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("L", [0.7, 1.3])
+    def test_side_and_root_of_measure_agree(self, family, n, L):
+        # phi_theta reads t through ceil(-log2 t - 1e-12) only, so a cube's
+        # side and the n-th root of its measure give the same value; a
+        # coarse Bessel quadrature keeps the series cheap
+        K = Kernel(family, n, 1, alpha=0.5, Mt=64)
+        fam = cube_family(Grid(n, L, 16), "centered")
+        for w in np.unique(fam.w).tolist():
+            Q = fam[int(np.flatnonzero(fam.w == w)[0])]
+            for theta in (1.0, 0.75):
+                assert phi_theta(K, theta, Q.side) == phi_theta(K, theta, Q.measure ** (1 / n))
 
     def test_series_path_matches_the_closed_form(self):
         # a profile kernel with the fractional profile takes the series

@@ -11,7 +11,6 @@ from multipot import (
     GridFunction,
     Kernel,
     NormSpec,
-    PhiScaling,
     apply_commutator,
     apply_potential,
     apply_potential_reference,
@@ -22,6 +21,7 @@ from multipot import (
     maximal,
     maximal_corpus,
     parse_norm_spec,
+    phi_theta,
 )
 
 
@@ -307,7 +307,7 @@ class TestMaximal:
         fam = cube_family(g, "centered")
         fs = [GridFunction.constant(g, 2.0), GridFunction.constant(g, 3.0)]
         specs = [NormSpec.lebesgue(1.5), NormSpec.lebesgue(2.0)]
-        out = maximal(PhiScaling.constant(1.0), specs, fs, g, fam)
+        out = maximal(lambda Q: 1.0, specs, fs, g, fam)
         np.testing.assert_allclose(out.values, 6.0, rtol=1e-12)
 
     @pytest.mark.parametrize("other", [(1, 1.0, 16), (1, 2.0, 8), (2, 1.0, 8)])
@@ -315,7 +315,7 @@ class TestMaximal:
         g = make_grid(1, 1.0, 8)
         fs = [GridFunction.constant(g, 1.0), GridFunction.constant(make_grid(*other), 1.0)]
         with pytest.raises(ValueError, match="share one grid"):
-            maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)] * 2, fs, g,
+            maximal(lambda Q: 1.0, [NormSpec.lebesgue(1.0)] * 2, fs, g,
                     cube_family(g, "centered"))
 
     def test_brute_force_oracle(self):
@@ -323,7 +323,7 @@ class TestMaximal:
         fam = cube_family(g, "centered")
         f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
         spec = NormSpec.lebesgue(1.0)
-        out = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        out = maximal(lambda Q: 1.0, [spec], [f], g, fam)
         # independent exhaustive scan
         expected = np.full(g.shape, -np.inf)
         for Q in fam:
@@ -338,9 +338,9 @@ class TestMaximal:
         rng = np.random.default_rng(6)
         fs = [GridFunction(g, rng.uniform(size=g.shape), nonneg=True) for _ in range(2)]
         specs = [NormSpec.lebesgue(1.0)] * 2
-        joint = maximal(PhiScaling.constant(1.0), specs, fs, g, fam)
+        joint = maximal(lambda Q: 1.0, specs, fs, g, fam)
         singles = [
-            maximal(PhiScaling.constant(1.0), [specs[i]], [fs[i]], g, fam)
+            maximal(lambda Q: 1.0, [specs[i]], [fs[i]], g, fam)
             for i in range(2)
         ]
         assert np.all(joint.values <= singles[0].values * singles[1].values + 1e-12)
@@ -351,15 +351,15 @@ class TestMaximal:
         rng = np.random.default_rng(7)
         f = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
         spec = NormSpec.lebesgue(1.0)
-        a = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
-        b = maximal(PhiScaling.constant(2.5), [spec], [f], g, fam)
+        a = maximal(lambda Q: 1.0, [spec], [f], g, fam)
+        b = maximal(lambda Q: 2.5, [spec], [f], g, fam)
         np.testing.assert_allclose(b.values, 2.5 * a.values, rtol=1e-13)
 
     def test_constant_maximal_single(self):
         g = make_grid(1, 1.0, 8)
         fam = cube_family(g, "centered")
         u = GridFunction.constant(g, 1.0)
-        out = maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [u], g, fam)
+        out = maximal(lambda Q: 1.0, [NormSpec.lebesgue(1.0)], [u], g, fam)
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
 
     def test_logl_constant_cross_check(self):
@@ -367,7 +367,7 @@ class TestMaximal:
         fam = cube_family(g, "centered")
         u = GridFunction.constant(g, 1.0)
         spec = NormSpec.power_log(1.0, 1.0)
-        out = maximal(PhiScaling.constant(1.0), [spec], [u], g, fam)
+        out = maximal(lambda Q: 1.0, [spec], [u], g, fam)
         expected = luxemburg_norm(u, g.whole_box(), spec)
         np.testing.assert_allclose(out.values, expected, rtol=1e-8)
 
@@ -375,7 +375,7 @@ class TestMaximal:
         g = make_grid(1, 1.0, 32)
         fam = cube_family(g, "centered")
         u = GridFunction.from_callable(g, lambda x: 1.0 + 0.5 * math.cos(x))
-        out = maximal(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [u], g, fam)
+        out = maximal(lambda Q: 1.0, [NormSpec.lebesgue(1.0)], [u], g, fam)
         assert np.all(out.values >= u.values - 1e-10)
 
     def test_unweighted_boundedness_smoke(self):
@@ -390,7 +390,7 @@ class TestMaximal:
         cell = g.cell_volume
         for _ in range(50):
             fs = [GridFunction(g, rng.uniform(size=g.shape), nonneg=True) for _ in range(2)]
-            M = maximal(PhiScaling.constant(1.0), specs, fs, g, fam)
+            M = maximal(lambda Q: 1.0, specs, fs, g, fam)
             num = (np.sum(M.values**p) * cell) ** (1 / p)
             den = 1.0
             for f, pi in zip(fs, (p1, p2)):
@@ -404,7 +404,7 @@ def test_maximal_builds_a_few_cubes_per_width(cube_constructions):
     g = make_grid(1, 1.0, 128)
     f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
     fam = cube_family(g, "centered")
-    out = maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [f], g, fam)
+    out = maximal(lambda Q: 1.0, [parse_norm_spec("Lp1logL1")], [f], g, fam)
     assert np.isfinite(out.values).all()
     widths = len(set(fam.w.tolist()))
     # the family and the call together, where the family alone was one
@@ -412,11 +412,11 @@ def test_maximal_builds_a_few_cubes_per_width(cube_constructions):
     assert len(cube_constructions) <= 4 * widths < len(fam)
 
 
-def per_cube_maximal(phis, specs, fs, grid, family):
+def per_cube_maximal(phi, specs, fs, grid, family):
     """The per-cube loop over luxemburg_norm that maximal batches."""
     out = np.full(grid.shape, -np.inf)
     for Q in family:
-        val = phis(Q.measure)
+        val = phi(Q)
         for f, spec in zip(fs, specs):
             if val == 0.0:
                 break
@@ -451,9 +451,9 @@ class TestMaximalBatched:
         sparse = rng.lognormal(0.0, 2.0, g.shape) * (rng.uniform(size=g.shape) < 0.6)
         fs = [GridFunction(g, sparse), GridFunction(g, rng.uniform(size=g.shape))]
         specs = [parse_norm_spec(spec), parse_norm_spec("Lp1logL1")]
-        phis = PhiScaling.from_profile(lambda t: t**0.25)
-        got = maximal(phis, specs, fs, g, fam).values
-        want = per_cube_maximal(phis, specs, fs, g, fam)
+        phi = lambda Q: Q.measure**0.25
+        got = maximal(phi, specs, fs, g, fam).values
+        want = per_cube_maximal(phi, specs, fs, g, fam)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @settings(max_examples=25, deadline=None)
@@ -475,9 +475,9 @@ class TestMaximalBatched:
         bigger[j] = fs[j] + GridFunction(g, rng.exponential(size=g.shape)
                                          * (rng.uniform(size=g.shape) < 0.5))
         specs = [parse_norm_spec(s) for s in specs]
-        phis = PhiScaling.from_profile(lambda t: t**0.25)
-        lo = maximal(phis, specs, fs, g, fam).values
-        hi = maximal(phis, specs, bigger, g, fam).values
+        phi = lambda Q: Q.measure**0.25
+        lo = maximal(phi, specs, fs, g, fam).values
+        hi = maximal(phi, specs, bigger, g, fam).values
         # each norm is within its solver tolerance (1e-10 relative) of the root
         assert np.all(hi >= lo * (1.0 - 1e-9))
 
@@ -488,10 +488,10 @@ class TestMaximalBatched:
         fam = family_of(g, "triples")
         specs = [parse_norm_spec(spec)] * 2
         one, zero = GridFunction.constant(g, 1.0), GridFunction.constant(g, 0.0)
-        for phis, fs in ((PhiScaling.constant(1.0), [zero, one]),
-                         (PhiScaling.constant(0.0), [one, one])):
-            got = maximal(phis, specs, fs, g, fam).values
-            np.testing.assert_array_equal(got, per_cube_maximal(phis, specs, fs, g, fam))
+        for phi, fs in ((lambda Q: 1.0, [zero, one]),
+                        (lambda Q: 0.0, [one, one])):
+            got = maximal(phi, specs, fs, g, fam).values
+            np.testing.assert_array_equal(got, per_cube_maximal(phi, specs, fs, g, fam))
             np.testing.assert_array_equal(got, 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -503,9 +503,9 @@ class TestMaximalBatched:
         rng = np.random.default_rng(n)
         fs = [GridFunction(g, rng.lognormal(0.0, 1.0, g.shape))]
         specs = [parse_norm_spec("Lp1logL1")]
-        phis = PhiScaling.constant(1.0)
-        got = maximal(phis, specs, fs, g, fam).values
-        want = per_cube_maximal(phis, specs, fs, g, fam)
+        phi = lambda Q: 1.0
+        got = maximal(phi, specs, fs, g, fam).values
+        want = per_cube_maximal(phi, specs, fs, g, fam)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
@@ -541,14 +541,14 @@ class TestMaximalCorpus:
                    for _ in range(m - 1)] + [shared] for _ in range(4)]
         corpus.insert(int(rng.integers(0, 5)), [GridFunction.constant(g, 0.0)] * m)
         specs = [parse_norm_spec(s) for s in specs[:m]]
-        phis = PhiScaling.from_profile(lambda t: t**0.25)
+        phi = lambda Q: Q.measure**0.25
         with pytest.MonkeyPatch.context() as patch:
             if small_chunks:  # batches split the corpus; with a small family chunks mix tuples
                 patch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
-            got = maximal_corpus(phis, specs, corpus, g, fam)
+            got = maximal_corpus(phi, specs, corpus, g, fam)
         assert len(got) == len(corpus)
         for fs, M in zip(corpus, got):
-            np.testing.assert_array_equal(M.values, maximal(phis, specs, fs, g, fam).values)
+            np.testing.assert_array_equal(M.values, maximal(phi, specs, fs, g, fam).values)
 
     def test_one_norm_call_per_slot_and_batch(self, monkeypatch):
         g = make_grid(1, 1.0, 16)
@@ -557,21 +557,21 @@ class TestMaximalCorpus:
         fam, specs = [g.whole_box(), Cube(g, (-1,), 3), Cube(g, (6,), 2)], [parse_norm_spec("Lp1logL1")] * 2
         calls, norms = [], operators.luxemburg_norms
 
-        def spy(fs, cubes, spec, tol, which):
+        def spy(fs, cubes, spec, which):
             calls.append(np.unique(which).size)
-            return norms(fs, cubes, spec, tol, which=which)
+            return norms(fs, cubes, spec, which=which)
 
         monkeypatch.setattr(operators, "luxemburg_norms", spy)
-        maximal_corpus(PhiScaling.constant(1.0), specs, corpus, g, fam)
+        maximal_corpus(lambda Q: 1.0, specs, corpus, g, fam)
         assert calls == [5, 5]  # the whole corpus in one batch
         calls.clear()
         monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)  # two tuples of three cubes per batch
-        maximal_corpus(PhiScaling.constant(1.0), specs, corpus, g, fam)
+        maximal_corpus(lambda Q: 1.0, specs, corpus, g, fam)
         assert calls == [2, 2, 2, 2, 1, 1]
 
     def test_empty_corpus(self):
         g = make_grid(1, 1.0, 8)
-        assert maximal_corpus(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)], [], g,
+        assert maximal_corpus(lambda Q: 1.0, [NormSpec.lebesgue(1.0)], [], g,
                               cube_family(g, "centered")) == []
 
     @pytest.mark.parametrize("bad", ["arity", "grid"])
@@ -586,31 +586,34 @@ class TestMaximalCorpus:
 
         monkeypatch.setattr(operators, "luxemburg_norms", no_norms)
         with pytest.raises(ValueError, match="one norm spec per input|share one grid"):
-            maximal_corpus(PhiScaling.constant(1.0), [NormSpec.lebesgue(1.0)] * 2, corpus, g,
+            maximal_corpus(lambda Q: 1.0, [NormSpec.lebesgue(1.0)] * 2, corpus, g,
                            cube_family(g, "centered"))
 
 
+def kernel_scale(K):
+    """The kernel-derived scale factor as maximal takes it."""
+    return lambda Q: phi_theta(K, 1.0, Q.side)
+
+
 class TestPhiScaling:
+    g = make_grid(1, 1.0, 1024)  # h = 1/512
+
     def test_kernel_derived_monotone(self):
-        K = frac(0.5)
-        phis = PhiScaling.from_kernel(K, theta=1.0)
-        # the smallest rho with phi(t) <= rho phi(s) for sampled t <= s
-        vals = np.array([phis(float(t)) for t in np.logspace(-3.0, 1.0, 60)])
+        phi = kernel_scale(frac(0.5))
+        # the smallest rho with phi(t) <= rho phi(s) for sampled sides t <= s
+        widths = np.unique(np.geomspace(1, 5120, 60).astype(int)).tolist()
+        vals = np.array([phi(Cube(self.g, (0,), w)) for w in widths])
         run_max_after = np.maximum.accumulate(vals[::-1])[::-1]
         assert (vals > 0).all()
         assert max(float(np.max(vals / run_max_after)), 1.0) < 1.05
 
     def test_vanishing_slope(self):
-        K = frac(0.5)
-        phis = PhiScaling.from_kernel(K, theta=1.0)
+        phi = kernel_scale(frac(0.5))
         # phi grows like sqrt(t) so phi(t)/t decays like 1/sqrt(t)
-        assert phis(1e8) / 1e8 < 1e-2
-        assert phis(1e12) / 1e12 < phis(1e8) / 1e8 / 10.0
-
-    def test_profile_and_kernel_exclusive(self):
-        with pytest.raises(ValueError):
-            PhiScaling(profile=lambda t: t, kernel=frac(0.5))
+        big, bigger = Cube(self.g, (0,), 512 * 10**8), Cube(self.g, (0,), 512 * 10**12)
+        assert phi(big) / big.measure < 1e-2
+        assert phi(bigger) / bigger.measure < phi(big) / big.measure / 10.0
 
     def test_memoization_consistency(self):
-        phis = PhiScaling.from_kernel(frac(0.5), theta=1.0)
-        assert phis(0.5) == phis(0.5)
+        phi, Q = kernel_scale(frac(0.5)), Cube(self.g, (0,), 256)
+        assert phi(Q) == phi(Q)

@@ -11,7 +11,6 @@ from multipot import (
     Cube,
     GridFunction,
     NormSpec,
-    PhiScaling,
     YoungFunction,
     cube_family,
     integrate,
@@ -431,7 +430,7 @@ class TestSolverAgainstBisection:
         f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
         spec = parse_norm_spec("Lp1logL1")
         fam = cube_family(g, "centered")
-        maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        maximal(lambda Q: 1.0, [spec], [f], g, fam)
         assert len(young_calls) <= 16
         values = sum(young_calls)
         young_calls.clear()
@@ -447,7 +446,7 @@ class TestSolverAgainstBisection:
         sparse = dense * (np.random.default_rng(2).uniform(size=g.shape) < 0.3)
         for vals, most in ((dense, 10), (sparse, 9)):
             young_calls.clear()
-            maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [GridFunction(g, vals)],
+            maximal(lambda Q: 1.0, [parse_norm_spec("Lp1logL1")], [GridFunction(g, vals)],
                     g, cube_family(g, "centered"))
             assert len(young_calls) <= most
 
@@ -487,7 +486,7 @@ class TestSolverAgainstBisection:
             return young_call(self, t)
 
         monkeypatch.setattr(YoungFunction, "__call__", spied)
-        maximal(PhiScaling.constant(1.0), [parse_norm_spec("Lp1logL1")], [f], g,
+        maximal(lambda Q: 1.0, [parse_norm_spec("Lp1logL1")], [f], g,
                 cube_family(g, "centered"))
         values = np.concatenate(seen)
         assert values.size and np.count_nonzero(values == 0.0) == 0
@@ -498,9 +497,9 @@ class TestSolverAgainstBisection:
         f = GridFunction(g, np.random.default_rng(0).lognormal(0.0, 1.0, g.shape))
         spec = parse_norm_spec("Lp1logL1")
         fam = cube_family(g, kind)
-        got = maximal(PhiScaling.constant(1.0), [spec], [f], g, fam)
+        got = maximal(lambda Q: 1.0, [spec], [f], g, fam)
         calls, young_calls[:] = list(young_calls), []
-        expected = maximal(PhiScaling.constant(1.0), [spec], [f], g, list(fam))
+        expected = maximal(lambda Q: 1.0, [spec], [f], g, list(fam))
         assert calls == young_calls  # the same calls on the same numbers of values
         np.testing.assert_array_equal(got.values, expected.values)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from multipot import (
     GridFunction,
     Kernel,
     NormSpec,
-    PhiScaling,
     cube_family,
     luxemburg_norm,
     make_grid,
@@ -31,7 +29,6 @@ from multipot.verify import (
     verify_strong,
     verify_weak_maximal,
 )
-from multipot.verify import TestingCondition as WCondition
 from multipot.verify import testing_condition_W as eval_condition_W
 
 
@@ -156,7 +153,8 @@ class TestMakeCorpus:
 
 class TestTestingConditionW:
     def _tc(self, u, vs, K, fam, X, Y, p=2.0, q=2.0, gamma=1.0):
-        return WCondition(1.0, gamma, X, Y, u, vs, K, p, q, fam)
+        """The arguments of testing_condition_W, theta = 1."""
+        return 1.0, gamma, X, Y, u, vs, K, p, q, fam
 
     def test_trivial_bundle_reduces_to_scale_function(self):
         # u = v = 1 and plain L^1 norms: every Luxemburg factor is 1 and
@@ -164,7 +162,7 @@ class TestTestingConditionW:
         g, fam, K, _, one = small_setup(m=2)
         L1 = NormSpec.lebesgue(1.0)
         Y = [[L1, L1], [L1, L1]]
-        got = eval_condition_W(self._tc(one, [one, one], K, fam, L1, Y))
+        got = eval_condition_W(*self._tc(one, [one, one], K, fam, L1, Y))
         expected = max(phi_theta(K, 1.0, Q.side, 1.0, 0.5) for Q in fam)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -173,16 +171,14 @@ class TestTestingConditionW:
         L1 = NormSpec.lebesgue(1.0)
         z = GridFunction.constant(g, 0.0)
         Y = [[L1, L1], [L1, L1]]
-        assert eval_condition_W(self._tc(z, [one, one], K, fam, L1, Y)) == 0.0
+        assert eval_condition_W(*self._tc(z, [one, one], K, fam, L1, Y)) == 0.0
 
     def test_doubling_u_doubles_value(self):
         g, fam, K, _, one = small_setup(m=2)
         L1 = NormSpec.lebesgue(1.0)
         Y = [[L1, L1], [L1, L1]]
-        base = eval_condition_W(self._tc(one, [one, one], K, fam, L1, Y))
-        double = eval_condition_W(
-            self._tc(2.0 * one, [one, one], K, fam, L1, Y)
-        )
+        base = eval_condition_W(*self._tc(one, [one, one], K, fam, L1, Y))
+        double = eval_condition_W(*self._tc(2.0 * one, [one, one], K, fam, L1, Y))
         assert double == pytest.approx(2.0 * base, rel=1e-10)
 
     def test_vanishing_v_rejected(self):
@@ -190,53 +186,54 @@ class TestTestingConditionW:
         L1 = NormSpec.lebesgue(1.0)
         z = GridFunction.constant(g, 0.0)
         with pytest.raises(ValueError):
-            eval_condition_W(self._tc(one, [one, z], K, fam, L1,
+            eval_condition_W(*self._tc(one, [one, z], K, fam, L1,
                                          [[L1, L1], [L1, L1]]))
 
     def test_bundle_shape_validated(self):
         g, fam, K, _, one = small_setup(m=2)
         L1 = NormSpec.lebesgue(1.0)
         with pytest.raises(ValueError):
-            eval_condition_W(self._tc(one, [one, one], K, fam, L1, [[L1]]))
+            eval_condition_W(*self._tc(one, [one, one], K, fam, L1, [[L1]]))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_weight_count_validated(self, count):
         g, fam, K, _, one = small_setup(m=2)
         L1 = NormSpec.lebesgue(1.0)
         with pytest.raises(ValueError, match="one weight v per linear slot"):
-            self._tc(one, [one] * count, K, fam, L1, [[L1, L1], [L1, L1]])
+            eval_condition_W(*self._tc(one, [one] * count, K, fam, L1, [[L1, L1], [L1, L1]]))
 
 
-def per_cube_condition_W(tc):
+def per_cube_condition_W(theta, gamma, X, Y, u, vs, K, p, q, family):
     """max over j, sup over the family, of the weighted product, with one
     scalar luxemburg_norm per cube, factor and j: the per-cube loop, kept
     as the oracle for testing_condition_W."""
-    K, m, grid = tc.kernel, tc.kernel.m, tc.u.grid
-    ug = GridFunction(grid, tc.u.values**tc.gamma)
-    invs = [GridFunction(grid, 1.0 / v.values) for v in tc.vs]
-    expo = 1.0 / tc.q - 1.0 / tc.p
+    m, grid = K.m, u.grid
+    ug = GridFunction(grid, u.values**gamma)
+    invs = [GridFunction(grid, 1.0 / v.values) for v in vs]
+    expo = 1.0 / q - 1.0 / p
     best = 0.0
-    for Q in tc.family:
-        base = phi_theta(K, tc.theta, Q.side)
+    for Q in family:
+        base = phi_theta(K, theta, Q.side)
         base *= Q.measure**expo
-        base *= luxemburg_norm(ug, Q, tc.X) ** (1.0 / tc.gamma)
+        base *= luxemburg_norm(ug, Q, X) ** (1.0 / gamma)
         if base == 0.0:
             continue
         for j in range(m):
             term = base
             for i in range(m):
-                term *= luxemburg_norm(invs[i], Q, tc.Y[i][j])
+                term *= luxemburg_norm(invs[i], Q, Y[i][j])
             best = max(best, term)
     return best
 
 
 def _strong_conditions(ell, p_list, q, K, u, vs, fam, delta_rem=0.5):
-    """The testing conditions that verify_strong evaluates, built as it builds them."""
+    """The arguments of each testing condition that verify_strong evaluates,
+    built as it builds them."""
     p = 1.0 / sum(1.0 / pi for pi in p_list)
     b = remark_bundle(ell, q, p_list, delta_rem)
 
     def tc(theta, gamma, X, Y):
-        return WCondition(theta, gamma, X, Y, u, list(vs), K, p, q, fam)
+        return theta, gamma, X, Y, u, list(vs), K, p, q, fam
 
     if q > 1:
         out = [tc(1.0, 1.0, b["X1"] if ell == 1 else b["X0"], b["Y0"])]
@@ -260,12 +257,12 @@ class TestTestingConditionOracle:
         u = parse_weight("pow0.3", g)
         vs = [parse_weight(s, g) for s in ("pow-0.2", "pow0.4")[:m]]
         for tc in _strong_conditions(ell, p_list, q, K, u, vs, fam):
-            got = eval_condition_W(tc)
+            got = eval_condition_W(*tc)
             assert got > 0.0
-            assert got == per_cube_condition_W(tc)
+            assert got == per_cube_condition_W(*tc)
             for Q in fam:  # each cube's value, not only the sup
-                one = dataclasses.replace(tc, family=[Q])
-                assert eval_condition_W(one) == per_cube_condition_W(one)
+                one = (*tc[:-1], [Q])
+                assert eval_condition_W(*one) == per_cube_condition_W(*one)
 
 
 class TestVerifyStrong:
@@ -450,14 +447,14 @@ class TestVerifyControl:
 class TestVerifyWeakMaximal:
     def test_identity_young(self):
         g, fam, K, corpus, one = small_setup()
-        rep = verify_weak_maximal(PhiScaling.constant(1.0),
+        rep = verify_weak_maximal(lambda Q: 1.0,
                                   YoungFunction("identity"),
                                   [one, one], corpus, fam)
         assert 0 < rep.max_ratio < 1000.0
 
     def test_log_bump_young(self):
         g, fam, K, corpus, one = small_setup()
-        rep = verify_weak_maximal(PhiScaling.constant(1.0),
+        rep = verify_weak_maximal(lambda Q: 1.0,
                                   YoungFunction("power-log", p=1.0, alpha=1.0),
                                   [one, one], corpus, fam)
         assert 0 < rep.max_ratio < 1000.0
@@ -474,12 +471,11 @@ class TestVerifyWeakMaximal:
         us = [GridFunction(g, rng.uniform(0.5, 2.0, g.shape), nonneg=True) for _ in range(m)]
         B = YoungFunction("identity") if young == "identity" else YoungFunction(
             "power-log", p=1.0, alpha=1.0)
-        phis = PhiScaling.constant(1.0) if phi == "constant" else PhiScaling.from_profile(
-            math.sqrt)
-        rep = verify_weak_maximal(phis, B, us, corpus, fam)
+        scale = (lambda Q: 1.0) if phi == "constant" else (lambda Q: math.sqrt(Q.measure))
+        rep = verify_weak_maximal(scale, B, us, corpus, fam)
         u = GridFunction(g, np.prod([ui.values for ui in us], axis=0) ** (1.0 / m))
         for fs, inst in zip(corpus, rep.instances):
-            M = maximal(phis, [NormSpec.orlicz(B)] * m, fs, g, fam)
+            M = maximal(scale, [NormSpec.orlicz(B)] * m, fs, g, fam)
             # lambda^m just below each distinct value of M
             below = np.nextafter(np.unique(M.values[M.values > 0]), 0.0)
             want = weak_maximal_lhs_at(M, u, B.iterate(m), m, below)
@@ -491,6 +487,6 @@ class TestVerifyWeakMaximal:
         g, fam, K, corpus, one = small_setup(count=1)
         with np.errstate(over="ignore"):
             with pytest.raises(HypothesisUnmet):
-                verify_weak_maximal(PhiScaling.constant(1.0),
+                verify_weak_maximal(lambda Q: 1.0,
                                     YoungFunction("exp"),
                                     [one, one], corpus, fam)
