@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import Cube, CubeSet, Grid, GridFunction
 from .kernels import Kernel, phi_theta
-from .orlicz import L1, NormSpec, luxemburg_norms
+from .orlicz import NormSpec, luxemburg_norms
 
 __all__ = [
     "CZDecomposition",
@@ -29,61 +30,73 @@ def DyadicLattice(grid: Grid) -> Grid:
     return grid
 
 
-def _triple_average_pyramid(hs, grid: Grid) -> list:
-    """prod_i (avg of h_i over 3Q) for every dyadic cube, one array per level.
-
-    Level l holds an array of (2^l)^n products indexed by the corner of Q
-    in units of its width.  Averages use the full |3Q| with h_i extended by
-    zero off the box, so a clipped 3Q sums only its cells inside the box.
-    Each box sum takes the corners of a summed-area table in np.ndindex
-    order, the same float operations a single-cube box sum takes.  The
-    table is padded with N cells on each side, zeros before and the edge
-    value after, so every level reads its corners as strided slices.
+@lru_cache(maxsize=4)
+def _dyadic_tables(grid: Grid) -> tuple:
+    """int32 tables of the grid's dyadic cubes in the order of `cube_family(grid,
+    "dyadic")`, whose last N^n are the cells in C order: corners lo (n x
+    cubes), widths w, the flat corners of each 3Q in the (N+1)^n summed-area
+    table (2^n x cubes), for i = 0, 1, ... the 2^i-th strict ancestor (the
+    cube count for none), the Morton position of each corner (a cube's cells
+    fill w^n positions from there) and the cell at each position; and |3Q|.
     """
-    N, n = grid.N, grid.n
-    prefixes = []
-    for h in hs:
-        p = h.values
+    N, n, levels = grid.N, grid.n, grid.num_levels
+    first = [((1 << level * n) - 1) // ((1 << n) - 1) for level in range(levels + 1)]  # cubes above a level
+    count = first[-1]
+    lo, w, meas = np.empty((n, count), dtype=np.int32), np.empty(count, dtype=np.int32), np.empty(count)
+    corners, zstart = np.empty((2**n, count), dtype=np.int32), np.empty(count, dtype=np.int32)
+    parent = np.full(count + 1, count, dtype=np.int32)
+    # Morton codes interleave coordinate bits: the cells of a 2^b-wide cube are 2^(bn) codes in a row
+    spread = sum(((np.arange(N, dtype=np.int32) >> b) & 1) << (b * n) for b in range(levels - 1))
+    axis = [(-1,) + (1,) * (n - 1 - ax) for ax in range(n)]  # a level's tables sum 1-D arrays along these
+    for level in range(levels):
+        side, width, cut = 1 << level, N >> level, slice(first[level], first[level + 1])
+        i, shape = np.arange(side, dtype=np.int32), (side,) * n  # a corner coordinate in units of width
+        w[cut], meas[cut] = width, Cube(grid, (-width,) * n, 3 * width).measure
         for ax in range(n):
-            p = np.cumsum(p, axis=ax)
-        prefix = np.zeros((3 * N + 1,) * n)
-        prefix[(slice(N + 1, 2 * N + 1),) * n] = p
-        for ax in range(n):  # the edge value after the box, one axis after another
-            before = (slice(None),) * ax
-            prefix[before + (slice(2 * N + 1, None),)] = prefix[before + (slice(2 * N, 2 * N + 1),)]
-        prefixes.append(prefix)
-    # box + (-1)^(n - |corner|) x, as box + x or box - x
-    corners = [(corner, (n - sum(corner)) % 2) for corner in np.ndindex(*((2,) * n))]
-    cellvol = grid.cell_volume
-    pyramid = []
-    for level in range(grid.num_levels):
-        w = N >> level
-        # clip(i w - w, 0, N) and clip(i w + 2 w, 0, N) for i < N / w, shifted by N
-        ends = (slice(N - w, 2 * N - w, w), slice(N + 2 * w, 2 * N + 2 * w, w))
-        meas = Cube(grid, (-w,) * n, 3 * w).measure
-        prod = 1.0
-        for prefix in prefixes:
-            box = 0.0
-            for corner, negative in corners:
-                x = prefix[tuple(ends[c] for c in corner)]
-                box = box - x if negative else box + x
-            prod = prod * (box * cellvol / meas)
-        pyramid.append(prod)
-    return pyramid
+            lo[ax, cut].reshape(shape)[...] = (i * width).reshape(axis[ax])
+        # per axis, the corner of 3Q below is clip(lo - w), the one above clip(lo + 2w)
+        ends = [[(e * width * (N + 1) ** (n - 1 - ax)).reshape(axis[ax])
+                 for e in (np.maximum(i - 1, 0), np.minimum(i + 2, side))] for ax in range(n)]
+        for k, corner in enumerate(np.ndindex(*((2,) * n))):
+            corners[k, cut].reshape(shape)[...] = sum(ends[ax][c] for ax, c in enumerate(corner))
+        if level:  # the parent holds the cell of the corner one level up
+            up = sum(((i >> 1) << (level - 1) * (n - 1 - ax)).reshape(a) for ax, a in enumerate(axis))
+            parent[cut].reshape(shape)[...] = first[level - 1] + up
+        z = [(spread[i * width] << (n - 1 - ax)).reshape(a) for ax, a in enumerate(axis)]
+        zstart[cut].reshape(shape)[...] = sum(z)
+    jumps = [parent]
+    while 1 << len(jumps) < levels:  # i jumps span 2^i levels
+        jumps.append(jumps[-1].take(jumps[-1]))
+    zorder = np.empty(N**n, dtype=np.int32)  # the inverse of the Morton positions of the cells
+    zorder[zstart[-(N**n) :]] = np.arange(N**n, dtype=np.int32)
+    for table in (lo, w, meas, corners, *jumps, zstart, zorder):
+        table.flags.writeable = False  # shared by every decomposition on the grid
+    return lo, w, meas, corners, jumps, zstart, zorder
 
 
-def _upsample(a: np.ndarray, factor: int) -> np.ndarray:
-    for ax in range(a.ndim):
-        a = np.repeat(a, factor, axis=ax)
-    return a
+def _triple_products(hs, grid: Grid) -> np.ndarray:
+    """prod_i (avg of h_i over 3Q) for every dyadic cube Q, in the order of
+    `cube_family(grid, "dyadic")`.
 
-
-def _sup_over_levels(pyramid, grid: Grid) -> np.ndarray:
-    """At each cell, the max of 0 and the products of the cubes containing it."""
-    out = np.zeros(grid.shape)
-    for level, prod in enumerate(pyramid):
-        np.maximum(out, _upsample(prod, grid.N >> level), out=out)
-    return out
+    Averages use the full |3Q| with h_i extended by zero off the box, so a
+    clipped 3Q sums only its cells inside the box.  Each box sum takes the
+    corners of a summed-area table in np.ndindex order, the same float
+    operations a single-cube box sum takes; the table has zeros before the
+    box on each axis, and a corner clipped past the box reads its edge.
+    """
+    N, n, (_, _, meas, corners, *_) = grid.N, grid.n, _dyadic_tables(grid)
+    negative = [(n - sum(corner)) % 2 for corner in np.ndindex(*((2,) * n))]  # box - x, else box + x
+    prod, x = None, np.empty(len(meas))
+    for h in hs:
+        table, p = np.zeros((N + 1,) * n), h.values
+        for ax in range(n):  # the last sum goes into the table
+            p = np.cumsum(p, axis=ax, out=table[(slice(1, None),) * n] if ax == n - 1 else None)
+        box = np.zeros(len(meas))
+        for corner, minus in zip(corners, negative):
+            (np.subtract if minus else np.add)(box, np.take(table, corner, out=x, mode="clip"), out=box)
+        np.divide(np.multiply(box, grid.cell_volume, out=box), meas, out=box)
+        prod = box if prod is None else np.multiply(prod, box, out=prod)  # 1.0 * box is box
+    return prod
 
 
 def default_cz_base(n: int, m: int) -> float:
@@ -160,8 +173,15 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
-    pyramid = _triple_average_pyramid(hs, grid)
-    mx = GridFunction(grid, _sup_over_levels(pyramid, grid), nonneg=True)
+    N, n, (lo, w, _, _, jumps, zstart, zorder) = grid.N, grid.n, _dyadic_tables(grid)
+    prod = _triple_products(hs, grid)
+    # the max of the products over each cube and its ancestors: i jumps
+    # cover 2^i levels, and the last slot, -inf, stands above the whole box
+    chain = np.append(prod, -np.inf)
+    for jump in jumps:
+        np.maximum(chain, chain.take(jump), out=chain)
+    # on a cell, the max of 0 and the products of the cubes containing it
+    mx = GridFunction(grid, np.maximum(0.0, chain[-1 - N**n : -1]).reshape(grid.shape), nonneg=True)
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
@@ -173,58 +193,37 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
         k_hi -= 1
     ks = list(range(min(k_lo, k_hi), k_hi + 1))[-max_levels:]
     thr, nxt = np.array([a**k for k in ks]), np.array([a ** (k + 1) for k in ks])
-    # M <= a^(k_j+1) exactly for j >= the bin of M
-    bins = np.searchsorted(nxt, vals)
     # Q is maximal above a^k iff its product exceeds a^k and no strict
     # ancestor's does: anc <= a^k < prod, so its thresholds j form [first, stop)
-    anc = np.full((1,) * grid.n, -np.inf)
-    picked, keys, used = [], [], 0  # used: histogram slots taken by the cubes before
-    for level, prod in enumerate(pyramid):
-        if level:
-            anc = _upsample(np.maximum(anc, pyramid[level - 1]), 2)
-        first, stop = np.searchsorted(thr, anc.ravel()), np.searchsorted(thr, prod.ravel())
-        idx = np.flatnonzero(first < stop)
-        if idx.size == 0:
-            continue
-        first, span = first[idx], stop[idx] - first[idx]
-        # a histogram per cube of its cells' bins from first on, with the
-        # bins from stop on in one last slot: its running sum is |E| per j
-        offset = used + np.cumsum(span + 1) - (span + 1)
-        cells = _cube_cells(bins, grid.N >> level)[idx]
-        keys.append((np.clip(cells - first[:, None], 0, span[:, None]) + offset[:, None]).ravel())
-        used += int(span.sum()) + idx.size
-        picked.append((np.full(idx.size, level), idx, first, span, offset, prod.ravel()[idx]))
-    if not picked:
-        return CZDecomposition(a, grid, [], mx)
-    lev, idx, first, span, start, prod = (np.concatenate(x) for x in zip(*picked))
-    hist = np.bincount(np.concatenate(keys), minlength=used)
+    first, stop = np.searchsorted(thr, chain.take(jumps[0][:-1])), np.searchsorted(thr, prod)
+    idx = np.flatnonzero(first < stop)  # not empty: a^(k_hi) < max M
+    first, stop, prod = first[idx], stop[idx], prod[idx]
+    span, size = stop - first, w[idx].astype(np.int64) ** n
+    # a histogram per cube of its cells' bins from first on, with the bins
+    # from stop on in one last slot: its running sum is |E| per j.  M <=
+    # a^(k_j+1) exactly for j >= the bin of M, and a cube's cells are one
+    # run of Morton positions
+    bins = np.searchsorted(nxt, vals.take(zorder))
+    start = np.cumsum(span + 1) - (span + 1)
+    cells = np.repeat(zstart[idx] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    keys = np.minimum(np.maximum(bins.take(cells), np.repeat(first, size)), np.repeat(stop, size))
+    keys += np.repeat(start - first, size)
+    hist = np.bincount(keys, minlength=int(start[-1] + span[-1] + 1))
     run = np.cumsum(hist)
     # one (cube, j) pair per threshold a cube is selected at, cube by cube
     cube = np.repeat(np.arange(idx.size), span)
     step = np.arange(cube.size) - np.repeat(np.cumsum(span) - span, span)
     j, counts = first[cube] + step, run[start[cube] + step] - (run - hist)[start[cube]]
-    # the corner of cube i of a level, with 2^level cubes per axis, in C order
-    lo, rest = np.empty((idx.size, grid.n), dtype=np.int64), idx
-    for ax in reversed(range(grid.n)):
-        lo[:, ax] = (rest & ((1 << lev) - 1)) * (grid.N >> lev)
-        rest = rest >> lev
     # coarse to fine, corners in C order within each threshold
     order = np.argsort(j, kind="stable")
     j, cube, counts = j[order], cube[order], counts[order]
     bounds = np.flatnonzero(np.diff(j)) + 1
-    levels = []
+    lo, w, levels = lo[:, idx].T, w[idx], []
     for sel in np.split(np.arange(j.size), bounds):
         c = cube[sel]
-        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], grid.N >> lev[c]), prod[c].tolist(),
+        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], w[c]), prod[c].tolist(),
                               vals <= nxt[j[sel[0]]], counts[sel]))
     return CZDecomposition(a, grid, levels, mx)
-
-
-def _cube_cells(a: np.ndarray, w: int) -> np.ndarray:
-    """The cells of each width-w dyadic cube, one row per cube in C order of corners."""
-    c, n = a.shape[0] // w, a.ndim
-    blocks = a.reshape(sum(((c, w) for _ in range(n)), ()))
-    return blocks.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))).reshape(c**n, w**n)
 
 
 def discretization_rhs(
@@ -240,7 +239,10 @@ def discretization_rhs(
     """Right side of the discretization bound for int [|T_{b_j^ell} f| u]^q.
 
     First sum over the cubes selected from f itself; for the commutator a
-    second sum over the cubes selected with u in slot j.
+    second sum over the cubes selected with u in slot j.  Their L^1 factors
+    are the prod_norms the cubes were selected by, so cz0 must decompose fs
+    and czj fs with u in slot j.  Each sum takes one batch of Orlicz norms:
+    (u^q, L log^(ell q) L) on cz0, (f_j, L log L) on czj.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("need q in (0, 1]")
@@ -256,13 +258,9 @@ def discretization_rhs(
     if ell == 1 and (czj is None or j is None):
         raise ValueError("commutator sum needs the j-th decomposition")
     uq = GridFunction(cz0.grid, u.values**q)
-    factors = [(uq, NormSpec.power_log(1.0, ell * q), 1.0)] + [(f, L1, q) for f in fs]
-    terms = _cube_terms(K, q, cz0, factors)
+    terms = _cube_terms(K, q, cz0, [(uq, NormSpec.power_log(1.0, ell * q), 1.0)])
     if ell == 1:
-        factors = [(u, L1, q)]
-        factors += [(f, NormSpec.power_log(1.0, 1.0 if i == j else 0.0), q)
-                    for i, f in enumerate(fs)]
-        terms = np.concatenate([terms, _cube_terms(K, q, czj, factors)])
+        terms = np.concatenate([terms, _cube_terms(K, q, czj, [(fs[j], NormSpec.power_log(1.0, 1.0), q)])])
     # one add per cube in cube order, the rounding of a per-cube running sum
     total = 0.0
     for term in terms.tolist():
@@ -271,8 +269,9 @@ def discretization_rhs(
 
 
 def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray:
-    """phi_theta(l(Q))^q * prod ||g||_{spec,3Q}^power * |E| for each cube Q of cz
-    with non-empty E, in cube order; factors are (g, spec, power) triples.
+    """phi_theta(l(Q))^q * prod_norm^q * prod ||g||_{spec,3Q}^power * |E| for
+    each cube Q of cz with non-empty E, in cube order; factors are (g, spec,
+    power) triples.
 
     |E| comes from the counts of each level, phi_theta takes one call per
     width, and the norms one luxemburg_norms call per factor over all triples.
@@ -284,6 +283,7 @@ def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray
     keep = esizes != 0.0
     cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
     terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side) ** q)
+    terms *= np.concatenate([lev.prod_norms for lev in levels])[keep] ** q
     for g, spec, power in factors:
         terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
     return terms * esizes[keep]

@@ -272,6 +272,7 @@ def _shell_integral(K: Kernel, sides: np.ndarray) -> float:
 _ANNULUS_NODES = 4096  # log-spaced midpoints of a non-fractional annulus integral
 
 
+@lru_cache(maxsize=65536)
 def annulus_integral(K: Kernel, A: AnnulusSpec) -> float:
     """Integral of phi over the annulus A, by the exact 1-D reduction
     against the slice measure of the l1-of-norms sphere."""

@@ -43,7 +43,8 @@ def _kernel_spectrum(K: Kernel, grid: Grid) -> np.ndarray:
     0; offsets of two cells lie in (-N, N), so the circular convolution is
     the linear one on every output cell.  The table is even in every axis,
     so S and the spectrum of each block of first-axis slabs are real; a
-    block goes through rfftn over the other axes as it is built.  S is
+    block goes through rfftn over the other axes as it is built, for slabs
+    0 ... N, and slab 2N - a, of the same offset norms, copies slab a.  S is
     stored at xi_i = zeta_i - zeta_(i-1) (zeta_0 = 0, per axis, mod 2N),
     indexed by zeta_1 ... zeta_m, zeta_m on the half rfft axis.
     """
@@ -56,14 +57,15 @@ def _kernel_spectrum(K: Kernel, grid: Grid) -> np.ndarray:
         rest = np.add.outer(rest, slot)
     part = np.empty((P,) * (nm - 1) + (N + 1,) if nm > 1 else (P,))
     rows = max(1, _BLOCK_ELEMENTS // P ** (nm - 1))  # first-axis slabs per block
-    for lo in range(0, P, rows):
-        s = np.add.outer(slot[lo : lo + rows], rest)
+    for lo in range(0, N + 1, rows):  # d[P - a] = -d[a]
+        s = np.add.outer(slot[lo : min(lo + rows, N + 1)], rest)
         if lo == 0:
             s.flat[0] = 1.0  # placeholder, replaced by the cell average
         vals = np.asarray(K.radial(s))
         if lo == 0:
             vals.flat[0] = kernel_cell_value(K, np.zeros(nm), grid.h)
-        part[lo : lo + rows] = np.fft.rfftn(vals, axes=range(1, nm)).real if nm > 1 else vals
+        part[lo : lo + len(s)] = np.fft.rfftn(vals, axes=range(1, nm)).real if nm > 1 else vals
+    part[N + 1 :] = part[N - 1 : 0 : -1]
     half = np.ascontiguousarray(np.fft.rfft(part, axis=0).real)
     spec = part[: P if nm > 1 else N + 1]  # the table's buffer takes the result
     for lo in range(0, P, rows):  # spec[zeta] = S[xi], xi_i = zeta_i - zeta_(i-1)

@@ -6,7 +6,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .grid import Cube, CubeSet, GridFunction
 
@@ -99,9 +98,6 @@ class NormSpec:
         return cls(young=YoungFunction("power-log", p=p, alpha=alpha))
 
 
-L1 = NormSpec.lebesgue(1.0)
-
-
 def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10) -> float:
     """||f||_{X,Q}: closed form for L^r; for Young specs the root-finder
     that luxemburg_norms runs, on this one cube.
@@ -134,7 +130,7 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
 
     |f| is written once into one zero-filled stack (function, then grid
     axes), which is the zero-extension that clipped cubes assume, and the
-    windows of each width are one read-only strided view of it.  The
+    windows of each width are one read-only, bounds-checked view of it.  The
     root-finder on lambda runs on all windows of a chunk at once, a chunk
     may hold several widths and functions, and each row stops on its own.
     """
@@ -166,8 +162,9 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
 
     for w in np.unique(ws).tolist():
         idx, frac = np.flatnonzero(ws == w), grid.cell_volume / (w * grid.h) ** grid.n  # as Cube.measure
-        windows = as_strided(padded, padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:])
-                             + (w,) * grid.n, padded.strides + padded.strides[1:], writeable=False)
+        windows = np.ndarray(padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:]) + (w,) * grid.n,
+                             buffer=padded, strides=padded.strides + padded.strides[1:])
+        windows.flags.writeable = False
         while idx.size:
             if used and used + w**grid.n > _CHUNK_ELEMENTS:  # flush before the cap
                 solve()

@@ -63,6 +63,16 @@ class TestCzDecompose:
         expected = (Path(__file__).parent / "data" / recorded).read_bytes()
         assert (tmp_path / "cz.json").read_bytes() == expected
 
+    @pytest.mark.parametrize("args,recorded", [
+        (["--n", 3, "--N", 16, "--seed", 3], "cz_3d_N16_seed3.json"),
+        (["--n", 2, "--N", 32, "--seed", 3], "cz_2d_N32_seed3.json"),
+    ])
+    def test_default_base_output_matches_recording(self, tmp_path, args, recorded):
+        # recorded from the selection loop over the dyadic levels
+        assert run_cli(["cz-decompose", *args, "--out-dir", tmp_path]) == 0
+        expected = (Path(__file__).parent / "data" / recorded).read_bytes()
+        assert (tmp_path / "cz.json").read_bytes() == expected
+
     def test_zero_base_exits_one(self, tmp_path, capsys):
         code = run_cli(["cz-decompose", "--a", 0, "--N", 16, "--out-dir", tmp_path])
         assert code == 1

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from multipot import (
     parse_weight,
     phi_theta,
 )
-from multipot.dyadic import CZDecomposition, CZLevel, _cube_terms, _triple_average_pyramid
+from multipot.dyadic import CZDecomposition, CZLevel, _cube_terms, _dyadic_tables, _triple_products
 from multipot.verify import make_corpus
 from multipot.operators import apply_potential
 
@@ -310,11 +311,10 @@ class TestPyramidAgainstPerCubeLoops:
     def test_pyramid_m3d_and_selection(self, n, m, log2_N, kind, seed):
         g, hs = _inputs(n, m, 2 ** min(log2_N, _MAX_LOG2_N[n]), kind, seed)
         prods = _triple_average_products(hs, g)
-        pyramid = _triple_average_pyramid(hs, g)
-        assert len(pyramid) == g.num_levels
-        for Q in cube_family(g, "dyadic"):
-            level = g.num_levels - 1 - int(math.log2(Q.w))
-            assert pyramid[level][tuple(l // Q.w for l in Q.lo)] == prods[(Q.lo, Q.w)]
+        products = _triple_products(hs, g)
+        assert len(products) == len(cube_family(g, "dyadic"))
+        for Q, p in zip(cube_family(g, "dyadic"), products.tolist()):
+            assert p == prods[(Q.lo, Q.w)]
         expected_m3d = _m3d_per_cube(prods, g)
         a = 2.0
         cz = cz_decompose(hs, a, g)
@@ -343,12 +343,63 @@ class TestPyramidAgainstPerCubeLoops:
             assert [(Q.lo, Q.w) for Q in lev.cubes] == [(Q.lo, Q.w) for Q in expected]
 
 
+def _pyramid(hs, grid):
+    """The triple-average products as one array per level, level l with
+    (2^l)^n products indexed by the corner of Q in units of its width."""
+    products, levels, start = _triple_products(hs, grid), [], 0
+    for level in range(grid.num_levels):
+        side = 1 << level
+        levels.append(products[start : start + side**grid.n].reshape((side,) * grid.n))
+        start += side**grid.n
+    return levels
+
+
+class TestDyadicTables:
+    @pytest.mark.parametrize("n,N", [(1, 4), (1, 64), (2, 4), (2, 16), (3, 4), (3, 8)])
+    def test_against_cube_family_and_children(self, n, N):
+        g = make_grid(n, 1.3, N)
+        lo, w, meas, corners, jumps, zstart, zorder = _dyadic_tables(g)
+        family = cube_family(g, "dyadic")
+        assert all(a.dtype == np.int32 for a in (lo, w, corners, *jumps, zstart, zorder))
+        assert not any(a.flags.writeable for a in (lo, w, meas, corners, *jumps, zstart, zorder))
+        assert lo.T.tolist() == family.lo.tolist() and w.tolist() == family.w.tolist()
+        assert meas.tolist() == [Q.dilate3().measure for Q in family]
+        index = {(Q.lo, Q.w): i for i, Q in enumerate(family)}
+        # the strict ancestors of each cube, nearest first, by the children relation
+        ancestors = {i: [] for i in range(len(family))}
+        for Q in family:
+            if Q.w > 1:
+                for child in Q.children():
+                    c = index[(child.lo, child.w)]
+                    ancestors[c] = [index[(Q.lo, Q.w)]] + ancestors[index[(Q.lo, Q.w)]]
+        for i, jump in enumerate(jumps):
+            assert jump[-1] == len(family)
+            for c, chain in ancestors.items():
+                assert jump[c] == (chain[2**i - 1] if len(chain) >= 2**i else len(family))
+        assert 2 ** len(jumps) >= g.num_levels
+        assert sorted(zorder.tolist()) == list(range(N**n))
+        for Q, z in zip(family, zstart.tolist()):
+            mask = np.zeros(g.shape, dtype=bool)
+            mask.ravel()[zorder[z : z + Q.w**n]] = True
+            np.testing.assert_array_equal(mask, _mask_of(Q, g))
+        # the corners of 3Q, clipped into the (N + 1)^n summed-area table
+        for corner, idx in zip(np.ndindex(*((2,) * n)), corners):
+            for Q, k in zip(family, idx.tolist()):
+                want = [min(max(l - Q.w if c == 0 else l + 2 * Q.w, 0), N) for l, c in zip(Q.lo, corner)]
+                assert np.unravel_index(k, (N + 1,) * n) == tuple(want)
+
+    def test_cached_per_grid(self):
+        g = make_grid(2, 1.0, 8)
+        assert _dyadic_tables(g) is _dyadic_tables(make_grid(2, 1.0, 8))
+        assert _dyadic_tables(g) is not _dyadic_tables(make_grid(2, 1.0, 16))
+
+
 def cz_per_threshold(hs, a, grid, max_levels=64):
     """cz_decompose as a loop over the thresholds a^k: per k, the cubes of
     every level with anc <= a^k < prod, coarse to fine, and one (cubes x
     grid) mask tensor for E.  Returns (k, lo, w, prod_norms, e_masks) per
     level that selects a cube."""
-    pyramid = _triple_average_pyramid(hs, grid)
+    pyramid = _pyramid(hs, grid)
     vals = cz_decompose(hs, 2.0, grid).maximal_values.values
     pos = vals[vals > 0]
     vmin, vmax = float(pos.min()), float(vals.max())
@@ -556,6 +607,24 @@ class TestDiscretizationRhsBatched:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,m,N", [(1, 1, 64), (1, 2, 32), (2, 1, 16), (2, 2, 8)])
+def test_discretization_rhs_matches_recording(n, m, N):
+    # recorded when every L^1 factor was its own luxemburg_norms call
+    rows = json.loads((Path(__file__).parent / "data" / "discretization_rhs_pow0.3.json").read_text())
+    rows = [r for r in rows if (r["n"], r["m"], r["N"]) == (n, m, N)]
+    assert len(rows) == 8
+    g = make_grid(n, 1.0, N)
+    K = Kernel("fractional", n, m, alpha=0.5)
+    u = parse_weight("pow0.3", g)
+    for seed in (0, 1):
+        fs = list(make_corpus(g, m, count=1, seed=seed)[0])
+        cz0 = cz_decompose(fs, 2.0, g)
+        czj = cz_decompose([u] + fs[1:], 2.0, g)
+        for r in (r for r in rows if r["seed"] == seed):
+            got = discretization_rhs(K, fs, u, r["q"], r["ell"], cz0, czj, j=0)
+            assert got == pytest.approx(r["rhs"], rel=1e-12)
+
+
 def _mask_of(Q, grid):
     out = np.zeros(grid.shape, dtype=bool)
     out[Q.slices()] = True
@@ -563,15 +632,17 @@ def _mask_of(Q, grid):
 
 
 def cube_terms_per_cube(K, q, cz, factors):
-    """_cube_terms with |E|, phi_theta and the triple taken cube by cube."""
+    """_cube_terms with |E|, phi_theta, the product and the triple taken cube by cube."""
     cellvol = cz.grid.cell_volume
-    cubes, esizes = [], []
-    for _, Q, _, E in all_cubes(cz):
+    cubes, prod_norms, esizes = [], [], []
+    for _, Q, p, E in all_cubes(cz):
         esize = float(E.sum()) * cellvol
         if esize != 0.0:
             cubes.append(Q)
+            prod_norms.append(p)
             esizes.append(esize)
     terms = np.array([phi_theta(K, q, Q.side) ** q for Q in cubes])
+    terms *= np.array(prod_norms) ** q
     triples = [Q.dilate3() for Q in cubes]
     for g, spec, power in factors:
         terms *= luxemburg_norms(g, triples, spec) ** power
@@ -579,13 +650,10 @@ def cube_terms_per_cube(K, q, cz, factors):
 
 
 def _rhs_factors(fs, u, q, ell, j):
-    """The factor lists discretization_rhs hands to _cube_terms."""
+    """The factor lists discretization_rhs hands to _cube_terms: the L^1
+    factors are the products of the decompositions."""
     uq = GridFunction(u.grid, u.values**q)
-    first = [(uq, NormSpec.power_log(1.0, ell * q), 1.0)]
-    first += [(f, NormSpec.lebesgue(1.0), q) for f in fs]
-    second = [(u, NormSpec.lebesgue(1.0), q)]
-    second += [(f, NormSpec.power_log(1.0, 1.0 if i == j else 0.0), q) for i, f in enumerate(fs)]
-    return first, second
+    return [(uq, NormSpec.power_log(1.0, ell * q), 1.0)], [(fs[j], NormSpec.power_log(1.0, 1.0), q)]
 
 
 class TestCzArraysAgainstPerCubeLoops:
@@ -627,7 +695,7 @@ class TestCzArraysAgainstPerCubeLoops:
         Q = cz.levels[0].cubes[0]
         norm = luxemburg_norms(fs[0], [Q.dilate3()], factors[0][1])[0]
         assert got.shape == (1,)
-        assert got[0] == phi_theta(K, 1.0, Q.side) * norm * (g.N * g.cell_volume)
+        assert got[0] == phi_theta(K, 1.0, Q.side) * cz.levels[0].prod_norms[0] * norm * (g.N * g.cell_volume)
 
     def test_hand_built_levels_with_cube_lists(self):
         g, fs = _inputs(2, 1, 16, "uniform", 9)

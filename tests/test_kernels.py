@@ -304,6 +304,18 @@ class TestPhiTheta:
         assert phi_theta(K, theta, t) == pytest.approx(math.fsum(terms) ** (1.0 / theta),
                                                        rel=1e-13)
 
+    def test_neighbouring_scales_reuse_annulus_masses(self):
+        # the series at 2t adds one annulus below the one at t, and the one
+        # at t/2 is a tail of it; a coarse Bessel quadrature keeps it cheap
+        K = Kernel("bessel", 2, 2, alpha=1.0, Mt=64)
+        annulus_integral.cache_clear()
+        phi_theta.cache_clear()
+        misses = []
+        for t in (0.325, 0.65, 0.1625):
+            phi_theta(K, 1.0, t)
+            misses.append(annulus_integral.cache_info().misses)
+        assert misses == [29, 30, 30]
+
     @pytest.mark.parametrize("family", ["fractional", "bessel"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("L", [0.7, 1.3])

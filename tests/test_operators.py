@@ -206,6 +206,63 @@ class TestFFTContraction:
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13 * np.abs(a).max())
 
 
+def kernel_spectrum_full_slabs(K, grid):
+    """operators._kernel_spectrum with every first-axis slab of the table
+    built, P of them where the fast path builds N + 1 and mirrors the rest."""
+    N, n, m, nm = grid.N, grid.n, K.m, K.nm
+    P = 2 * N
+    d = np.concatenate([np.arange(N), np.arange(-N, 0)]) * grid.h
+    slot = np.sqrt(sum(c * c for c in np.meshgrid(*[d] * n, indexing="ij", sparse=True)))
+    rest = np.zeros(())
+    for _ in range(m - 1):
+        rest = np.add.outer(rest, slot)
+    part = np.empty((P,) * (nm - 1) + (N + 1,) if nm > 1 else (P,))
+    rows = max(1, operators._BLOCK_ELEMENTS // P ** (nm - 1))
+    for lo in range(0, P, rows):
+        s = np.add.outer(slot[lo : lo + rows], rest)
+        if lo == 0:
+            s.flat[0] = 1.0
+        vals = np.asarray(K.radial(s))
+        if lo == 0:
+            vals.flat[0] = operators.kernel_cell_value(K, np.zeros(nm), grid.h)
+        part[lo : lo + rows] = np.fft.rfftn(vals, axes=range(1, nm)).real if nm > 1 else vals
+    half = np.ascontiguousarray(np.fft.rfft(part, axis=0).real)
+    spec = part[: P if nm > 1 else N + 1]
+    for lo in range(0, P, rows):
+        zeta = list(np.ogrid[tuple(slice(k) for k in spec[lo : lo + rows].shape)])
+        zeta[0] = zeta[0] + lo
+        xi = [z if ax < n else z - zeta[ax - n] for ax, z in enumerate(zeta)]
+        xi[0], xi[-1] = [np.minimum(abs(x), P - abs(x)) for x in (xi[0], xi[-1])]
+        spec[lo : lo + rows] = half[tuple(xi)]
+    return spec
+
+
+class TestKernelSpectrumHalfSlabs:
+    @pytest.mark.parametrize("family", ["fractional", "bessel", "profile", "tabulated"])
+    @pytest.mark.parametrize("n,m,N", [(1, 1, 64), (1, 1, 4), (1, 2, 8), (1, 3, 4), (1, 4, 4),
+                                       (1, 5, 4), (1, 6, 4), (2, 1, 8), (2, 2, 4), (2, 3, 4),
+                                       (3, 1, 4), (3, 2, 4)])
+    def test_equals_the_full_slab_build(self, family, n, m, N, monkeypatch):
+        # the singular cell average is the same call in both builds; a
+        # stand-in keeps the Bessel and profile cases cheap
+        monkeypatch.setattr(operators, "kernel_cell_value", lambda K, center, width: 7.25)
+        K = {"fractional": frac(0.3 + 0.4 * n * m, n, m),
+             "bessel": Kernel("bessel", n, m, alpha=1.0, Mt=64),
+             "profile": Kernel("profile", n, m, profile_fn=lambda s: 1.0 / (1.0 + s)),
+             "tabulated": Kernel("tabulated", n, m, table_s=(0.0, 0.5, 1.0, 4.0),
+                                 table_v=(3.0, 2.0, 1.0, 0.0))}[family]
+        g = make_grid(n, 1.3, N)
+        np.testing.assert_array_equal(operators._kernel_spectrum.__wrapped__(K, g),
+                                      kernel_spectrum_full_slabs(K, g))
+
+    @pytest.mark.parametrize("n,m,N", [(1, 2, 8), (2, 2, 4), (1, 3, 8)])
+    def test_equals_the_full_slab_build_in_many_blocks(self, n, m, N, monkeypatch):
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 1)
+        K, g = frac(0.5, n, m), make_grid(n, 1.0, N)
+        np.testing.assert_array_equal(operators._kernel_spectrum.__wrapped__(K, g),
+                                      kernel_spectrum_full_slabs(K, g))
+
+
 # every (n, m) the Grid and Kernel constructors accept with nm <= 6, one
 # kernel object each so that examples of one arity share the spectrum cache
 ARITY_KERNELS = {(n, m): frac(0.3 + 0.4 * n * m, n, m)
