@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Cube, CubeSet, Grid, GridFunction
+from .grid import Cube, CubeSet, Grid, GridFunction, _dyadic_corner_cells
 from .kernels import Kernel, phi_theta
 from .orlicz import NormSpec, luxemburg_norms
 
@@ -32,46 +32,30 @@ def DyadicLattice(grid: Grid) -> Grid:
 
 @lru_cache(maxsize=4)
 def _dyadic_tables(grid: Grid) -> tuple:
-    """int32 tables of the grid's dyadic cubes in the order of `cube_family(grid,
-    "dyadic")`, whose last N^n are the cells in C order: corners lo (n x
-    cubes), widths w, the flat corners of each 3Q in the (N+1)^n summed-area
-    table (2^n x cubes), for i = 0, 1, ... the 2^i-th strict ancestor (the
-    cube count for none), the Morton position of each corner (a cube's cells
-    fill w^n positions from there) and the cell at each position; and |3Q|.
-    """
-    N, n, levels = grid.N, grid.n, grid.num_levels
-    first = [((1 << level * n) - 1) // ((1 << n) - 1) for level in range(levels + 1)]  # cubes above a level
-    count = first[-1]
-    lo, w, meas = np.empty((n, count), dtype=np.int32), np.empty(count, dtype=np.int32), np.empty(count)
-    corners, zstart = np.empty((2**n, count), dtype=np.int32), np.empty(count, dtype=np.int32)
-    parent = np.full(count + 1, count, dtype=np.int32)
-    # Morton codes interleave coordinate bits: the cells of a 2^b-wide cube are 2^(bn) codes in a row
-    spread = sum(((np.arange(N, dtype=np.int32) >> b) & 1) << (b * n) for b in range(levels - 1))
-    axis = [(-1,) + (1,) * (n - 1 - ax) for ax in range(n)]  # a level's tables sum 1-D arrays along these
+    """Tables over the dyadic cubes in the order of `cube_family(grid,
+    "dyadic")`, whose last N^n are the cells in C order: where each level
+    starts, |3Q|, and as int32 each cube's corner cell and width, the flat
+    corners of its 3Q in the (N+1)^n summed-area table (2^n x cubes) and the
+    Morton position of each cell (a cube's cells fill w^n positions in a row)."""
+    N, n, levels, (cells, w) = grid.N, grid.n, grid.num_levels, _dyadic_corner_cells(grid)
+    starts = [((1 << level * n) - 1) // ((1 << n) - 1) for level in range(levels + 1)]  # cubes above a level
+    meas, corners = np.empty(len(w)), np.empty((2**n, len(w)), dtype=np.int32)
+    axis = [(-1,) + (1,) * (n - 1 - ax) for ax in range(n)]  # sums of 1-D arrays along these fill a level
     for level in range(levels):
-        side, width, cut = 1 << level, N >> level, slice(first[level], first[level + 1])
-        i, shape = np.arange(side, dtype=np.int32), (side,) * n  # a corner coordinate in units of width
-        w[cut], meas[cut] = width, Cube(grid, (-width,) * n, 3 * width).measure
-        for ax in range(n):
-            lo[ax, cut].reshape(shape)[...] = (i * width).reshape(axis[ax])
+        side, width, cut = 1 << level, N >> level, slice(starts[level], starts[level + 1])
+        i = np.arange(side, dtype=np.int32)  # a corner coordinate in units of width
+        meas[cut] = Cube(grid, (-width,) * n, 3 * width).measure
         # per axis, the corner of 3Q below is clip(lo - w), the one above clip(lo + 2w)
         ends = [[(e * width * (N + 1) ** (n - 1 - ax)).reshape(axis[ax])
                  for e in (np.maximum(i - 1, 0), np.minimum(i + 2, side))] for ax in range(n)]
         for k, corner in enumerate(np.ndindex(*((2,) * n))):
-            corners[k, cut].reshape(shape)[...] = sum(ends[ax][c] for ax, c in enumerate(corner))
-        if level:  # the parent holds the cell of the corner one level up
-            up = sum(((i >> 1) << (level - 1) * (n - 1 - ax)).reshape(a) for ax, a in enumerate(axis))
-            parent[cut].reshape(shape)[...] = first[level - 1] + up
-        z = [(spread[i * width] << (n - 1 - ax)).reshape(a) for ax, a in enumerate(axis)]
-        zstart[cut].reshape(shape)[...] = sum(z)
-    jumps = [parent]
-    while 1 << len(jumps) < levels:  # i jumps span 2^i levels
-        jumps.append(jumps[-1].take(jumps[-1]))
-    zorder = np.empty(N**n, dtype=np.int32)  # the inverse of the Morton positions of the cells
-    zorder[zstart[-(N**n) :]] = np.arange(N**n, dtype=np.int32)
-    for table in (lo, w, meas, corners, *jumps, zstart, zorder):
+            corners[k, cut].reshape((side,) * n)[...] = sum(ends[ax][c] for ax, c in enumerate(corner))
+    # Morton positions interleave coordinate bits, so a 2^b-wide cube's cells are 2^(bn) positions in a row
+    spread = sum(((np.arange(N, dtype=np.int32) >> b) & 1) << (b * n) for b in range(levels - 1))
+    zpos = sum((spread << n - 1 - ax).reshape(a) for ax, a in enumerate(axis)).ravel()
+    for table in (cells, w, meas, corners, zpos):
         table.flags.writeable = False  # shared by every decomposition on the grid
-    return lo, w, meas, corners, jumps, zstart, zorder
+    return starts, cells, w, meas, corners, zpos
 
 
 def _triple_products(hs, grid: Grid) -> np.ndarray:
@@ -84,7 +68,7 @@ def _triple_products(hs, grid: Grid) -> np.ndarray:
     operations a single-cube box sum takes; the table has zeros before the
     box on each axis, and a corner clipped past the box reads its edge.
     """
-    N, n, (_, _, meas, corners, *_) = grid.N, grid.n, _dyadic_tables(grid)
+    N, n, (_, _, _, meas, corners, *_) = grid.N, grid.n, _dyadic_tables(grid)
     negative = [(n - sum(corner)) % 2 for corner in np.ndindex(*((2,) * n))]  # box - x, else box + x
     prod, x = None, np.empty(len(meas))
     for h in hs:
@@ -139,7 +123,7 @@ def _e_runs(below_next: np.ndarray, cubes: CubeSet) -> list:
     width at a time, so a run ends at the edge of its cube."""
     shape, flat = below_next.shape, below_next.ravel()
     owner, cells = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for w in np.unique(cubes.w).tolist():
+    for w in sorted(set(cubes.w.tolist())):  # np.unique would import numpy.ma, about 10 ms, on a first call
         sel = np.flatnonzero(cubes.w == w)
         # the flat indices of each cube's cells in C order, which is ascending
         offsets = np.ravel_multi_index(tuple(np.indices((w,) * len(shape)).reshape(len(shape), -1)), shape)
@@ -173,15 +157,16 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
-    N, n, (lo, w, _, _, jumps, zstart, zorder) = grid.N, grid.n, _dyadic_tables(grid)
-    prod = _triple_products(hs, grid)
-    # the max of the products over each cube and its ancestors: i jumps
-    # cover 2^i levels, and the last slot, -inf, stands above the whole box
-    chain = np.append(prod, -np.inf)
-    for jump in jumps:
-        np.maximum(chain, chain.take(jump), out=chain)
+    N, n, (starts, corner_cell, widths, _, _, zpos) = grid.N, grid.n, _dyadic_tables(grid)
+    prod, anc, above = _triple_products(hs, grid), np.empty(starts[-1]), np.full(1, -np.inf)
+    # coarse to fine: the max over the strict ancestors of a cube is its
+    # parent's max over itself and its ancestors, -inf above the whole box
+    for level in range(grid.num_levels):
+        cut, half = slice(starts[level], starts[level + 1]), max((1 << level) // 2, 1)
+        anc[cut].reshape((half, (1 << level) // half) * n)[...] = above.reshape((half, 1) * n)
+        above = np.maximum(prod[cut], anc[cut])
     # on a cell, the max of 0 and the products of the cubes containing it
-    mx = GridFunction(grid, np.maximum(0.0, chain[-1 - N**n : -1]).reshape(grid.shape), nonneg=True)
+    mx = GridFunction(grid, np.maximum(0.0, above).reshape(grid.shape), nonneg=True)
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
@@ -194,19 +179,22 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     ks = list(range(min(k_lo, k_hi), k_hi + 1))[-max_levels:]
     thr, nxt = np.array([a**k for k in ks]), np.array([a ** (k + 1) for k in ks])
     # Q is maximal above a^k iff its product exceeds a^k and no strict
-    # ancestor's does: anc <= a^k < prod, so its thresholds j form [first, stop)
-    first, stop = np.searchsorted(thr, chain.take(jumps[0][:-1])), np.searchsorted(thr, prod)
-    idx = np.flatnonzero(first < stop)  # not empty: a^(k_hi) < max M
-    first, stop, prod = first[idx], stop[idx], prod[idx]
-    span, size = stop - first, w[idx].astype(np.int64) ** n
+    # ancestor's does: anc <= a^k < prod, so its thresholds j form [first,
+    # stop), which is empty unless anc < prod and a^(k_0) < prod
+    idx = np.flatnonzero((anc < prod) & (prod > thr[0]))
+    first, stop = np.searchsorted(thr, anc[idx]), np.searchsorted(thr, prod[idx])
+    keep = first < stop  # not all False: a^(k_hi) < max M
+    idx, first, stop, span = idx[keep], first[keep], stop[keep], (stop - first)[keep]
+    corner, w, prod = corner_cell.take(idx), widths.take(idx).astype(np.int64), prod[idx]
     # a histogram per cube of its cells' bins from first on, with the bins
     # from stop on in one last slot: its running sum is |E| per j.  M <=
     # a^(k_j+1) exactly for j >= the bin of M, and a cube's cells are one
     # run of Morton positions
-    bins = np.searchsorted(nxt, vals.take(zorder))
-    start = np.cumsum(span + 1) - (span + 1)
-    cells = np.repeat(zstart[idx] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    keys = np.minimum(np.maximum(bins.take(cells), np.repeat(first, size)), np.repeat(stop, size))
+    bins = np.empty(N**n, dtype=np.intp)  # in Morton order
+    np.put(bins, zpos, np.searchsorted(nxt, vals), mode="clip")
+    start, size = np.cumsum(span + 1) - (span + 1), w**n
+    cells = np.repeat(zpos.take(corner) - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    keys = np.minimum(np.maximum(bins.take(cells, mode="clip"), np.repeat(first, size)), np.repeat(stop, size))
     keys += np.repeat(start - first, size)
     hist = np.bincount(keys, minlength=int(start[-1] + span[-1] + 1))
     run = np.cumsum(hist)
@@ -218,7 +206,7 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     order = np.argsort(j, kind="stable")
     j, cube, counts = j[order], cube[order], counts[order]
     bounds = np.flatnonzero(np.diff(j)) + 1
-    lo, w, levels = lo[:, idx].T, w[idx], []
+    lo, levels = np.stack(np.unravel_index(corner, grid.shape), axis=1), []
     for sel in np.split(np.arange(j.size), bounds):
         c = cube[sel]
         levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], w[c]), prod[c].tolist(),

@@ -273,8 +273,8 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
     to fit inside the box, deduplicated in order of first appearance.
     """
     if kind == "dyadic":
-        return CubeSet.concat(grid, [CubeSet(grid, _c_order(np.arange(0, grid.N, w), grid.n), w)
-                                     for w in (grid.N >> k for k in range(grid.num_levels))])
+        cells, w = _dyadic_corner_cells(grid)
+        return CubeSet(grid, np.stack(np.unravel_index(cells, grid.shape), axis=1), w)
     if kind == "centered":
         # each centred cube, shifted to fit, is an in-box cube of width w, and every in-box corner occurs
         return CubeSet.concat(grid, [CubeSet(grid, _c_order(np.arange(grid.N - w + 1), grid.n), w)
@@ -285,3 +285,15 @@ def cube_family(grid: Grid, kind: str) -> CubeSet:
 def _c_order(coords: np.ndarray, n: int) -> np.ndarray:
     """The corners of coords^n, one per row, in C order."""
     return np.stack(np.meshgrid(*[coords] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _dyadic_corner_cells(grid: Grid) -> tuple:
+    """The flat C index of the corner cell of each dyadic subcube of the box,
+    and its width, as int32: widest first, corners in C order within a width."""
+    N, n, sizes = grid.N, grid.n, [1 << level * grid.n for level in range(grid.num_levels)]
+    cells, w = np.empty(sum(sizes), dtype=np.int32), np.repeat(N >> np.arange(len(sizes), dtype=np.int32), sizes)
+    for level, start in enumerate(np.cumsum(sizes) - sizes):
+        side, corner = 1 << level, np.arange(1 << level, dtype=np.int32) * (N >> level)  # along one axis
+        cells[start : start + side**n].reshape((side,) * n)[...] = sum(
+            (corner * N ** (n - 1 - ax)).reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
+    return cells, w

@@ -181,7 +181,8 @@ def test_06_discretization_ratio_stability():
                 b = gen_bmo_log(g)
                 a = default_cz_base(1, 1)
                 cz = cz_decompose([f], a, g)
-                kw = {"czj": cz, "j": 0} if ell else {}
+                # the commutator sum runs over the cubes selected with u in slot j = 0
+                kw = {"czj": cz_decompose([u], a, g), "j": 0} if ell else {}
                 if ell == 0:
                     T = apply_potential(K, [f])
                 else:
@@ -192,7 +193,7 @@ def test_06_discretization_ratio_stability():
                 ok = ok and math.isfinite(ratios[N]) and ratios[N] > 0
                 if N == 64:
                     cz2 = cz_decompose([f], a / 2.0, g)
-                    kw2 = {"czj": cz2, "j": 0} if ell else {}
+                    kw2 = {"czj": cz_decompose([u], a / 2.0, g), "j": 0} if ell else {}
                     rhs2 = discretization_rhs(K, [f], u, q, ell, cz2, **kw2)
                     sweep = max(rhs, rhs2) / min(rhs, rhs2)
                     ok = ok and sweep < 4.0

@@ -356,32 +356,20 @@ def _pyramid(hs, grid):
 
 class TestDyadicTables:
     @pytest.mark.parametrize("n,N", [(1, 4), (1, 64), (2, 4), (2, 16), (3, 4), (3, 8)])
-    def test_against_cube_family_and_children(self, n, N):
+    def test_against_cube_family(self, n, N):
         g = make_grid(n, 1.3, N)
-        lo, w, meas, corners, jumps, zstart, zorder = _dyadic_tables(g)
+        starts, cells, w, meas, corners, zpos = _dyadic_tables(g)
         family = cube_family(g, "dyadic")
-        assert all(a.dtype == np.int32 for a in (lo, w, corners, *jumps, zstart, zorder))
-        assert not any(a.flags.writeable for a in (lo, w, meas, corners, *jumps, zstart, zorder))
-        assert lo.T.tolist() == family.lo.tolist() and w.tolist() == family.w.tolist()
+        assert all(a.dtype == np.int32 for a in (cells, w, corners, zpos))
+        assert not any(a.flags.writeable for a in (cells, w, meas, corners, zpos))
+        assert cells.tolist() == np.ravel_multi_index(family.lo.T, g.shape).tolist()
+        assert w.tolist() == family.w.tolist()
+        assert starts == np.flatnonzero(np.diff(family.w, prepend=0, append=0)).tolist()  # where each width starts
         assert meas.tolist() == [Q.dilate3().measure for Q in family]
-        index = {(Q.lo, Q.w): i for i, Q in enumerate(family)}
-        # the strict ancestors of each cube, nearest first, by the children relation
-        ancestors = {i: [] for i in range(len(family))}
-        for Q in family:
-            if Q.w > 1:
-                for child in Q.children():
-                    c = index[(child.lo, child.w)]
-                    ancestors[c] = [index[(Q.lo, Q.w)]] + ancestors[index[(Q.lo, Q.w)]]
-        for i, jump in enumerate(jumps):
-            assert jump[-1] == len(family)
-            for c, chain in ancestors.items():
-                assert jump[c] == (chain[2**i - 1] if len(chain) >= 2**i else len(family))
-        assert 2 ** len(jumps) >= g.num_levels
-        assert sorted(zorder.tolist()) == list(range(N**n))
-        for Q, z in zip(family, zstart.tolist()):
-            mask = np.zeros(g.shape, dtype=bool)
-            mask.ravel()[zorder[z : z + Q.w**n]] = True
-            np.testing.assert_array_equal(mask, _mask_of(Q, g))
+        assert sorted(zpos.tolist()) == list(range(N**n))
+        # the cells of a cube fill the Morton positions from its corner cell's on
+        for Q, z in zip(family, zpos[cells].tolist()):
+            assert sorted(zpos[_mask_of(Q, g).ravel()].tolist()) == list(range(z, z + Q.w**n))
         # the corners of 3Q, clipped into the (N + 1)^n summed-area table
         for corner, idx in zip(np.ndindex(*((2,) * n)), corners):
             for Q, k in zip(family, idx.tolist()):
