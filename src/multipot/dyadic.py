@@ -92,7 +92,6 @@ class CZLevel:
     k: int
     cubes: CubeSet  # selected at a^k: coarse to fine, corners in C order within a width
     prod_norms: list
-    below_next: np.ndarray  # M <= a^(k+1) on the grid; E_Q is its part in Q
     e_counts: np.ndarray  # |E_Q| in cells, one per cube
 
 
@@ -101,7 +100,8 @@ class CZDecomposition:
     a: float
     grid: Grid
     levels: list  # of CZLevel
-    maximal_values: GridFunction = None
+    maximal_values: GridFunction
+    functions: list  # the decomposed h_i as given, not copied and not in to_json
 
     def to_json(self) -> str:
         grid, levels = self.grid, []
@@ -112,7 +112,7 @@ class CZDecomposition:
                 "k": lev.k,
                 "cubes": [{"corner": c, "side": s, "prod_norm": p}
                           for c, s, p in zip(corners, sides, lev.prod_norms)],
-                "E_masks": _e_runs(lev.below_next, cubes),
+                "E_masks": _e_runs(self.maximal_values.values <= self.a ** (lev.k + 1), cubes),
             })
         return json.dumps({"a": self.a, "levels": levels}, sort_keys=True)
 
@@ -123,8 +123,7 @@ def _e_runs(below_next: np.ndarray, cubes: CubeSet) -> list:
     width at a time, so a run ends at the edge of its cube."""
     shape, flat = below_next.shape, below_next.ravel()
     owner, cells = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for w in sorted(set(cubes.w.tolist())):  # np.unique would import numpy.ma, about 10 ms, on a first call
-        sel = np.flatnonzero(cubes.w == w)
+    for w, sel in cubes.by_width():
         # the flat indices of each cube's cells in C order, which is ascending
         offsets = np.ravel_multi_index(tuple(np.indices((w,) * len(shape)).reshape(len(shape), -1)), shape)
         idx = np.ravel_multi_index(tuple(cubes.lo[sel].T), shape)[:, None] + offsets
@@ -170,7 +169,7 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
-        return CZDecomposition(a, grid, [], mx)
+        return CZDecomposition(a, grid, [], mx, hs)
     vmin, vmax = float(pos.min()), float(vals.max())
     k_lo = math.ceil(math.log(vmin) / math.log(a) - 1e-12)
     k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
@@ -209,9 +208,8 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     lo, levels = np.stack(np.unravel_index(corner, grid.shape), axis=1), []
     for sel in np.split(np.arange(j.size), bounds):
         c = cube[sel]
-        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], w[c]), prod[c].tolist(),
-                              vals <= nxt[j[sel[0]]], counts[sel]))
-    return CZDecomposition(a, grid, levels, mx)
+        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], w[c]), prod[c].tolist(), counts[sel]))
+    return CZDecomposition(a, grid, levels, mx, hs)
 
 
 def discretization_rhs(
@@ -229,22 +227,25 @@ def discretization_rhs(
     First sum over the cubes selected from f itself; for the commutator a
     second sum over the cubes selected with u in slot j.  Their L^1 factors
     are the prod_norms the cubes were selected by, so cz0 must decompose fs
-    and czj fs with u in slot j.  Each sum takes one batch of Orlicz norms:
-    (u^q, L log^(ell q) L) on cz0, (f_j, L log L) on czj.
+    and czj fs with u in slot j, which is checked.  Each sum takes one batch
+    of Orlicz norms: (u^q, L log^(ell q) L) on cz0, (f_j, L log L) on czj.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("need q in (0, 1]")
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
     fs = list(fs)
+    if not _decomposes(cz0, fs):
+        raise ValueError("cz0 is not a decomposition of fs")
+    if ell == 1 and (czj is None or j is None):
+        raise ValueError("commutator sum needs the j-th decomposition")
+    if ell == 1 and not _decomposes(czj, fs[:j] + [u] + fs[j + 1 :]):
+        raise ValueError("czj is not a decomposition of fs with u in slot j")
     if not cz0.levels:
-        mx = cz0.maximal_values
-        if mx is not None and not mx.values.any():
+        if not cz0.maximal_values.values.any():
             # a zero slot kills every triple-average product, so both sides vanish
             return 0.0
         raise ValueError("empty decomposition")
-    if ell == 1 and (czj is None or j is None):
-        raise ValueError("commutator sum needs the j-th decomposition")
     uq = GridFunction(cz0.grid, u.values**q)
     terms = _cube_terms(K, q, cz0, [(uq, NormSpec.power_log(1.0, ell * q), 1.0)])
     if ell == 1:
@@ -254,6 +255,12 @@ def discretization_rhs(
     for term in terms.tolist():
         total += term
     return total
+
+
+def _decomposes(cz: CZDecomposition, hs: list) -> bool:
+    """Whether cz was built from hs: the same functions, or equal values."""
+    return len(cz.functions) == len(hs) and all(
+        g is h or g.grid == h.grid and np.array_equal(g.values, h.values) for g, h in zip(cz.functions, hs))
 
 
 def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray:

@@ -352,10 +352,9 @@ _MAX_TERMS = 400  # annulus terms of a non-fractional phi_theta before its geome
 
 
 @lru_cache(maxsize=65536)
-def phi_theta(K: Kernel, theta: float, t: float, delta: float = 1.0, eps: float = 0.5) -> float:
-    """l^theta aggregation of the masses of the annuli A(2^-nu, delta, eps)
-    at scales 2^-nu below t.  Every caller in the package takes the
-    defaults delta = 1, eps = 1/2.
+def phi_theta(K: Kernel, theta: float, t: float) -> float:
+    """l^theta aggregation of the masses of the annuli A(2^-nu, 1, 1/2) at
+    scales 2^-nu below t.
 
     A fractional annulus mass is A 2^(-nu alpha), so its series is
     geometric and summed in closed form; other families sum term by term,
@@ -366,16 +365,15 @@ def phi_theta(K: Kernel, theta: float, t: float, delta: float = 1.0, eps: float 
     if t <= 0:
         raise ValueError("need t > 0")
     nu0 = math.ceil(-math.log2(t) - 1e-12)
+    masses = (annulus_integral(K, AnnulusSpec(2.0**-nu, 1.0, 0.5)) for nu in itertools.count(nu0))
     if K.family == "fractional":
-        first = annulus_integral(K, AnnulusSpec(2.0**-nu0, delta, eps)) ** theta
+        first = next(masses) ** theta
         return (first / (1.0 - 2.0 ** (-K.alpha * theta))) ** (1.0 / theta)
     terms = []
     total = 0.0
     growing = 0
     truncated = True
-    for i in range(_MAX_TERMS):
-        nu = nu0 + i
-        a = annulus_integral(K, AnnulusSpec(2.0**-nu, delta, eps))
+    for _, a in zip(range(_MAX_TERMS), masses):  # range first: no mass past the last term
         term = a**theta
         total += term
         if terms and term >= terms[-1] * (1.0 - 1e-12) and term > 0:

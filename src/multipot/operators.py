@@ -197,7 +197,7 @@ def maximal_corpus(phi, specs, corpus, grid: Grid, family) -> list:
         if not all(f.grid == grid for f in fs):
             raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, family)
-    scale, widths = cubes.per_width(phi), np.unique(cubes.w).tolist()
+    scale, groups = cubes.per_width(phi), cubes.by_width()
     step, out = max(1, orlicz._CHUNK_ELEMENTS // max(1, len(cubes))), []
     for first in range(0, len(corpus), step):
         batch = corpus[first : first + step]
@@ -210,8 +210,8 @@ def maximal_corpus(phi, specs, corpus, grid: Grid, family) -> list:
             val[live] *= luxemburg_norms([fs[i] for fs in batch], cubes[k], spec, which=t)
         val = val.reshape(len(batch), len(cubes))
         top = np.full((len(batch),) + grid.shape, -np.inf)
-        for w in widths:
-            _scatter_max(top, cubes.lo[cubes.w == w], w, val[:, cubes.w == w])
+        for w, idx in groups:
+            _scatter_max(top, cubes.lo[idx], w, val[:, idx])
         if np.any(~np.isfinite(top)):
             raise ValueError("cube family leaves part of the grid uncovered")
         out += [GridFunction(grid, M) for M in top]

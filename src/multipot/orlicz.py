@@ -160,8 +160,8 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
         idx, blocks, fracs = zip(*parts)
         out[np.concatenate(idx)] = _row_norms(blocks, spec, fracs, tol)
 
-    for w in np.unique(ws).tolist():
-        idx, frac = np.flatnonzero(ws == w), grid.cell_volume / (w * grid.h) ** grid.n  # as Cube.measure
+    for w, idx in cubes.by_width():
+        frac = grid.cell_volume / (w * grid.h) ** grid.n  # as Cube.measure
         windows = np.ndarray(padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:]) + (w,) * grid.n,
                              buffer=padded, strides=padded.strides + padded.strides[1:])
         windows.flags.writeable = False

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipot import (
+    Cube,
     CubeSet,
     GridFunction,
     Kernel,
@@ -49,8 +50,8 @@ class TestM3d:
 
     def test_indicator_support_lower_bound(self):
         g = make_grid(1, 2.0, 16)
-        h = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0,
-                                       nonneg=True)
+        x = g.centers_1d()
+        h = GridFunction(g, np.where((0 <= x) & (x < 1), 1.0, 0.0), nonneg=True)
         out = cz_decompose([h], 2.0, g).maximal_values
         sup_cells = np.flatnonzero(h.values > 0)
         assert np.all(out.values[sup_cells] >= 1.0 / 3.0)
@@ -147,7 +148,7 @@ class TestCzDecompose:
         cz = cz_decompose([h], 8.0, g)
         top = cz.levels[-1]
         assert len(top.cubes) >= 2
-        corners = sorted(Q.corner[0] for Q in top.cubes)
+        corners = sorted(-g.L + Q.lo[0] * g.h for Q in top.cubes)
         assert corners[-1] - corners[0] > 0.5
 
     def test_bad_base(self):
@@ -213,6 +214,23 @@ class TestDiscretizationRhs:
         with pytest.raises(ValueError):
             discretization_rhs(K, [f], u, 1.0, 1, cz)  # missing czj
 
+    def test_decompositions_of_other_functions_raise(self):
+        g = make_grid(1, 1.0, 32)
+        f = spike_tuple(g, 1, 0)[0]
+        u = parse_weight("pow0.3", g)
+        cz_f, cz_u = cz_decompose([f], 2.0, g), cz_decompose([u], 2.0, g)
+        K = frac(0.5)
+        with pytest.raises(ValueError, match="czj"):
+            discretization_rhs(K, [f], u, 0.5, 1, cz_f, cz_f, j=0)
+        with pytest.raises(ValueError, match="cz0"):
+            discretization_rhs(K, [f], u, 0.5, 0, cz_u)
+        with pytest.raises(ValueError, match="cz0"):
+            discretization_rhs(K, [f, f], u, 0.5, 0, cz_f)
+        # equal values in other GridFunctions are the same functions
+        copies = [GridFunction(g, h.values.copy()) for h in (f, u)]
+        want = discretization_rhs(K, [f], u, 0.5, 1, cz_f, cz_u, j=0)
+        assert discretization_rhs(K, copies[:1], copies[1], 0.5, 1, cz_f, cz_u, j=0) == want
+
 
 class _BoxSummer:
     """O(1) sums of a sampled function over aligned index boxes."""
@@ -272,8 +290,10 @@ def _stack_walk(prods, grid, thr):
         Q = stack.pop()
         if prods[(Q.lo, Q.w)] > thr:
             selected.append(Q)
-        elif Q.w > 1:
-            stack.extend(Q.children())
+        elif Q.w > 1:  # the 2^n dyadic children
+            half = Q.w // 2
+            stack.extend(Cube(grid, tuple(l + o * half for l, o in zip(Q.lo, off)), half)
+                         for off in np.ndindex(*((2,) * grid.n)))
     selected.sort(key=lambda Q: (-Q.w, Q.lo))
     return selected
 
@@ -465,9 +485,9 @@ class TestCzAgainstPerThresholdLoop:
             assert lev.prod_norms == prod_norms
             assert all(type(p) is float for p in lev.prod_norms)
             assert lev.e_counts.tolist() == [int(E.sum()) for E in e_masks]
-            np.testing.assert_array_equal(lev.below_next, cz.maximal_values.values <= a ** (k + 1))
+            below_next = cz.maximal_values.values <= a ** (k + 1)  # the E mask of to_json
             for Q, want in zip(lev.cubes, e_masks):
-                np.testing.assert_array_equal(lev.below_next[Q.slices()], want[Q.slices()])
+                np.testing.assert_array_equal(below_next[Q.slices()], want[Q.slices()])
 
 
 def _rle(mask):
@@ -483,7 +503,7 @@ def to_json_per_cube(cz):
         "a": cz.a,
         "levels": [{
             "k": lev.k,
-            "cubes": [{"corner": list(Q.corner), "side": Q.side, "prod_norm": p}
+            "cubes": [{"corner": [-cz.grid.L + l * cz.grid.h for l in Q.lo], "side": Q.side, "prod_norm": p}
                       for Q, p in zip(lev.cubes, lev.prod_norms)],
             "E_masks": [_rle(E) for E in e_masks_per_cube(cz, lev)],
         } for lev in cz.levels],
@@ -529,9 +549,9 @@ class TestToJsonAgainstFullGridMasks:
         g = make_grid(n, 1.0, N)
         vals = np.where(np.random.default_rng(N).uniform(size=g.shape) < density, 1.0, 4.0)
         cubes = CubeSet(g, [[0] * n, [N // 2] * n, [0] * (n - 1) + [N // 2]], [N, N // 2, N // 2])
-        # M > a^(k+1) = 2 where vals is 4; to_json reads no counts
-        lev = CZLevel(0, cubes, [3.0] * 3, vals <= 2.0, np.zeros(3, dtype=np.int64))
-        cz = CZDecomposition(2.0, g, [lev], GridFunction(g, vals, nonneg=True))
+        # M > a^(k+1) = 2 where vals is 4; to_json reads no counts and no functions
+        lev = CZLevel(0, cubes, [3.0] * 3, np.zeros(3, dtype=np.int64))
+        cz = CZDecomposition(2.0, g, [lev], GridFunction(g, vals, nonneg=True), [])
         assert cz.to_json() == to_json_per_cube(cz)
         if density == 1.0:
             assert json.loads(cz.to_json())["levels"][0]["E_masks"][0] == [[0, N**n]]
@@ -587,7 +607,8 @@ class TestDiscretizationRhsBatched:
         czj = cz_decompose([u] + fs[1:], 2.0, g)
         # data filling the box gives selected cubes at its edge, whose
         # triples are clipped
-        clipped = [Q.dilate3().clipped for _, Q, _, E in all_cubes(cz0) if E.any()]
+        # 3Q has corner lo - w and width 3w, so it is clipped where it leaves [0, N)
+        clipped = [any(l < Q.w or l + 2 * Q.w > N for l in Q.lo) for _, Q, _, E in all_cubes(cz0) if E.any()]
         assert any(clipped) and not all(clipped)
         got = discretization_rhs(K, fs, u, q, ell, cz0, czj, j=0)
         expected = _rhs_per_cube(K, fs, u, q, ell, cz0, czj, j=0)
@@ -658,8 +679,7 @@ class TestCzArraysAgainstPerCubeLoops:
             for lev in cz.levels:
                 assert isinstance(lev.cubes, CubeSet)
                 assert len(lev.e_counts) == len(lev.cubes)
-                for Q, count, expected in zip(lev.cubes, lev.e_counts, e_masks_per_cube(cz, lev)):
-                    np.testing.assert_array_equal(lev.below_next[Q.slices()], expected[Q.slices()])
+                for count, expected in zip(lev.e_counts, e_masks_per_cube(cz, lev)):
                     assert count == np.count_nonzero(expected)
         K = Kernel("fractional", n, m, alpha=0.5)
         for q in (0.5, 1.0):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multipot
 from multipot import (
     Cube,
     CubeSet,
@@ -56,7 +61,8 @@ class TestIntegrate:
     def test_indicator_cell_exact(self):
         for N in (8, 16):
             g = make_grid(1, 1.0, N)
-            f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
+            x = g.centers_1d()
+            f = GridFunction(g, np.where((0 <= x) & (x < 1), 1.0, 0.0))
             assert integrate(f) == pytest.approx(1.0, abs=1e-14)
 
     def test_linearity(self):
@@ -68,21 +74,13 @@ class TestIntegrate:
         rhs = 2.5 * integrate(f) - 1.5 * integrate(h)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_children_sum_to_parent(self):
-        g = make_grid(2, 1.0, 8)
-        rng = np.random.default_rng(1)
-        f = GridFunction(g, rng.uniform(size=g.shape))
-        Q = Cube(g, (0, 4), 4)
-        total = sum(integrate(f, child) for child in Q.children())
-        assert total == pytest.approx(integrate(f, Q), rel=1e-13)
-
     def test_refinement_second_order(self):
         # midpoint rule error should shrink ~4x per refinement on smooth data
         exact = 2.0 * math.sin(1.0)
         errs = []
         for N in (16, 32, 64):
             g = make_grid(1, 1.0, N)
-            f = GridFunction.from_callable(g, math.cos)
+            f = GridFunction(g, np.cos(g.centers_1d()))
             errs.append(abs(integrate(f) - exact))
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
@@ -242,6 +240,35 @@ class TestCubeSet:
             assert len(empty.dilate3()) == 0
 
 
+class TestByWidth:
+    def test_widths_ascending_with_ascending_indices(self):
+        g = make_grid(2, 1.0, 8)
+        cubes = CubeSet(g, np.zeros((6, 2), dtype=int), [4, 1, 2, 1, 4, 12])
+        got = [(w, idx.tolist()) for w, idx in cubes.by_width()]
+        assert got == [(1, [1, 3]), (2, [2]), (4, [0, 4]), (12, [5])]
+        assert all(type(w) is int for w, _ in cubes.by_width())
+        assert CubeSet(g, np.zeros((0, 2), dtype=int), 1).by_width() == []
+
+    def test_commands_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma, about 10 ms, on its first call in a process
+        code = (
+            "import sys\n"
+            "from multipot import cube_family, cz_decompose, make_grid, parse_kernel, parse_weight\n"
+            "from multipot.verify import make_corpus, verify_control\n"
+            "g = make_grid(1, 1.0, 16)\n"
+            "corpus = make_corpus(g, 1, count=2, seed=0)\n"
+            "verify_control(0, 0.5, parse_kernel('frac0.5', 1, 1), parse_weight('pow0.3', g), corpus,\n"
+            "               cube_family(g, 'centered'))\n"
+            "g = make_grid(2, 1.0, 16)\n"
+            "cz_decompose(make_corpus(g, 1, count=1, seed=3)[0], 2.0, g).to_json()\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(multipot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestCube:
     def test_dilate3_geometry(self):
         g = make_grid(1, 1.0, 8)
@@ -254,7 +281,6 @@ class TestCube:
     def test_clipping(self):
         g = make_grid(1, 1.0, 8)
         Q3 = Cube(g, (0,), 2).dilate3()
-        assert Q3.clipped
         assert Q3.measure == pytest.approx(6 * g.h)
 
     def test_cube_outside_box_is_empty(self):
@@ -262,14 +288,6 @@ class TestCube:
         f = GridFunction.constant(g, 1.0)
         for Q in (Cube(g, (-7,), 2), Cube(g, (9,), 2)):
             assert f.restrict(Q).size == 0
-
-    def test_children_partition(self):
-        g = make_grid(2, 1.0, 8)
-        Q = Cube(g, (0, 0), 8)
-        mask = np.zeros(g.shape, dtype=int)
-        for child in Q.children():
-            mask[child.slices()] += 1
-        assert (mask == 1).all()
 
 
 class TestGridFunction:

@@ -347,13 +347,13 @@ class TestPhiTheta:
         # at the dilated scale across dyadic t; for the fractional family
         # the mass of {sum |y_i| <= s} is unit_l1ball_volume(n, m) n m s^alpha / alpha
         K = frac(0.5)
-        delta, eps = 1.0, 0.5
+        delta, eps = 1.0, 0.5  # the annuli A(2^-nu, 1, 1/2) of phi_theta
         ratios = []
         for k in range(0, 6):
             t = 2.0**-k
             s = delta * (1 + eps) * t
             mass = unit_l1ball_volume(K.n, K.m) * K.n * K.m * s**K.alpha / K.alpha
-            ratios.append(phi_theta(K, 1.0, t, delta, eps) / mass)
+            ratios.append(phi_theta(K, 1.0, t) / mass)
         assert max(ratios) / min(ratios) < 4.0
 
     def test_theta_validation(self):

@@ -46,7 +46,8 @@ class TestApplyPotential:
         # T f(x) = |[x-1, x+1] ∩ [0,1)| for the unit window profile
         g = make_grid(1, 2.0, 64)
         K = box_profile()
-        f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
+        x = g.centers_1d()
+        f = GridFunction(g, np.where((0 <= x) & (x < 1), 1.0, 0.0))
         out = apply_potential(K, [f])
         x0 = int(np.argmin(np.abs(g.centers_1d())))
         expected = 1.0  # x near 0: overlap [−1,1] ∩ [0,1)
@@ -172,7 +173,7 @@ class TestFFTContraction:
         fs = coincident_inputs(g, 2, 0)
         first = apply_potential(K, fs).values
         np.testing.assert_array_equal(apply_potential(K, fs).values, first)
-        apply_commutator(K, [GridFunction.from_callable(g, lambda x: x)] * 2, fs)
+        apply_commutator(K, [GridFunction(g, g.centers_1d())] * 2, fs)
         assert len(calls) == 1
         apply_potential(K, coincident_inputs(make_grid(1, 1.0, 16), 2, 0))
         assert len(calls) == 2
@@ -340,8 +341,9 @@ class TestApplyCommutator:
         # value near x = 0 is ∫_0^1 (0 - y) dy = -1/2
         g = make_grid(1, 2.0, 128)
         K = box_profile()
-        b = GridFunction.from_callable(g, lambda x: x)
-        f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
+        x = g.centers_1d()
+        b = GridFunction(g, x)
+        f = GridFunction(g, np.where((0 <= x) & (x < 1), 1.0, 0.0))
         out = apply_commutator(K, [b], [f])
         x0 = int(np.argmin(np.abs(g.centers_1d())))
         assert out.values[x0] == pytest.approx(-0.5, abs=4 * g.h)
@@ -378,7 +380,8 @@ class TestMaximal:
     def test_brute_force_oracle(self):
         g = make_grid(1, 2.0, 16)
         fam = cube_family(g, "centered")
-        f = GridFunction.from_callable(g, lambda x: 1.0 if 0 <= x < 1 else 0.0)
+        x = g.centers_1d()
+        f = GridFunction(g, np.where((0 <= x) & (x < 1), 1.0, 0.0))
         spec = NormSpec.lebesgue(1.0)
         out = maximal(lambda Q: 1.0, [spec], [f], g, fam)
         # independent exhaustive scan
@@ -431,7 +434,7 @@ class TestMaximal:
     def test_majorizes_continuous_function(self):
         g = make_grid(1, 1.0, 32)
         fam = cube_family(g, "centered")
-        u = GridFunction.from_callable(g, lambda x: 1.0 + 0.5 * math.cos(x))
+        u = GridFunction(g, 1.0 + 0.5 * np.cos(g.centers_1d()))
         out = maximal(lambda Q: 1.0, [NormSpec.lebesgue(1.0)], [u], g, fam)
         assert np.all(out.values >= u.values - 1e-10)
 

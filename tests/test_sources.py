@@ -1,6 +1,7 @@
 """Static checks on the package sources, with the stdlib `ast` module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,3 +159,88 @@ def test_every_public_name_has_a_caller():
     trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     readers = [ast.parse((root / f).read_text()) for f in ("tests/test_acceptance.py", "perfbench/workloads.py")]
     assert public_names_without_caller(trees, readers) == []
+
+
+def _members(cls: ast.ClassDef) -> dict:
+    """The public members of a class, by name, each with the node that
+    defines it: methods, properties and classmethods, annotated fields and
+    the `self.<name>` attributes that `__init__` sets."""
+    members = {}
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members[node.name] = node
+            if node.name == "__init__":
+                members.update({n.attr: n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                                and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                                and n.value.id == "self" and n.attr not in members})
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members[node.target.id] = node
+    return {name: node for name, node in members.items() if not name.startswith("_")}
+
+
+def _attribute_reads(tree) -> Counter:
+    """How often tree reads each name as an attribute, `x.name`."""
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def public_members_without_reader(trees: dict, readers: list) -> list:
+    """Public members of public module-level classes that no module reads
+    as an attribute outside the member's own definition and no reader
+    reads, as "module.Class.name".  trees maps module names to parsed
+    sources; readers are parsed sources from outside the package."""
+    inside = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    outside = set().union(*(_attribute_reads(tree) for tree in readers))
+    return sorted(f"{mod}.{cls.name}.{name}" for mod, tree in trees.items() for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                  for name, node in _members(cls).items()
+                  if name not in outside and inside[name] == _attribute_reads(node)[name])
+
+
+def test_scanner_finds_public_members_without_reader():
+    a = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    label: str\n"
+        "    note: str = ''\n"
+        "    @property\n"
+        "    def area(self):\n"
+        "        return self.size * self.size\n"
+        "    @property\n"
+        "    def volume(self):\n"
+        "        return self.size ** 3\n"
+        "    @classmethod\n"
+        "    def unit(cls):\n"
+        "        return cls(1, 'unit')\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n"
+        "        return cls(0, '')\n"
+        "    def grow(self):\n"
+        "        return self.grow() if self.size > 9 else Box(self.area, self.label)\n"
+        "    def shrink(self):\n"
+        "        return Box(self.size - 1, '')\n"
+        "class Stack:\n"
+        "    def __init__(self):\n"
+        "        self.items, self.depth = [], 0\n"
+        "        self.top = None\n"
+        "    def _peek(self):\n"
+        "        return self.items\n"
+        "class _Hidden:\n"
+        "    def unread(self):\n"
+        "        pass\n"
+    )
+    b = "from .a import Box\ndef run():\n    return Box.unit().shrink()\n"
+    reader = "import multipot\nmultipot.a.Stack().depth\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert public_members_without_reader(trees, [ast.parse(reader)]) == [
+        "a.Box.empty", "a.Box.grow", "a.Box.note", "a.Box.volume", "a.Stack.top"]
+
+
+def test_every_public_member_has_a_reader():
+    # as for public names: a member is read by the package outside its own
+    # definition, by the acceptance tests or by the benchmark's workloads
+    root = Path(__file__).resolve().parents[1]
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    readers = [ast.parse((root / f).read_text()) for f in ("tests/test_acceptance.py", "perfbench/workloads.py")]
+    assert public_members_without_reader(trees, readers) == []

@@ -163,7 +163,7 @@ class TestTestingConditionW:
         L1 = NormSpec.lebesgue(1.0)
         Y = [[L1, L1], [L1, L1]]
         got = eval_condition_W(*self._tc(one, [one, one], K, fam, L1, Y))
-        expected = max(phi_theta(K, 1.0, Q.side, 1.0, 0.5) for Q in fam)
+        expected = max(phi_theta(K, 1.0, Q.side) for Q in fam)
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_zero_weight_gives_zero(self):

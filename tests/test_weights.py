@@ -129,7 +129,8 @@ class TestRhInfCheck:
 
     def test_two_level_hand_count(self):
         g = make_grid(1, 1.0, 4)
-        w = GridFunction.from_callable(g, lambda x: 1.1 if 0 <= x < 1 else 0.1)
+        x = g.centers_1d()
+        w = GridFunction(g, np.where((0 <= x) & (x < 1), 1.1, 0.1))
         fam = [g.whole_box()]
         assert rh_inf(w, fam) == pytest.approx(1.1 / 0.6, rel=1e-12)
         assert rh_check(w, 2.0, fam) == pytest.approx(math.sqrt(0.61) / 0.6, rel=1e-12)
@@ -139,7 +140,7 @@ class TestRhInfCheck:
     def test_rh_inf_implies_rh_s(self):
         g = make_grid(1, 1.0, 64)
         fam = cube_family(g, "dyadic")
-        w = GridFunction.from_callable(g, lambda x: 2.0 - abs(x))
+        w = GridFunction(g, 2.0 - np.abs(g.centers_1d()))
         cinf = rh_inf(w, fam)
         assert math.isfinite(cinf)
         for s in (1.5, 2.0, 4.0):
