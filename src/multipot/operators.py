@@ -240,5 +240,17 @@ def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> No
     tuples = np.arange(len(out))[:, None]
     np.maximum.at(corners, (tuples, *(lo[reach] + w - 1).T), val[:, reach])
     for axis in range(1, n + 1):
-        corners = sliding_window_view(corners, w, axis=axis).max(axis=-1)
+        corners = _running_max(corners, w, axis)
     np.maximum(out, corners, out=out)
+
+
+def _running_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """The max of a over each window of w entries along axis, which gets
+    w - 1 shorter: maxima of widths 1, 2, 4, ..., each from two of the
+    last, and one overlapping step to w (van Herk 1992 in log2 w passes)."""
+    width, pre = 1, (slice(None),) * axis
+    while width < w:
+        s = min(width, w - width)  # the windows at i and i + s make one of width + s
+        a = np.maximum(a[pre + (slice(None, a.shape[axis] - s),)], a[pre + (slice(s, None),)])
+        width += s
+    return a

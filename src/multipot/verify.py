@@ -471,10 +471,14 @@ def verify_weak_maximal(
     The left side is sup over lambda of u({M > lambda^m})^m / B_m(1/lambda).
     As lambda^m rises to a value v of M the level set stays {M >= v} and
     B_m(1/lambda) falls, so the sup is the max over the distinct values v
-    of u({M >= v})^m / B_m(v^(-1/m)).
+    of u({M >= v})^m / B_m(v^(-1/m)).  m is the number of weights, and
+    every tuple of the corpus must hold m functions.
     """
+    m, corpus = len(us), [list(fs) for fs in corpus]
+    for fs in corpus:
+        if len(fs) != m:
+            raise ValueError(f"one weight per linear slot: {m} weights, a corpus tuple of {len(fs)}")
     _check_submultiplicative(B)
-    m = len(us)
     grid = us[0].grid
     Bm = B.iterate(m)
     u = GridFunction(
@@ -483,7 +487,6 @@ def verify_weak_maximal(
     mw = maximal_corpus(lambda Q: float(Bm(phi(Q) ** (1.0 / m))), [NormSpec.lebesgue(1.0)],
                         [[ui] for ui in us], grid, family)
     report = InequalityReport("weak-maximal", {"m": m, "n": grid.n, "N": grid.N})
-    corpus = list(corpus)
     Ms = maximal_corpus(phi, [NormSpec.orlicz(B)] * m, corpus, grid, family)
     for i, (fs, M) in enumerate(zip(corpus, Ms)):
         v, mass = _upper_level_masses(M, u)

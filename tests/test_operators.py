@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from multipot import operators, orlicz
 from multipot import (
@@ -648,6 +649,20 @@ class TestMaximalCorpus:
         with pytest.raises(ValueError, match="one norm spec per input|share one grid"):
             maximal_corpus(lambda Q: 1.0, [NormSpec.lebesgue(1.0)] * 2, corpus, g,
                            cube_family(g, "centered"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), w=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 32]),
+       extra=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_running_max_is_the_window_max_property(n, w, extra, seed):
+    # w = 1, powers of two and 3 * 2^k, over a (2, L, ..., L) array with
+    # -inf entries, as _scatter_max's corner lattice holds them
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2,) + (w + extra,) * n)
+    a[rng.uniform(size=a.shape) < 0.4] = -np.inf
+    for axis in range(1, n + 1):
+        want = sliding_window_view(a, w, axis=axis).max(axis=-1)
+        np.testing.assert_array_equal(operators._running_max(a, w, axis), want)
 
 
 def kernel_scale(K):

@@ -344,15 +344,16 @@ def _banded_function(g, seed):
 @pytest.fixture
 def young_calls(monkeypatch):
     """A list that gets one entry per YoungFunction evaluation: the number
-    of values it evaluates."""
+    of values it evaluates.  The evaluator is YoungFunction._apply, which
+    __call__ and the root-finder both use."""
     calls = []
-    young_call = YoungFunction.__call__
+    young_apply = YoungFunction._apply
 
     def counted(self, t):
         calls.append(np.size(t))
-        return young_call(self, t)
+        return young_apply(self, t)
 
-    monkeypatch.setattr(YoungFunction, "__call__", counted)
+    monkeypatch.setattr(YoungFunction, "_apply", counted)
     return calls
 
 
@@ -457,13 +458,13 @@ class TestSolverAgainstBisection:
         g = make_grid(1, 1.0, 16)
         f = GridFunction(g, (np.arange(g.N) < g.N // 2).astype(float))
         spec = parse_norm_spec("expL^{1/2}")
-        lams, young_call = [], YoungFunction.__call__
+        lams, young_apply = [], YoungFunction._apply
 
         def spied(self, t):
             lams.append(1.0 / float(np.max(t)))  # the cells are 0 or 1
-            return young_call(self, t)
+            return young_apply(self, t)
 
-        monkeypatch.setattr(YoungFunction, "__call__", spied)
+        monkeypatch.setattr(YoungFunction, "_apply", spied)
         tol = 1e-10
         got = luxemburg_norm(f, g.whole_box(), spec, tol)
         s_max = 0.5 * math.expm1(1.0)
@@ -479,13 +480,13 @@ class TestSolverAgainstBisection:
         g = make_grid(1, 1.0, 128)
         vals = np.random.default_rng(0).lognormal(0.0, 1.0, g.shape)
         f = GridFunction(g, np.where(np.arange(g.N) < g.N // 2, 0.0, vals))
-        seen, young_call = [], YoungFunction.__call__
+        seen, young_apply = [], YoungFunction._apply
 
         def spied(self, t):
             seen.append(np.array(t, dtype=float).ravel())
-            return young_call(self, t)
+            return young_apply(self, t)
 
-        monkeypatch.setattr(YoungFunction, "__call__", spied)
+        monkeypatch.setattr(YoungFunction, "_apply", spied)
         maximal(lambda Q: 1.0, [parse_norm_spec("Lp1logL1")], [f], g,
                 cube_family(g, "centered"))
         values = np.concatenate(seen)
@@ -512,18 +513,34 @@ class TestSolverAgainstBisection:
         cubes = [cubes[k] for k in np.random.default_rng(0).permutation(len(cubes))]
         want = _per_width_norms(f, cubes, spec)
         shapes, row_norms = [], orlicz._row_norms
+        chunks, young_row_norms = [], orlicz._young_row_norms
 
         def spy(blocks, *args):
             shapes.append([v.shape for v in blocks])
             return row_norms(blocks, *args)
 
+        def young_spy(v, row, frac, *args):
+            chunks.append((v.size, frac.copy()))
+            return young_row_norms(v, row, frac, *args)
+
         monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
         monkeypatch.setattr(orlicz, "_row_norms", spy)
+        monkeypatch.setattr(orlicz, "_young_row_norms", young_spy)
         np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), want)
-        for chunk in shapes:  # at most 7 values, or one cube of 8 alone
-            assert sum(k * w for k, w in chunk) <= 7 or chunk == [(1, 8)]
-        assert any(len(chunk) > 1 for chunk in shapes)  # a chunk spans widths
-        assert [(1, 8)] in shapes
+        if spec.young is None:
+            for chunk in shapes:  # at most 7 values, or one cube of 8 alone
+                assert sum(k * w for k, w in chunk) <= 7 or chunk == [(1, 8)]
+            assert any(len(chunk) > 1 for chunk in shapes)  # a chunk spans widths
+            assert [(1, 8)] in shapes
+            return
+        # a constant has 8 nonzero cells in a cube of width 8, over the cap
+        luxemburg_norms(GridFunction.constant(g, 2.5), cubes, spec)
+        # in 1-D a row is one line: at most 7 nonzero cells and 7 rows, or one row alone
+        assert not shapes and chunks
+        for cells, fracs in chunks:
+            assert (cells <= 7 and fracs.size <= 7) or fracs.size == 1
+        assert any(np.unique(fracs).size > 1 for _, fracs in chunks)  # a chunk spans widths
+        assert any(fracs.size == 1 and cells == 8 for cells, fracs in chunks)
 
 
 def _random_cubes(g, w, rng, k=4):
@@ -697,17 +714,21 @@ def _padded_window_norms(fs, cubes, spec, which, tol=1e-10):
 
 
 def _gather_case(n, count, seed):
-    """count banded functions on a small grid whose cell side is not a
-    power of two, and dyadic cubes, their clipped triples and cubes that
-    miss the box, shuffled, with a random function index per cube."""
+    """count banded functions, the zero function and one with a single
+    nonzero cell, on a small grid whose cell side is not a power of two,
+    and dyadic cubes, their clipped triples and cubes that miss the box,
+    shuffled, with a random function index per cube."""
     g = make_grid(n, 1.3, {1: 16, 2: 8, 3: 4}[n])
     rng = np.random.default_rng(seed)
     fs = [_banded_function(g, seed + j) for j in range(count)]
+    single = np.zeros(g.shape)
+    single[tuple(rng.integers(0, g.N, n))] = rng.lognormal(0.0, 1.0)
+    fs += [GridFunction.constant(g, 0.0), GridFunction(g, single)]
     cubes = [C for Q in cube_family(g, "dyadic") for C in (Q, Q.dilate3())]
     cubes += [Cube(g, (-6,) * n, 1), Cube(g, (-8,) * n, 3), Cube(g, (g.N,) * n, 2),
               Cube(g, (g.N + 3,) * n, 5)]
     cubes = [cubes[k] for k in rng.permutation(len(cubes))[: rng.integers(1, len(cubes) + 1)]]
-    return fs, cubes, rng.integers(0, count, len(cubes))
+    return fs, cubes, rng.integers(0, len(fs), len(cubes))
 
 
 @settings(max_examples=40, deadline=None)

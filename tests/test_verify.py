@@ -482,6 +482,18 @@ class TestVerifyWeakMaximal:
             assert want > 0
             assert inst["lhs"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_weight_count_raises_before_compute(self, monkeypatch, count):
+        # three weights with a corpus of pairs used to fail inside
+        # maximal_corpus, and one weight with pairs the same way
+        g, fam, K, corpus, one = small_setup()
+        calls = []
+        monkeypatch.setattr(verify, "maximal_corpus", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=f"one weight per linear slot: {count} weights, "
+                                             "a corpus tuple of 2"):
+            verify_weak_maximal(lambda Q: 1.0, YoungFunction("identity"), [one] * count, corpus, fam)
+        assert calls == []
+
     def test_non_submultiplicative_rejected(self):
         # e^t - 1 fails B(st) <= B(s) B(t) for large arguments
         g, fam, K, corpus, one = small_setup(count=1)
