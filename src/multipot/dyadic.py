@@ -140,19 +140,21 @@ def _e_runs(below_next: np.ndarray, cubes: CubeSet) -> list:
     return [runs[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
-def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposition:
+_MAX_CZ_LEVELS = 64  # thresholds a^k kept, the largest k: a cap for an a close to 1
+
+
+def cz_decompose(hs, a: float, grid: Grid) -> CZDecomposition:
     """Maximal dyadic cubes whose triple-average product exceeds a^k.
 
     Selection is top-down, so chosen cubes are maximal and pairwise
     disjoint; their union is exactly the super-level set of the dyadic
     maximal function.  k runs over the band where a^k sits between the
     smallest positive and the largest maximal-function value; when all
-    positive values lie in one interval (a^k, a^(k+1)], that k alone.
+    positive values lie in one interval (a^k, a^(k+1)], that k alone.  Of a
+    wider band the _MAX_CZ_LEVELS largest k are kept.
     """
     if a <= 1.0:
         raise ValueError("CZ base a must exceed 1")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
@@ -175,7 +177,7 @@ def cz_decompose(hs, a: float, grid: Grid, max_levels: int = 64) -> CZDecomposit
     k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
     if a**k_hi >= vmax:
         k_hi -= 1
-    ks = list(range(min(k_lo, k_hi), k_hi + 1))[-max_levels:]
+    ks = list(range(min(k_lo, k_hi), k_hi + 1))[-_MAX_CZ_LEVELS:]
     thr, nxt = np.array([a**k for k in ks]), np.array([a ** (k + 1) for k in ks])
     # Q is maximal above a^k iff its product exceeds a^k and no strict
     # ancestor's does: anc <= a^k < prod, so its thresholds j form [first,
@@ -247,9 +249,9 @@ def discretization_rhs(
             return 0.0
         raise ValueError("empty decomposition")
     uq = GridFunction(cz0.grid, u.values**q)
-    terms = _cube_terms(K, q, cz0, [(uq, NormSpec.power_log(1.0, ell * q), 1.0)])
+    terms = _cube_terms(K, q, cz0, uq, NormSpec.power_log(1.0, ell * q), 1.0)
     if ell == 1:
-        terms = np.concatenate([terms, _cube_terms(K, q, czj, [(fs[j], NormSpec.power_log(1.0, 1.0), q)])])
+        terms = np.concatenate([terms, _cube_terms(K, q, czj, fs[j], NormSpec.power_log(1.0, 1.0), q)])
     # one add per cube in cube order, the rounding of a per-cube running sum
     total = 0.0
     for term in terms.tolist():
@@ -263,13 +265,13 @@ def _decomposes(cz: CZDecomposition, hs: list) -> bool:
         g is h or g.grid == h.grid and np.array_equal(g.values, h.values) for g, h in zip(cz.functions, hs))
 
 
-def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray:
-    """phi_theta(l(Q))^q * prod_norm^q * prod ||g||_{spec,3Q}^power * |E| for
-    each cube Q of cz with non-empty E, in cube order; factors are (g, spec,
-    power) triples.
+def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, g: GridFunction, spec: NormSpec,
+                power: float) -> np.ndarray:
+    """phi_theta(l(Q))^q * prod_norm^q * ||g||_{spec,3Q}^power * |E| for
+    each cube Q of cz with non-empty E, in cube order.
 
     |E| comes from the counts of each level, phi_theta takes one call per
-    width, and the norms one luxemburg_norms call per factor over all triples.
+    width, and the norms one luxemburg_norms call over all triples.
     """
     grid, levels = cz.grid, [lev for lev in cz.levels if len(lev.cubes)]
     if not levels:
@@ -279,7 +281,6 @@ def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, factors) -> np.ndarray
     cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
     terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side) ** q)
     terms *= np.concatenate([lev.prod_norms for lev in levels])[keep] ** q
-    for g, spec, power in factors:
-        terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
+    terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
     return terms * esizes[keep]
 

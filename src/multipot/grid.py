@@ -182,7 +182,7 @@ class GridFunction:
     def __init__(self, grid: Grid, values, nonneg: bool = False):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
-            values = values.reshape(grid.shape)
+            raise ValueError(f"values of shape {values.shape} on a grid of shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
         if nonneg and np.any(values < 0):
@@ -200,25 +200,8 @@ class GridFunction:
             raise ValueError("cube does not live on this grid")
         return self.values[Q.slices()]
 
-    def map(self, fn, nonneg: bool = False) -> "GridFunction":
-        return GridFunction(self.grid, fn(self.values), nonneg=nonneg)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - float(other))
+    def map(self, fn) -> "GridFunction":
+        return GridFunction(self.grid, fn(self.values))
 
     def to_csv(self, path) -> None:
         g = self.grid

@@ -115,7 +115,10 @@ class NormSpec:
         return cls(young=YoungFunction("power-log", p=p, alpha=alpha))
 
 
-def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10) -> float:
+_TOL = 1e-10  # relative tolerance of the root-finder; luxemburg_norms always takes it
+
+
+def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = _TOL) -> float:
     """||f||_{X,Q}: closed form for L^r; for Young specs the root-finder
     that luxemburg_norms runs, on this one cube.
 
@@ -127,19 +130,23 @@ def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = 1e-10)
     v = np.abs(f.restrict(Q)).ravel()
     if v.size == 0:
         return 0.0
-    return float(_row_norms([v[None]], spec, [f.grid.cell_volume / Q.measure], tol)[0])
+    frac = f.grid.cell_volume / Q.measure
+    if spec.young is None:
+        return float(_lr_norms(v[None], spec.r, frac)[0])
+    v = v[v != 0]
+    return float(_young_row_norms(v, np.zeros(v.size, dtype=np.intp), np.array([frac]), spec.young, tol)[0])
 
 
 # Cells per chunk of cubes in luxemburg_norms (~0.5 MB of values): nonzero
-# cells and window lines for a Young spec, window cells for L^r.  The windows
-# of a whole family reach (N-w+1)^n w^n cells, about 1e9 at n=3, N=64, so
-# they are never gathered at once.
+# cells and window lines for a Young spec, window cells of one width for
+# L^r.  The windows of a whole family reach (N-w+1)^n w^n cells, about 1e9
+# at n=3, N=64, so they are never gathered at once.
 _CHUNK_ELEMENTS = 1 << 16
 _MAX_STEPS = 200  # cap on each loop of _young_row_norms
 
 
-def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) -> np.ndarray:
-    """luxemburg_norm(f, Q, spec, tol) for each Q of a CubeSet or a list of
+def luxemburg_norms(f, cubes, spec: NormSpec, *, which=None) -> np.ndarray:
+    """luxemburg_norm(f, Q, spec) for each Q of a CubeSet or a list of
     cubes of any widths, on the grid of f.
 
     With `which`, f is a sequence of functions on one grid and cube k is
@@ -150,14 +157,13 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
     cubes assume.  A Young spec reads each cube's nonzero cells, in C order,
     from the sorted nonzero positions of the |f| stack (function, then grid
     axes): each line of the cube along the last axis is one searchsorted
-    pair.  An L^r spec reads every cell of each window from a zero-padded
-    stack.  The cubes go in chunks of at most _CHUNK_ELEMENTS cells (for a
-    Young spec, nonzero cells and lines), or one cube alone; a chunk may
-    hold several widths and functions, and the root-finder on lambda runs
-    on all its rows at once, each row stopping on its own.
+    pair.  The cubes go in chunks of at most _CHUNK_ELEMENTS nonzero cells
+    and lines, or one cube alone; a chunk may hold several widths and
+    functions, and the root-finder on lambda runs on all its rows at once,
+    each row stopping on its own.  An L^r spec reads every cell of each
+    window from a zero-padded stack, one width at a time, in chunks of at
+    most _CHUNK_ELEMENTS cells, or one cube alone.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     fs = [f] if which is None else list(f)
     grid = fs[0].grid
     if not all(g.grid == grid for g in fs):
@@ -175,14 +181,14 @@ def luxemburg_norms(f, cubes, spec: NormSpec, tol: float = 1e-10, which=None) ->
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
     lo = np.clip(cubes.lo, -cubes.w[:, None], grid.N)
     if spec.young is None:
-        _window_norms(fs, lo, cubes.w, groups, which, frac, spec, tol, out)
+        _window_norms(fs, lo, cubes.w, groups, which, frac, spec.r, out)
     else:
-        _segment_norms(fs, lo, cubes.w, which, frac, spec.young, tol, out)
+        _segment_norms(fs, lo, cubes.w, which, frac, spec.young, out)
     return out
 
 
-def _window_norms(fs, lo, ws, groups, which, frac, spec, tol, out) -> None:
-    """luxemburg_norms for an L^r spec, into out: |f| is written once into one
+def _window_norms(fs, lo, ws, groups, which, frac, r, out) -> None:
+    """luxemburg_norms for L^r, into out: |f| is written once into one
     zero-filled stack, and the windows of each width (groups) are one
     read-only, bounds-checked view of it."""
     grid = fs[0].grid
@@ -191,28 +197,16 @@ def _window_norms(fs, lo, ws, groups, which, frac, spec, tol, out) -> None:
     for j, g in enumerate(fs):
         np.abs(g.values, out=padded[(j,) + (slice(before, before + grid.N),) * grid.n])
     starts = lo + before
-    parts, used = [], 0  # (cube indices, their windows, cell fraction) of the chunk being filled
-
-    def solve():
-        idx, blocks, fracs = zip(*parts)
-        out[np.concatenate(idx)] = _row_norms(blocks, spec, fracs, tol)
-
     for w, idx in groups:
         windows = np.ndarray(padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:]) + (w,) * grid.n,
                              buffer=padded, strides=padded.strides + padded.strides[1:])
         windows.flags.writeable = False
-        while idx.size:
-            if used and used + w**grid.n > _CHUNK_ELEMENTS:  # flush before the cap
-                solve()
-                parts, used = [], 0
-            k = max(1, (_CHUNK_ELEMENTS - used) // w**grid.n)  # a wider cube goes alone
-            sel = idx[:k]
-            parts.append((sel, windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), frac[sel[0]]))
-            idx, used = idx[k:], used + parts[-1][1].size
-    solve()
+        k = max(1, _CHUNK_ELEMENTS // w**grid.n)  # a wider cube goes alone
+        for sel in (idx[i : i + k] for i in range(0, idx.size, k)):
+            out[sel] = _lr_norms(windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), r, frac[sel[0]])
 
 
-def _segment_norms(fs, lo, ws, which, frac, Y, tol, out) -> None:
+def _segment_norms(fs, lo, ws, which, frac, Y, out) -> None:
     """luxemburg_norms for a Young spec, into out.  The flat nonzero
     positions of the |f| stack are sorted, so the nonzero cells of a line
     of a cube along the last axis are one segment of them; a row is its
@@ -258,7 +252,7 @@ def _segment_norms(fs, lo, ws, which, frac, Y, tol, out) -> None:
             sl = slice(line_end[r[0]] - lines[r[0]], line_end[r[-1]])
             out[rows[r]] = _young_row_norms(cells[_ranges(seg[sl], count[sl])],
                                             np.repeat(np.arange(r.size), row_cells[r]),
-                                            frac[rows[r]], Y, tol)
+                                            frac[rows[r]], Y, _TOL)
 
 
 def _runs(sizes) -> list:
@@ -279,23 +273,16 @@ def _ranges(start, count) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - (ends - count), count)
 
 
-def _row_norms(blocks, spec: NormSpec, cellfrac, tol: float) -> np.ndarray:
-    """The Luxemburg norm of each row of the 2-D blocks of nonnegative cell
-    values, block after block; the cells of block k have cellfrac[k].  A
-    Young spec goes to _young_row_norms with the nonzero cells of the rows.
-    """
-    if spec.r is not None:
-        r = spec.r  # v ** 1.0 == v and s ** 1.0 == s, so r = 1 skips both powers
-        sums = np.concatenate([np.sum(v if r == 1 else v**r, axis=1) * c for v, c in zip(blocks, cellfrac)])
-        if r == 1:
-            return sums
-        # numpy's vectorized power can round differently from the scalar
-        # power of the closed form, so the root is taken row by row
-        return np.array([s ** (1.0 / r) for s in sums.tolist()])
-    counts = np.concatenate([np.count_nonzero(v, axis=1) for v in blocks])
-    return _young_row_norms(np.concatenate([v[v != 0] for v in blocks]),
-                            np.repeat(np.arange(counts.size), counts),
-                            np.repeat(cellfrac, [len(v) for v in blocks]), spec.young, tol)
+def _lr_norms(v, r: float, frac: float) -> np.ndarray:
+    """The L^r Luxemburg norm of each row of the 2-D block v of nonnegative
+    cell values, each cell frac of its cube."""
+    # v ** 1.0 == v and s ** 1.0 == s, so r = 1 skips both powers
+    sums = np.sum(v if r == 1 else v**r, axis=1) * frac
+    if r == 1:
+        return sums
+    # numpy's vectorized power can round differently from the scalar
+    # power of the closed form, so the root is taken row by row
+    return np.array([s ** (1.0 / r) for s in sums.tolist()])
 
 
 @np.errstate(over="ignore")  # S(lam) may overflow to inf at a small lam; the steps allow for it

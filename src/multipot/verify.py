@@ -509,9 +509,11 @@ def verify_control(
     family,
     bs=None,
     us=None,
-    corollary_delta: float = 0.5,
 ) -> InequalityReport:
-    """Weak-quasinorm control of the operator by the maximal operator."""
+    """Weak-quasinorm control of the operator by the maximal operator.  With
+    us (ell = 0 only), each tuple also gets a row of the weighted weak-type
+    corollary, whose weights start from the L (log L)^(1/2) maximal
+    function of each u_i."""
     if delta_l <= 0:
         raise ValueError("need delta_l > 0")
     if us is not None and ell != 0:
@@ -527,7 +529,7 @@ def verify_control(
     )
     cor_weights = None
     if us is not None:
-        inner = maximal_corpus(lambda Q: 1.0, [NormSpec.power_log(1.0, corollary_delta)],
+        inner = maximal_corpus(lambda Q: 1.0, [NormSpec.power_log(1.0, 0.5)],
                                [[ui] for ui in us], grid, family)
         cor_weights = maximal_corpus(_phi_theta_scale(kernel, 1.0, 1.0 / m),
                                      [NormSpec.lebesgue(1.0)], [[w] for w in inner], grid, family)

@@ -25,6 +25,7 @@ from multipot import (
     parse_weight,
     phi_theta,
 )
+from multipot import dyadic
 from multipot.dyadic import CZDecomposition, CZLevel, _cube_terms, _dyadic_tables, _triple_products
 from multipot.verify import make_corpus
 from multipot.operators import apply_potential
@@ -78,7 +79,7 @@ class TestM3d:
         g = make_grid(1, 1.0, 16)
         rng = np.random.default_rng(1)
         h = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
-        bigger = h + GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
+        bigger = GridFunction(g, h.values + rng.uniform(size=g.shape), nonneg=True)
         lo, hi = (cz_decompose([x], 2.0, g).maximal_values.values for x in (h, bigger))
         assert np.all(lo <= hi + 1e-14)
 
@@ -110,12 +111,6 @@ class TestCzDecompose:
                         level_mask.astype(bool), vals > thr
                     )
                 assert global_e.max() <= 1
-
-    @pytest.mark.parametrize("max_levels", [0, -1])
-    def test_max_levels_below_one_raises(self, max_levels):
-        g = make_grid(1, 1.0, 16)
-        with pytest.raises(ValueError, match="max_levels"):
-            cz_decompose([GridFunction.constant(g, 5.0)], 2.0, g, max_levels=max_levels)
 
     def test_constant_input(self):
         g = make_grid(1, 1.0, 16)
@@ -476,7 +471,9 @@ class TestCzAgainstPerThresholdLoop:
         else:
             g, hs = _inputs(n, m, N, kind, seed)
         a = default_cz_base(n, m) if a is None else a
-        cz = cz_decompose(hs, a, g, max_levels=max_levels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dyadic, "_MAX_CZ_LEVELS", max_levels)
+            cz = cz_decompose(hs, a, g)
         expected = cz_per_threshold(hs, a, g, max_levels)
         assert len(cz.levels) == len(expected)
         for lev, (k, lo, ws, prod_norms, e_masks) in zip(cz.levels, expected):
@@ -640,7 +637,7 @@ def _mask_of(Q, grid):
     return out
 
 
-def cube_terms_per_cube(K, q, cz, factors):
+def cube_terms_per_cube(K, q, cz, g, spec, power):
     """_cube_terms with |E|, phi_theta, the product and the triple taken cube by cube."""
     cellvol = cz.grid.cell_volume
     cubes, prod_norms, esizes = [], [], []
@@ -653,16 +650,15 @@ def cube_terms_per_cube(K, q, cz, factors):
     terms = np.array([phi_theta(K, q, Q.side) ** q for Q in cubes])
     terms *= np.array(prod_norms) ** q
     triples = [Q.dilate3() for Q in cubes]
-    for g, spec, power in factors:
-        terms *= luxemburg_norms(g, triples, spec) ** power
+    terms *= luxemburg_norms(g, triples, spec) ** power
     return terms * np.array(esizes)
 
 
 def _rhs_factors(fs, u, q, ell, j):
-    """The factor lists discretization_rhs hands to _cube_terms: the L^1
-    factors are the products of the decompositions."""
+    """The (g, spec, power) factors discretization_rhs hands to _cube_terms:
+    the L^1 factors are the products of the decompositions."""
     uq = GridFunction(u.grid, u.values**q)
-    return [(uq, NormSpec.power_log(1.0, ell * q), 1.0)], [(fs[j], NormSpec.power_log(1.0, 1.0), q)]
+    return (uq, NormSpec.power_log(1.0, ell * q), 1.0), (fs[j], NormSpec.power_log(1.0, 1.0), q)
 
 
 class TestCzArraysAgainstPerCubeLoops:
@@ -685,9 +681,9 @@ class TestCzArraysAgainstPerCubeLoops:
         for q in (0.5, 1.0):
             for ell in (0, 1):
                 first, second = _rhs_factors(fs, u, q, ell, 0)
-                for cz, factors in [(cz0, first)] + [(czj, second)] * ell:
-                    got = _cube_terms(K, q, cz, factors)
-                    expected = cube_terms_per_cube(K, q, cz, factors)
+                for cz, factor in [(cz0, first)] + [(czj, second)] * ell:
+                    got = _cube_terms(K, q, cz, *factor)
+                    expected = cube_terms_per_cube(K, q, cz, *factor)
                     assert got.size > 0
                     np.testing.assert_array_equal(got, expected)
 
@@ -695,13 +691,12 @@ class TestCzArraysAgainstPerCubeLoops:
         g, fs = _inputs(1, 1, 32, "uniform", 5)
         cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5)
-        factors = [(fs[0], NormSpec.lebesgue(1.0), 1.0)]
         for lev in cz.levels:
             lev.e_counts = np.zeros_like(lev.e_counts)
         cz.levels[0].e_counts[0] = g.N
-        got = _cube_terms(K, 1.0, cz, factors)
+        got = _cube_terms(K, 1.0, cz, fs[0], NormSpec.lebesgue(1.0), 1.0)
         Q = cz.levels[0].cubes[0]
-        norm = luxemburg_norms(fs[0], [Q.dilate3()], factors[0][1])[0]
+        norm = luxemburg_norms(fs[0], [Q.dilate3()], NormSpec.lebesgue(1.0))[0]
         assert got.shape == (1,)
         assert got[0] == phi_theta(K, 1.0, Q.side) * cz.levels[0].prod_norms[0] * norm * (g.N * g.cell_volume)
 
@@ -709,11 +704,11 @@ class TestCzArraysAgainstPerCubeLoops:
         g, fs = _inputs(2, 1, 16, "uniform", 9)
         cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5, 2)
-        factors = [(fs[0], NormSpec.power_log(1.0, 1.0), 0.5)]
-        expected = _cube_terms(K, 0.5, cz, factors)
+        factor = (fs[0], NormSpec.power_log(1.0, 1.0), 0.5)
+        expected = _cube_terms(K, 0.5, cz, *factor)
         for lev in cz.levels:
             lev.cubes = list(lev.cubes)
-        np.testing.assert_array_equal(_cube_terms(K, 0.5, cz, factors), expected)
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, cz, *factor), expected)
 
 
 class TestConstructionsPerWidth:

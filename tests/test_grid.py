@@ -48,6 +48,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 1.0, 2)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_rejects_nonpositive_half_width(self, L):
+        with pytest.raises(ValueError, match="half-width"):
+            make_grid(1, L, 8)
+
 
 class TestIntegrate:
     def test_zero_function(self):
@@ -70,7 +75,7 @@ class TestIntegrate:
         rng = np.random.default_rng(0)
         f = GridFunction(g, rng.normal(size=g.shape))
         h = GridFunction(g, rng.normal(size=g.shape))
-        lhs = integrate(2.5 * f + (-1.5) * h)
+        lhs = integrate(GridFunction(g, 2.5 * f.values + (-1.5) * h.values))
         rhs = 2.5 * integrate(f) - 1.5 * integrate(h)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -302,6 +307,17 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(g, -np.ones(g.shape), nonneg=True)
 
+    def test_rejects_values_of_another_shape(self):
+        # the 16 values of a 4 x 4 grid, flat, are not reshaped onto it
+        g = make_grid(2, 1.0, 4)
+        with pytest.raises(ValueError, match=r"shape \(16,\) on a grid of shape \(4, 4\)"):
+            GridFunction(g, np.ones(16))
+
+    def test_restrict_to_a_cube_on_another_grid_raises(self):
+        f = GridFunction.constant(make_grid(1, 1.0, 8), 1.0)
+        with pytest.raises(ValueError, match="does not live on this grid"):
+            f.restrict(make_grid(1, 1.0, 16).whole_box())
+
     def test_rejects_nan(self):
         g = make_grid(1, 1.0, 8)
         vals = np.ones(g.shape)
@@ -331,6 +347,6 @@ def test_integrate_linear_property(a, b, seed):
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.normal(size=g.shape))
     h = GridFunction(g, rng.normal(size=g.shape))
-    lhs = integrate(a * f + b * h)
+    lhs = integrate(GridFunction(g, a * f.values + b * h.values))
     rhs = a * integrate(f) + b * integrate(h)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

@@ -22,6 +22,7 @@ from multipot import (
     phi_theta,
 )
 from multipot.kernels import (
+    _MAX_TERMS,
     DivergentSeriesError,
     SingularKernelError,
     _radial_integral,
@@ -118,6 +119,22 @@ class TestL1BallVolume:
         s = np.sqrt(np.sum(pts**2, axis=2)).sum(axis=1)
         mc = float(np.mean(s <= 1.0)) * 16.0
         assert unit_l1ball_volume(2, 2) == pytest.approx(mc, rel=0.05)
+
+
+class TestKernelValidation:
+    @pytest.mark.parametrize("fields,message", [
+        (dict(family="bessel", alpha=0.0), "alpha > 0"),
+        (dict(family="profile"), "profile callable"),
+        (dict(family="profile", profile_fn=lambda s: -1.0), "nonnegative"),
+        (dict(family="profile", profile_fn=lambda s: (s - 1.0) ** 2), "monotone"),
+        (dict(family="tabulated", table_s=(0.0, 1.0), table_v=(1.0,)), "matching"),
+        (dict(family="tabulated", table_s=(0.0, 1.0, 1.0), table_v=(3.0, 2.0, 1.0)), "strictly increasing"),
+        (dict(family="gauss"), "unknown kernel family"),
+    ], ids=["bessel-alpha", "no-profile", "negative-profile", "nonmonotone-profile",
+            "table-lengths", "table-order", "unknown-family"])
+    def test_constructor_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Kernel(n=1, m=1, **fields)
 
 
 class TestEvalKernel:
@@ -336,6 +353,23 @@ class TestPhiTheta:
         P = Kernel("profile", 1, 2, profile_fn=lambda s: s ** (0.5 - 2.0))
         for theta in (0.5, 1.0):
             assert phi_theta(P, theta, 0.3) == pytest.approx(phi_theta(K, theta, 0.3), rel=1e-6)
+
+    def test_slow_series_takes_the_geometric_tail(self):
+        # alpha = 0.02: each term is 2^-0.02 of the last, so _MAX_TERMS of them
+        # stop about 0.4 % short of the closed form, and the tail closes the gap
+        K = frac(0.02)
+        P = Kernel("profile", 1, 1, profile_fn=lambda s: s ** (0.02 - 1))
+        closed = phi_theta(K, 1.0, 0.25)
+        head = math.fsum(annulus_integral(P, AnnulusSpec(2.0**-nu, 1.0, 0.5))
+                         for nu in range(2, 2 + _MAX_TERMS))
+        assert head < closed * (1.0 - 1e-3)
+        assert phi_theta(P, 1.0, 0.25) == pytest.approx(closed, rel=1e-10)
+
+    def test_growing_terms_raise(self):
+        # s^-2 in one dimension: the annulus masses double at each finer scale
+        P = Kernel("profile", 1, 1, profile_fn=lambda s: s**-2.0)
+        with pytest.raises(DivergentSeriesError, match="stopped decreasing"):
+            phi_theta(P, 1.0, 0.25)
 
     def test_small_theta_dominates(self):
         K = frac(0.5)

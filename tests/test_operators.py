@@ -93,7 +93,7 @@ class TestApplyPotential:
         f = GridFunction(g, rng.uniform(size=g.shape))
         h = GridFunction(g, rng.uniform(size=g.shape))
         w = GridFunction(g, rng.uniform(size=g.shape))
-        lhs = apply_potential(K, [2.0 * f + h, w]).values
+        lhs = apply_potential(K, [GridFunction(g, 2.0 * f.values + h.values), w]).values
         rhs = 2.0 * apply_potential(K, [f, w]).values + apply_potential(K, [h, w]).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestApplyPotential:
         K = frac(0.5)
         rng = np.random.default_rng(3)
         f = GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
-        bigger = f + GridFunction(g, rng.uniform(size=g.shape), nonneg=True)
+        bigger = GridFunction(g, f.values + rng.uniform(size=g.shape), nonneg=True)
         a = apply_potential(K, [f])
         b = apply_potential(K, [bigger])
         assert np.all(a.values >= 0)
@@ -112,6 +112,11 @@ class TestApplyPotential:
         g = make_grid(1, 1.0, 8)
         with pytest.raises(ValueError):
             apply_potential(frac(1.0, 1, 2), [GridFunction.constant(g, 1.0)])
+
+    def test_inputs_on_two_grids_raise(self):
+        fs = [GridFunction.constant(make_grid(1, 1.0, N), 1.0) for N in (8, 16)]
+        with pytest.raises(ValueError, match="share one grid"):
+            apply_potential(frac(1.0, 1, 2), fs)
 
 
 # one kernel object per family, so that repeated (kernel, grid) pairs hit
@@ -293,7 +298,7 @@ class TestPotentialProperties:
         a, b = rng.uniform(-2.0, 2.0, 2)
         h = GridFunction(g, rng.normal(size=g.shape))
         mixed = list(fs)
-        mixed[j] = a * fs[j] + b * h
+        mixed[j] = GridFunction(g, a * fs[j].values + b * h.values)
         with_h = list(fs)
         with_h[j] = h
         base, other = apply_potential(K, fs).values, apply_potential(K, with_h).values
@@ -307,7 +312,7 @@ class TestPotentialProperties:
         K, g = arity_case(data.draw)
         rng = np.random.default_rng(seed)
         small, extra = random_inputs(g, K.m, rng, 2)
-        big = [f + e for f, e in zip(small, extra)]
+        big = [GridFunction(g, f.values + e.values) for f, e in zip(small, extra)]
         lo = apply_potential(K, small).values
         hi = apply_potential(K, big).values
         tol = 1e-12 * np.abs(hi).max()
@@ -328,6 +333,13 @@ class TestPotentialProperties:
 
 
 class TestApplyCommutator:
+    @pytest.mark.parametrize("symbols,inputs", [(1, 2), (2, 1), (3, 3)])
+    def test_wrong_arity_raises(self, symbols, inputs):
+        g = make_grid(1, 1.0, 8)
+        one = GridFunction.constant(g, 1.0)
+        with pytest.raises(ValueError, match="one symbol and one input per linear slot"):
+            apply_commutator(frac(1.0, 1, 2), [one] * symbols, [one] * inputs)
+
     def test_constant_symbols_vanish(self):
         g = make_grid(1, 1.0, 8)
         K = frac(1.0, 1, 2)
@@ -356,7 +368,7 @@ class TestApplyCommutator:
         bs = [GridFunction(g, rng.normal(size=g.shape)) for _ in range(2)]
         f, h = (GridFunction(g, rng.uniform(size=g.shape)) for _ in range(2))
         w = GridFunction(g, rng.uniform(size=g.shape))
-        lhs = apply_commutator(K, bs, [f + h, w]).values
+        lhs = apply_commutator(K, bs, [GridFunction(g, f.values + h.values), w]).values
         rhs = apply_commutator(K, bs, [f, w]).values + apply_commutator(K, bs, [h, w]).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -369,6 +381,12 @@ class TestMaximal:
         specs = [NormSpec.lebesgue(1.5), NormSpec.lebesgue(2.0)]
         out = maximal(lambda Q: 1.0, specs, fs, g, fam)
         np.testing.assert_allclose(out.values, 6.0, rtol=1e-12)
+
+    def test_family_that_leaves_cells_uncovered_raises(self):
+        g = make_grid(1, 1.0, 8)
+        with pytest.raises(ValueError, match="leaves part of the grid uncovered"):
+            maximal_corpus(lambda Q: 1.0, [NormSpec.lebesgue(1.0)], [[GridFunction.constant(g, 1.0)]],
+                           g, [Cube(g, (0,), 4)])
 
     @pytest.mark.parametrize("other", [(1, 1.0, 16), (1, 2.0, 8), (2, 1.0, 8)])
     def test_input_on_another_grid_raises(self, other):
@@ -533,8 +551,8 @@ class TestMaximalBatched:
                            * (rng.uniform(size=g.shape) < 0.7)) for _ in specs]
         j = data.draw(st.integers(0, len(specs) - 1))
         bigger = list(fs)
-        bigger[j] = fs[j] + GridFunction(g, rng.exponential(size=g.shape)
-                                         * (rng.uniform(size=g.shape) < 0.5))
+        bigger[j] = GridFunction(g, fs[j].values + rng.exponential(size=g.shape)
+                                 * (rng.uniform(size=g.shape) < 0.5))
         specs = [parse_norm_spec(s) for s in specs]
         phi = lambda Q: Q.measure**0.25
         lo = maximal(phi, specs, fs, g, fam).values

@@ -66,6 +66,27 @@ class TestYoungEval:
             assert np.all(v[1:-1] <= 0.5 * (v[:-2] + v[2:]) + 1e-6 * np.abs(v[2:]))
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("fields,message", [
+        (dict(kind="gauss"), "unknown Young family"),
+        (dict(kind="power-log", p=0.5), "p >= 1"),
+        (dict(kind="power-log", alpha=-1.0), "alpha >= 0"),
+        (dict(kind="composed"), "needs parts"),
+    ], ids=["unknown-family", "power-below-one", "negative-log-power", "composed-without-parts"])
+    def test_young_function_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            YoungFunction(**fields)
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(), "exactly one of r, young"),
+        (dict(r=2.0, young=YoungFunction("exp")), "exactly one of r, young"),
+        (dict(r=0.5), "r >= 1"),
+    ], ids=["neither", "both", "exponent-below-one"])
+    def test_norm_spec_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            NormSpec(**fields)
+
+
 class TestLuxemburgNorm:
     def test_constant_l1(self):
         g = make_grid(1, 1.0, 8)
@@ -120,14 +141,14 @@ class TestLuxemburgNorm:
                      NormSpec.orlicz(YoungFunction("exp")),
                      NormSpec.power_log(1.0, 1.0)):
             base = luxemburg_norm(f, Q, spec, tol=1e-12)
-            scaled = luxemburg_norm(3.7 * f, Q, spec, tol=1e-12)
+            scaled = luxemburg_norm(GridFunction(g, 3.7 * f.values), Q, spec, tol=1e-12)
             assert scaled == pytest.approx(3.7 * base, rel=1e-8)
 
     def test_pointwise_monotonicity(self):
         g = make_grid(1, 1.0, 16)
         rng = np.random.default_rng(5)
         f = _random_f(g, rng)
-        bigger = f + GridFunction(g, rng.uniform(0.0, 1.0, size=g.shape))
+        bigger = GridFunction(g, f.values + rng.uniform(0.0, 1.0, size=g.shape))
         Q = g.whole_box()
         for spec in (NormSpec.lebesgue(1.5), NormSpec.power_log(1.0, 1.0)):
             assert luxemburg_norm(f, Q, spec) <= luxemburg_norm(bigger, Q, spec) + 1e-9
@@ -263,7 +284,7 @@ def test_homogeneity_property(c, seed):
     spec = NormSpec.power_log(1.0, 1.0)
     Q = g.whole_box()
     base = luxemburg_norm(f, Q, spec, tol=1e-12)
-    assert luxemburg_norm(c * f, Q, spec, tol=1e-12) == pytest.approx(c * base, rel=1e-7)
+    assert luxemburg_norm(GridFunction(g, c * f.values), Q, spec, tol=1e-12) == pytest.approx(c * base, rel=1e-7)
 
 
 _SOLVER_SPECS = ["Lp1logL1", "Lp1.5logL2", "expL", "expL^{1/2}", "B^2(Lp1logL1)"]
@@ -372,7 +393,7 @@ class TestSolverAgainstBisection:
         exact = clipped = zero = 0
         for w, cubes in by_width.items():
             cubes += [Cube(g, (-w - 5,) * n, w), Cube(g, (g.N,) * n, w)]
-            batched = luxemburg_norms(f, cubes, spec, tol)
+            batched = luxemburg_norms(f, cubes, spec)
             for Q, got in zip(cubes, batched):
                 want = _bisection_norm(f, Q, spec, tol)
                 if want == 0.0:
@@ -504,43 +525,59 @@ class TestSolverAgainstBisection:
         assert calls == young_calls  # the same calls on the same numbers of values
         np.testing.assert_array_equal(got.values, expected.values)
 
-    @pytest.mark.parametrize("spec", _SOLVER_SPECS + ["L^1.5"])
+    @pytest.mark.parametrize("spec", _SOLVER_SPECS)
     def test_chunks_span_widths(self, spec, monkeypatch):
         g = make_grid(1, 1.0, 16)
         f = _banded_function(g, 5)
         spec = parse_norm_spec(spec)
-        cubes = [Cube(g, (lo,), w) for w in (1, 2, 3, 8) for lo in range(-w, g.N + 1, 3)]
-        cubes = [cubes[k] for k in np.random.default_rng(0).permutation(len(cubes))]
+        cubes = _mixed_width_cubes(g)
         want = _per_width_norms(f, cubes, spec)
-        shapes, row_norms = [], orlicz._row_norms
         chunks, young_row_norms = [], orlicz._young_row_norms
-
-        def spy(blocks, *args):
-            shapes.append([v.shape for v in blocks])
-            return row_norms(blocks, *args)
 
         def young_spy(v, row, frac, *args):
             chunks.append((v.size, frac.copy()))
             return young_row_norms(v, row, frac, *args)
 
         monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
-        monkeypatch.setattr(orlicz, "_row_norms", spy)
         monkeypatch.setattr(orlicz, "_young_row_norms", young_spy)
         np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), want)
-        if spec.young is None:
-            for chunk in shapes:  # at most 7 values, or one cube of 8 alone
-                assert sum(k * w for k, w in chunk) <= 7 or chunk == [(1, 8)]
-            assert any(len(chunk) > 1 for chunk in shapes)  # a chunk spans widths
-            assert [(1, 8)] in shapes
-            return
         # a constant has 8 nonzero cells in a cube of width 8, over the cap
         luxemburg_norms(GridFunction.constant(g, 2.5), cubes, spec)
         # in 1-D a row is one line: at most 7 nonzero cells and 7 rows, or one row alone
-        assert not shapes and chunks
+        assert chunks
         for cells, fracs in chunks:
             assert (cells <= 7 and fracs.size <= 7) or fracs.size == 1
         assert any(np.unique(fracs).size > 1 for _, fracs in chunks)  # a chunk spans widths
         assert any(fracs.size == 1 and cells == 8 for cells, fracs in chunks)
+
+    def test_lr_chunks_hold_one_width(self, monkeypatch):
+        g = make_grid(1, 1.0, 16)
+        f = _banded_function(g, 5)
+        spec = parse_norm_spec("L^1.5")
+        cubes = _mixed_width_cubes(g)
+        want = _per_width_norms(f, cubes, spec)
+        shapes, lr_norms = [], orlicz._lr_norms
+
+        def spy(v, r, frac):
+            shapes.append(v.shape)
+            return lr_norms(v, r, frac)
+
+        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        monkeypatch.setattr(orlicz, "_lr_norms", spy)
+        np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), want)
+        # narrowest first, 7 // w cubes of width w a chunk, a cube of width 8 alone
+        expected = []
+        for w in (1, 2, 3, 8):
+            count, k = sum(Q.w == w for Q in cubes), max(1, 7 // w)
+            expected += [(min(k, count - i), w) for i in range(0, count, k)]
+        assert shapes == expected
+
+
+def _mixed_width_cubes(g):
+    """Cubes of widths 1, 2, 3 and 8 along a 1-D grid, some clipped by the
+    box, in a shuffled order."""
+    cubes = [Cube(g, (lo,), w) for w in (1, 2, 3, 8) for lo in range(-w, g.N + 1, 3)]
+    return [cubes[k] for k in np.random.default_rng(0).permutation(len(cubes))]
 
 
 def _random_cubes(g, w, rng, k=4):
@@ -558,10 +595,10 @@ def test_solver_homogeneity_property(spec, n, seed, c, w):
     spec = parse_norm_spec(spec)
     cubes = _random_cubes(g, w, rng)
     tol = 1e-10
-    base = luxemburg_norms(f, cubes, spec, tol)
-    np.testing.assert_allclose(luxemburg_norms(c * f, cubes, spec, tol), c * base,
-                               rtol=2 * tol, atol=0)
-    assert luxemburg_norm(c * f, cubes[0], spec, tol) == pytest.approx(
+    cf = GridFunction(g, c * f.values)
+    base = luxemburg_norms(f, cubes, spec)
+    np.testing.assert_allclose(luxemburg_norms(cf, cubes, spec), c * base, rtol=2 * tol, atol=0)
+    assert luxemburg_norm(cf, cubes[0], spec, tol) == pytest.approx(
         c * luxemburg_norm(f, cubes[0], spec, tol), rel=2 * tol, abs=0)
 
 
@@ -595,8 +632,7 @@ def test_solver_monotonicity_property(spec, n, seed, w):
     spec = parse_norm_spec(spec)
     cubes = _random_cubes(g, w, rng)
     tol = 1e-10
-    assert np.all(luxemburg_norms(f, cubes, spec, tol)
-                  <= luxemburg_norms(h, cubes, spec, tol) * (1 + tol))
+    assert np.all(luxemburg_norms(f, cubes, spec) <= luxemburg_norms(h, cubes, spec) * (1 + tol))
     for Q in cubes:
         assert luxemburg_norm(f, Q, spec, tol) <= luxemburg_norm(h, Q, spec, tol) * (1 + tol)
 
@@ -623,14 +659,13 @@ class TestPowerLogAgainstTwoPassFormula:
                 assert Y(s) == float(_power_log_two_pass(s, p, alpha))
 
 
-def test_l1_row_norms_are_the_sums():
+def test_l1_lr_norms_are_the_sums():
     # for r = 1 the scalar root s ** 1.0 is skipped: it returns s
     rng = np.random.default_rng(1)
-    blocks = [rng.lognormal(0.0, 1.0, (5, 4)), rng.uniform(size=(3, 9)), np.zeros((2, 9))]
-    fracs = [0.25, 1 / 9, 1 / 9]
-    sums = np.concatenate([np.sum(v, axis=1) * c for v, c in zip(blocks, fracs)])
-    got = orlicz._row_norms(blocks, NormSpec.lebesgue(1.0), fracs, 1e-10)
-    np.testing.assert_array_equal(got, [s ** (1.0 / 1.0) for s in sums.tolist()])
+    for v, frac in ((rng.lognormal(0.0, 1.0, (5, 4)), 0.25), (rng.uniform(size=(3, 9)), 1 / 9),
+                    (np.zeros((2, 9)), 1 / 9)):
+        sums = np.sum(v, axis=1) * frac
+        np.testing.assert_array_equal(orlicz._lr_norms(v, 1.0, frac), [s ** (1.0 / 1.0) for s in sums.tolist()])
 
 
 class TestMultiFunctionNorms:
@@ -678,7 +713,7 @@ def test_solver_converges_when_the_sum_overflows_at_lo():
     spec, tol = parse_norm_spec("expL"), 1e-10
     cubes = [Q.dilate3() for Q in cube_family(g, "dyadic")]
     with np.errstate(over="ignore"):
-        got = luxemburg_norms(f, cubes, spec, tol)
+        got = luxemburg_norms(f, cubes, spec)
         for r, Q in zip(got, cubes):
             _assert_solved(r, _bisection_norm(f, Q, spec, tol), _window(f, Q), Q, spec, tol)
 
@@ -695,10 +730,11 @@ def test_overflow_at_lo_raises_no_warning():
         luxemburg_norms(f, [Q.dilate3() for Q in cube_family(g, "dyadic")], parse_norm_spec("expL"))
 
 
-def _padded_window_norms(fs, cubes, spec, which, tol=1e-10):
+def _padded_window_norms(fs, cubes, spec, which):
     """The gather that luxemburg_norms replaced: the stacked |f| through
     np.pad, the windows of each width from sliding_window_view and the
-    cell fraction from Cube.measure, one _row_norms call per width."""
+    cell fraction from Cube.measure, all the rows of a width at once: the
+    L^r sums and a scalar root per row, or one root-finder call."""
     g, n = fs[0].grid, fs[0].grid.n
     ws = np.array([Q.w for Q in cubes])
     lo = np.clip([Q.lo for Q in cubes], -ws[:, None], g.N)
@@ -709,7 +745,13 @@ def _padded_window_norms(fs, cubes, spec, which, tol=1e-10):
         idx = np.flatnonzero(ws == w)
         windows = sliding_window_view(padded, (w,) * n, axis=tuple(range(1, n + 1)))
         block = windows[(which[idx], *(lo[idx] + before).T)].reshape(-1, w**n)
-        out[idx] = orlicz._row_norms([block], spec, [g.cell_volume / cubes[idx[0]].measure], tol)
+        frac = g.cell_volume / cubes[idx[0]].measure
+        if spec.young is None:
+            out[idx] = [s ** (1.0 / spec.r) for s in (np.sum(block**spec.r, axis=1) * frac).tolist()]
+        else:
+            row = np.repeat(np.arange(len(block)), np.count_nonzero(block, axis=1))
+            out[idx] = orlicz._young_row_norms(block[block != 0], row, np.full(len(block), frac),
+                                               spec.young, 1e-10)
     return out
 
 

@@ -19,6 +19,7 @@ from multipot import verify
 from multipot.orlicz import YoungFunction
 from multipot.verify import (
     HypothesisUnmet,
+    InequalityReport,
     lorentz_weak_quasinorm,
     make_corpus,
     remark_bundle,
@@ -43,6 +44,16 @@ def small_setup(m=2, N=16, count=3, seed=0):
     corpus = make_corpus(g, m, count=count, seed=seed)
     one = GridFunction.constant(g, 1.0)
     return g, fam, K, corpus, one
+
+
+class TestInequalityReport:
+    def test_vanishing_right_side_raises(self):
+        with pytest.raises(ArithmeticError, match="vanishing right side"):
+            InequalityReport("t", {}).add(1.0, 0.0, "tuple0")
+
+    def test_non_finite_ratio_raises(self):
+        with pytest.raises(ArithmeticError, match="non-finite ratio"):
+            InequalityReport("t", {}).add(math.inf, 1.0, "tuple0")
 
 
 class TestLorentzWeakQuasinorm:
@@ -178,7 +189,7 @@ class TestTestingConditionW:
         L1 = NormSpec.lebesgue(1.0)
         Y = [[L1, L1], [L1, L1]]
         base = eval_condition_W(*self._tc(one, [one, one], K, fam, L1, Y))
-        double = eval_condition_W(*self._tc(2.0 * one, [one, one], K, fam, L1, Y))
+        double = eval_condition_W(*self._tc(GridFunction(g, 2.0 * one.values), [one, one], K, fam, L1, Y))
         assert double == pytest.approx(2.0 * base, rel=1e-10)
 
     def test_vanishing_v_rejected(self):
@@ -188,6 +199,13 @@ class TestTestingConditionW:
         with pytest.raises(ValueError):
             eval_condition_W(*self._tc(one, [one, z], K, fam, L1,
                                          [[L1, L1], [L1, L1]]))
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        g, fam, K, _, one = small_setup(m=2)
+        L1 = NormSpec.lebesgue(1.0)
+        with pytest.raises(ValueError, match="gamma > 0"):
+            eval_condition_W(*self._tc(one, [one, one], K, fam, L1, [[L1, L1], [L1, L1]], gamma=gamma))
 
     def test_bundle_shape_validated(self):
         g, fam, K, _, one = small_setup(m=2)
@@ -297,7 +315,7 @@ class TestVerifyStrong:
         # for ell = 0 both sides are 1-homogeneous in each slot, so
         # rescaling the inputs leaves every ratio unchanged
         g, fam, K, corpus, one = small_setup(count=2)
-        scaled = [tuple(3.0 * f for f in tup) for tup in corpus]
+        scaled = [tuple(GridFunction(g, 3.0 * f.values) for f in tup) for tup in corpus]
         a = verify_strong(0, [4.0, 4.0], 2.0, K, one, [one, one], corpus, fam)
         b = verify_strong(0, [4.0, 4.0], 2.0, K, one, [one, one], scaled, fam)
         ra = [i["ratio"] for i in a.instances]
@@ -313,7 +331,7 @@ class TestVerifyStrong:
         a = verify_strong(1, [4.0, 4.0], 2.0, K, one, [one, one], corpus, fam,
                           bs=bs)
         b = verify_strong(1, [4.0, 4.0], 2.0, K, one, [one, one], corpus, fam,
-                          bs=[2.0 * bi for bi in bs])
+                          bs=[GridFunction(g, 2.0 * bi.values) for bi in bs])
         np.testing.assert_allclose(
             [i["ratio"] for i in b.instances],
             [2.0 * i["ratio"] for i in a.instances],
@@ -392,6 +410,8 @@ class TestVerifyCoifman:
             verify_coifman("i", 1, 1.0, K, one, corpus, fam)
         with pytest.raises(ValueError):
             verify_coifman("iii", 0, 0.5, K, one, corpus, fam)
+        with pytest.raises(ValueError, match="unknown case 'iv'"):
+            verify_coifman("iv", 0, 1.0, K, one, corpus, fam)
 
 
 class TestVerifyFtd:
@@ -415,6 +435,8 @@ class TestVerifyFtd:
             verify_ftd("i", 0, 2.0, K, one, corpus, fam)
         with pytest.raises(ValueError):
             verify_ftd("ii", 0, 0.5, K, one, corpus, fam)
+        with pytest.raises(ValueError, match="unknown case 'iii'"):
+            verify_ftd("iii", 0, 1.0, K, one, corpus, fam)
 
 
 class TestVerifyControl:

@@ -166,7 +166,7 @@ _WEIGHTS = {
     "one": lambda g: GridFunction.constant(g, 1.0),
     "pow0.3": lambda g: gen_power_weight(0.3, g),
     "pow-0.5": lambda g: gen_power_weight(-0.5, g),
-    "|bmolog|": lambda g: gen_bmo_log(g).map(np.abs, nonneg=True),
+    "|bmolog|": lambda g: gen_bmo_log(g).map(np.abs),
 }
 
 
