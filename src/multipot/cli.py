@@ -20,7 +20,7 @@ from .dyadic import cz_decompose, default_cz_base
 from .grid import Grid, cube_family
 from .kernels import Kernel, condition_d_check, parse_kernel, phi_theta
 from .operators import apply_commutator, apply_potential, maximal
-from .orlicz import YoungFunction, parse_norm_spec
+from .orlicz import parse_norm_spec
 from .verify import (
     HypothesisUnmet,
     make_corpus,
@@ -45,6 +45,46 @@ def _is_exponents(v) -> bool:
     return isinstance(p, list) and bool(p) and all(map(_is_number, p)) and _is_number(v.get("q", 1.0))
 
 
+def _coifman(cfg, grid, K, corpus, family, bs):
+    w = _weights(cfg, grid, 1)[0]
+    return verify_coifman(cfg["case"], int(cfg["ell"]), float(cfg["p"]), K, w, corpus, family, bs)
+
+
+def _ftd(cfg, grid, K, corpus, family, bs):
+    u = _weights(cfg, grid, 1)[0]
+    return verify_ftd(cfg["case"], int(cfg["ell"]), float(cfg["p"]), K, u, corpus, family, bs)
+
+
+def _fefferman_stein(cfg, grid, K, corpus, family, bs):
+    us = _weights(cfg, grid, K.m)
+    ps = [float(p) for p in _required(cfg, "exponents.p")]
+    return verify_fefferman_stein(cfg["case"], int(cfg["ell"]), ps, float(cfg["delta"]), K, us, corpus,
+                                  family, bs)
+
+
+def _strong(cfg, grid, K, corpus, family, bs):
+    us = _weights(cfg, grid, 1 + K.m)
+    ps = [float(p) for p in _required(cfg, "exponents.p")]
+    return verify_strong(int(cfg["ell"]), ps, float(_required(cfg, "exponents.q")), K, us[0], us[1:],
+                         corpus, family, bs, delta_rem=float(cfg["delta"]))
+
+
+def _weak_maximal(cfg, grid, K, corpus, family, bs):
+    us = _weights(cfg, grid, K.m)
+    # the Young function of the first norm, t^r for L^r, as B^1(...) reads it
+    B = parse_norm_spec(f"B^1({_specs(cfg, 'norms')[0]})").young
+    return verify_weak_maximal(lambda Q: 1.0, B, us, corpus, family)
+
+
+def _control(cfg, grid, K, corpus, family, bs):
+    u = _weights(cfg, grid, 1)[0]
+    return verify_control(int(cfg["ell"]), float(cfg["delta"]), K, u, corpus, family, bs)
+
+
+# theorem: its verify branch, called with (cfg, grid, kernel, corpus, centred family, BMO symbols)
+_THEOREMS = {"coifman": _coifman, "ftd": _ftd, "fefferman-stein": _fefferman_stein, "strong": _strong,
+             "weak-maximal": _weak_maximal, "control": _control}
+
 # kind: (argparse options of its flag, check of a config value, what the check wants)
 _KINDS = {
     "integer": ({"type": int}, lambda v: _is_number(v) and isinstance(v, int), "an integer"),
@@ -54,6 +94,8 @@ _KINDS = {
     "specs": ({"nargs": "+"}, lambda v: isinstance(v, str) or (isinstance(v, list) and bool(v)
               and all(isinstance(s, str) for s in v)), "a non-empty list of strings"),
     "exponents": ({}, _is_exponents, 'a dict {"p": [numbers], "q": number}'),
+    "theorem": ({"choices": list(_THEOREMS)}, lambda v: isinstance(v, str) and v in _THEOREMS,
+                f"one of {', '.join(_THEOREMS)}"),
 }
 
 # key: (default, kind, flag); null passes the check only where it is the default
@@ -68,7 +110,7 @@ _KEYS = {
     "exponents": ({"p": [2.0], "q": 2.0}, "exponents", None),
     "ell": (0, "integer", "--ell"),
     "case": ("i", "string", "--case"),
-    "theorem": ("coifman", "string", "--theorem"),
+    "theorem": ("coifman", "theorem", "--theorem"),
     "p": (1.0, "number", "--p"),
     "delta": (0.5, "number", "--delta"),
     "seed": (0, "integer", "--seed"),
@@ -218,38 +260,9 @@ def _cmd_verify(cfg) -> dict:
         raise ValueError(f"corpus must be at least 1, got {count}")
     family = cube_family(grid, "centered")
     corpus = make_corpus(grid, m, count=count, seed=int(cfg["seed"]))
-    theorem = cfg["theorem"]
     ell = int(cfg["ell"])
     bs = [gen_bmo_log(grid)] * m if ell else None
-    if theorem == "coifman":
-        w = _weights(cfg, grid, 1)[0]
-        rep = verify_coifman(cfg["case"], ell, float(cfg["p"]), K, w, corpus,
-                             family, bs)
-    elif theorem == "ftd":
-        u = _weights(cfg, grid, 1)[0]
-        rep = verify_ftd(cfg["case"], ell, float(cfg["p"]), K, u, corpus,
-                         family, bs)
-    elif theorem == "fefferman-stein":
-        us = _weights(cfg, grid, m)
-        ps = [float(p) for p in _required(cfg, "exponents.p")]
-        rep = verify_fefferman_stein(cfg["case"], ell, ps,
-                                     float(cfg["delta"]), K, us, corpus, family, bs)
-    elif theorem == "strong":
-        us = _weights(cfg, grid, 1 + m)
-        ps = [float(p) for p in _required(cfg, "exponents.p")]
-        rep = verify_strong(ell, ps, float(_required(cfg, "exponents.q")),
-                            K, us[0], us[1:], corpus, family, bs,
-                            delta_rem=float(cfg["delta"]))
-    elif theorem == "weak-maximal":
-        us = _weights(cfg, grid, m)
-        spec = parse_norm_spec(_specs(cfg, "norms")[0])
-        B = spec.young if spec.young is not None else YoungFunction("power-log", p=spec.r)
-        rep = verify_weak_maximal(lambda Q: 1.0, B, us, corpus, family)
-    elif theorem == "control":
-        u = _weights(cfg, grid, 1)[0]
-        rep = verify_control(ell, float(cfg["delta"]), K, u, corpus, family, bs)
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
+    rep = _THEOREMS[cfg["theorem"]](cfg, grid, K, corpus, family, bs)
     rows = [[rep.theorem, cfg.get("case", ""), m, grid.n, grid.N, cfg["kernel"], ell,
              f"{rep.max_ratio:.6g}"]]
     plots = {

@@ -107,10 +107,6 @@ class Cube:
     def slices(self) -> tuple:
         return tuple(slice(max(l, 0), max(min(l + self.w, self.grid.N), 0)) for l in self.lo)
 
-    def dilate3(self) -> "Cube":
-        """The concentric triple 3Q."""
-        return Cube(self.grid, tuple(l - self.w for l in self.lo), 3 * self.w)
-
 
 class CubeSet:
     """A family of cubes on one grid as arrays: corners `lo` (k x n ints)
@@ -194,11 +190,6 @@ class GridFunction:
     @classmethod
     def constant(cls, grid: Grid, c: float):
         return cls(grid, np.full(grid.shape, float(c)), nonneg=c >= 0)
-
-    def restrict(self, Q: Cube) -> np.ndarray:
-        if self.grid != Q.grid:
-            raise ValueError("cube does not live on this grid")
-        return self.values[Q.slices()]
 
     def map(self, fn) -> "GridFunction":
         return GridFunction(self.grid, fn(self.values))

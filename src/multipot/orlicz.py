@@ -23,8 +23,8 @@ class YoungFunction:
     """Convex increasing function vanishing at zero.
 
     Families: 'power-log' t^p (1+log+ t)^alpha, 'exp' e^t - 1,
-    'exp-power' e^(t^(1/q)) - 1, 'identity' t, and 'composed' (right-to-
-    left composition, used for iterates B^m).
+    'exp-power' e^(t^(1/q)) - 1, and 'composed' (right-to-left
+    composition, used for iterates B^m).
     """
 
     kind: str
@@ -34,7 +34,7 @@ class YoungFunction:
     parts: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("power-log", "exp", "exp-power", "identity", "composed"):
+        if self.kind not in ("power-log", "exp", "exp-power", "composed"):
             raise ValueError(f"unknown Young family {self.kind!r}")
         if self.kind == "power-log" and (self.p < 1 or self.alpha < 0):
             raise ValueError("power-log needs p >= 1 and alpha >= 0")
@@ -52,8 +52,6 @@ class YoungFunction:
         """Y(t) on a float array t >= 0, unchecked: t may be overwritten and
         returned.  A 0-d t follows numpy's scalar arithmetic, as __call__
         always has (a scalar power may round unlike the vectorized one)."""
-        if self.kind == "identity":
-            return t
         if self.kind == "power-log":
             # x ** 1.0 == x and a factor y ** 0.0 == 1.0 changes no bit, so they are skipped
             out = t if self.p == 1 else t**self.p
@@ -119,22 +117,15 @@ _TOL = 1e-10  # relative tolerance of the root-finder; luxemburg_norms always ta
 
 
 def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = _TOL) -> float:
-    """||f||_{X,Q}: closed form for L^r; for Young specs the root-finder
-    that luxemburg_norms runs, on this one cube.
+    """||f||_{X,Q}: luxemburg_norms on the one cube Q, with the root-finder
+    tolerance tol for a Young spec.
 
     The normalizing measure is the full |Q|; cells outside the box count
     as zero, matching zero-extension of compactly supported data.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = np.abs(f.restrict(Q)).ravel()
-    if v.size == 0:
-        return 0.0
-    frac = f.grid.cell_volume / Q.measure
-    if spec.young is None:
-        return float(_lr_norms(v[None], spec.r, frac)[0])
-    v = v[v != 0]
-    return float(_young_row_norms(v, np.zeros(v.size, dtype=np.intp), np.array([frac]), spec.young, tol)[0])
+    return float(_norms([f], CubeSet.of(f.grid, [Q]), np.zeros(1, dtype=np.int64), spec, tol)[0])
 
 
 # Cells per chunk of cubes in luxemburg_norms (~0.5 MB of values): nonzero
@@ -146,8 +137,8 @@ _MAX_STEPS = 200  # cap on each loop of _young_row_norms
 
 
 def luxemburg_norms(f, cubes, spec: NormSpec, *, which=None) -> np.ndarray:
-    """luxemburg_norm(f, Q, spec) for each Q of a CubeSet or a list of
-    cubes of any widths, on the grid of f.
+    """||f||_{X,Q} for each Q of a CubeSet or a list of cubes of any
+    widths, on the grid of f; luxemburg_norm is its one-cube call.
 
     With `which`, f is a sequence of functions on one grid and cube k is
     taken on f[which[k]]; a row's norm depends only on its own cells, so
@@ -172,18 +163,22 @@ def luxemburg_norms(f, cubes, spec: NormSpec, *, which=None) -> np.ndarray:
     which = np.zeros(len(cubes), dtype=np.int64) if which is None else np.asarray(which, dtype=np.int64)
     if which.shape != (len(cubes),) or (which < 0).any() or (which >= len(fs)).any():
         raise ValueError("which needs one function index per cube")
+    return _norms(fs, cubes, which, spec, _TOL)
+
+
+def _norms(fs, cubes: CubeSet, which, spec: NormSpec, tol: float) -> np.ndarray:
+    """luxemburg_norms on checked arguments, with root-finder tolerance tol."""
     out = np.zeros(len(cubes))
     if not len(cubes):
         return out
-    groups, frac = cubes.by_width(), np.empty(len(cubes))
-    for w, idx in groups:
-        frac[idx] = grid.cell_volume / (w * grid.h) ** grid.n  # as Cube.measure
+    grid = fs[0].grid
+    frac = grid.cell_volume / cubes.per_width(lambda Q: Q.measure)
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
     lo = np.clip(cubes.lo, -cubes.w[:, None], grid.N)
     if spec.young is None:
-        _window_norms(fs, lo, cubes.w, groups, which, frac, spec.r, out)
+        _window_norms(fs, lo, cubes.w, cubes.by_width(), which, frac, spec.r, out)
     else:
-        _segment_norms(fs, lo, cubes.w, which, frac, spec.young, out)
+        _segment_norms(fs, lo, cubes.w, which, frac, spec.young, tol, out)
     return out
 
 
@@ -206,7 +201,7 @@ def _window_norms(fs, lo, ws, groups, which, frac, r, out) -> None:
             out[sel] = _lr_norms(windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), r, frac[sel[0]])
 
 
-def _segment_norms(fs, lo, ws, which, frac, Y, out) -> None:
+def _segment_norms(fs, lo, ws, which, frac, Y, tol, out) -> None:
     """luxemburg_norms for a Young spec, into out.  The flat nonzero
     positions of the |f| stack are sorted, so the nonzero cells of a line
     of a cube along the last axis are one segment of them; a row is its
@@ -252,7 +247,7 @@ def _segment_norms(fs, lo, ws, which, frac, Y, out) -> None:
             sl = slice(line_end[r[0]] - lines[r[0]], line_end[r[-1]])
             out[rows[r]] = _young_row_norms(cells[_ranges(seg[sl], count[sl])],
                                             np.repeat(np.arange(r.size), row_cells[r]),
-                                            frac[rows[r]], Y, _TOL)
+                                            frac[rows[r]], Y, tol)
 
 
 def _runs(sizes) -> list:

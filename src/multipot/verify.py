@@ -117,12 +117,13 @@ def make_corpus(grid: Grid, m: int, count: int = 20, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # operator dispatch and discrete norms
 
-def _apply_T(K: Kernel, fs, ell: int, bs=None) -> GridFunction:
-    if ell == 0:
-        return apply_potential(K, fs)
-    if bs is None:
-        bs = [gen_bmo_log(fs[0].grid)] * K.m
-    return apply_commutator(K, bs, fs)
+def _outputs(K: Kernel, grid: Grid, corpus, ell: int, bs):
+    """(fs, T(fs)) for each tuple fs of the corpus: the potential at ell = 0,
+    else its commutator with bs, by default log|x| in every slot, built once."""
+    if ell and bs is None:
+        bs = [gen_bmo_log(grid)] * K.m
+    for fs in corpus:
+        yield fs, apply_potential(K, fs) if ell == 0 else apply_commutator(K, bs, fs)
 
 
 def _lq_norm(g: GridFunction, q: float) -> float:
@@ -188,11 +189,13 @@ def testing_condition_W(theta: float, gamma: float, X: NormSpec, Y, u: GridFunct
     # a scalar power per cube: numpy's vectorized power can round differently
     base *= [x ** (1.0 / gamma) for x in luxemburg_norms(ug, cubes, X).tolist()]
     cubes, base = cubes[base != 0.0], base[base != 0.0]
+    # one call per distinct (weight, spec): a row of Y0 holds one spec
+    norms = {(i, s): luxemburg_norms(invs[i], cubes, s) for i, row in enumerate(Y) for s in dict.fromkeys(row)}
     best = 0.0
     for j in range(m):
         term = base.copy()
         for i in range(m):
-            term *= luxemburg_norms(invs[i], cubes, Y[i][j])
+            term *= norms[i, Y[i][j]]
         best = max([best] + term.tolist())
     return best
 
@@ -286,8 +289,7 @@ def verify_strong(
             "delta_rem": delta_rem,
         },
     )
-    for i, fs in enumerate(corpus):
-        T = _apply_T(kernel, fs, ell, bs)
+    for i, (fs, T) in enumerate(_outputs(kernel, grid, corpus, ell, bs)):
         lhs = _lq_norm(GridFunction(grid, np.abs(T.values) * u.values), q)
         rhs = 1.0
         for f, v, pi in zip(fs, vs, p_list):
@@ -338,8 +340,7 @@ def verify_fefferman_stein(
         {"case": case, "ell": ell, "p": p_list, "delta": delta, "m": m,
          "n": grid.n, "N": grid.N},
     )
-    for i, fs in enumerate(corpus):
-        T = _apply_T(kernel, fs, ell, bs)
+    for i, (fs, T) in enumerate(_outputs(kernel, grid, corpus, ell, bs)):
         uprod = np.ones(grid.shape)
         for ui, pi in zip(us, p_list):
             uprod *= ui.values ** (p / pi)
@@ -400,8 +401,7 @@ def verify_coifman(
     )
     corpus = list(corpus)
     Ms = maximal_corpus(phi, specs, corpus, grid, family)
-    for i, (fs, M) in enumerate(zip(corpus, Ms)):
-        T = _apply_T(kernel, fs, ell, bs)
+    for i, ((fs, T), M) in enumerate(zip(_outputs(kernel, grid, corpus, ell, bs), Ms)):
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * w.values))
         rhs = integrate(GridFunction(grid, M.values**p * w.values))
         report.add(lhs, rhs, f"tuple{i}")
@@ -441,8 +441,7 @@ def verify_ftd(
     )
     corpus = list(corpus)
     Ms = maximal_corpus(phi, specs, corpus, grid, family)
-    for i, (fs, M) in enumerate(zip(corpus, Ms)):
-        T = _apply_T(kernel, fs, ell, bs)
+    for i, ((fs, T), M) in enumerate(zip(_outputs(kernel, grid, corpus, ell, bs), Ms)):
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * u.values))
         rhs = integrate(GridFunction(grid, M.values**p * Mu.values))
         report.add(lhs, rhs, f"tuple{i}")
@@ -535,8 +534,7 @@ def verify_control(
                                      [NormSpec.lebesgue(1.0)], [[w] for w in inner], grid, family)
     corpus = list(corpus)
     Ms = maximal_corpus(phi, specs, corpus, grid, family)
-    for i, (fs, M) in enumerate(zip(corpus, Ms)):
-        T = _apply_T(kernel, fs, ell, bs)
+    for i, ((fs, T), M) in enumerate(zip(_outputs(kernel, grid, corpus, ell, bs), Ms)):
         lhs = lorentz_weak_quasinorm(T, u, 1.0 / m)
         rhs = lorentz_weak_quasinorm(M, weight, 1.0 / m)
         report.add(lhs, rhs, f"tuple{i}")

@@ -227,7 +227,7 @@ def test_08_weak_maximal_harness():
     one = GridFunction.constant(g, 1.0)
     ok = True
     youngs = (
-        YoungFunction("identity"),
+        YoungFunction("power-log"),  # t
         YoungFunction("power-log", p=1.0, alpha=1.0),
     )
     scalings = (

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from multipot import Kernel, condition_d_check
+from multipot import Kernel, cli, condition_d_check
 from multipot.cli import CSV_HEADER, main
 
 
@@ -263,6 +263,20 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
         assert list(tmp_path.rglob("report.json")) == []
+
+    def test_unknown_theorem_exits_one_before_compute(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "make_corpus", lambda *a, **k: calls.append(a))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"theorem": "foo", "N": 16, "corpus": 2, "out_dir": str(tmp_path)}))
+        assert run_cli(["verify", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config theorem must be one of coifman, ftd, ") and err.count("\n") == 1
+        # the flag is checked by argparse, which exits 2 with its usage line
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--theorem", "foo", "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert calls == [] and not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("text", ["[1]", '"ab"'])
     def test_config_not_an_object_exits_one(self, tmp_path, capsys, text):

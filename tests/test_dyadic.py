@@ -65,8 +65,8 @@ class TestM3d:
         got = cz_decompose(hs, 2.0, g).maximal_values
         # independent direct computation
         expected = np.zeros(g.shape)
-        for Q in cube_family(g, "dyadic"):
-            Q3 = Q.dilate3()
+        fam = cube_family(g, "dyadic")
+        for Q, Q3 in zip(fam, fam.dilate3()):
             prod = 1.0
             for h in hs:
                 sl = Q3.slices()[0]
@@ -257,8 +257,8 @@ def _triple_average_products(hs, grid):
     summers = [_BoxSummer(h.values) for h in hs]
     cellvol = grid.cell_volume
     out = {}
-    for Q in cube_family(grid, "dyadic"):
-        Q3 = Q.dilate3()
+    fam = cube_family(grid, "dyadic")
+    for Q, Q3 in zip(fam, fam.dilate3()):
         meas = Q3.measure
         lo = Q3.lo
         hi = tuple(l + Q3.w for l in lo)
@@ -380,7 +380,7 @@ class TestDyadicTables:
         assert cells.tolist() == np.ravel_multi_index(family.lo.T, g.shape).tolist()
         assert w.tolist() == family.w.tolist()
         assert starts == np.flatnonzero(np.diff(family.w, prepend=0, append=0)).tolist()  # where each width starts
-        assert meas.tolist() == [Q.dilate3().measure for Q in family]
+        assert meas.tolist() == [Q3.measure for Q3 in family.dilate3()]
         assert sorted(zpos.tolist()) == list(range(N**n))
         # the cells of a cube fill the Morton positions from its corner cell's on
         for Q, z in zip(family, zpos[cells].tolist()):
@@ -570,7 +570,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None):
         esize = float(E.sum()) * cellvol
         if esize == 0.0:
             continue
-        Q3 = Q.dilate3()
+        Q3 = CubeSet.of(Q.grid, [Q]).dilate3()[0]
         term = phi_theta(K, q, Q.side) ** q
         term *= luxemburg_norm(uq, Q3, NormSpec.power_log(1.0, ell * q))
         for f in fs:
@@ -581,7 +581,7 @@ def _rhs_per_cube(K, fs, u, q, ell, cz0, czj=None, j=None):
             esize = float(E.sum()) * cellvol
             if esize == 0.0:
                 continue
-            Q3 = Q.dilate3()
+            Q3 = CubeSet.of(Q.grid, [Q]).dilate3()[0]
             term = phi_theta(K, q, Q.side) ** q
             term *= luxemburg_norm(u, Q3, L1) ** q
             for i, f in enumerate(fs):
@@ -649,7 +649,7 @@ def cube_terms_per_cube(K, q, cz, g, spec, power):
             esizes.append(esize)
     terms = np.array([phi_theta(K, q, Q.side) ** q for Q in cubes])
     terms *= np.array(prod_norms) ** q
-    triples = [Q.dilate3() for Q in cubes]
+    triples = CubeSet.of(cz.grid, cubes).dilate3()
     terms *= luxemburg_norms(g, triples, spec) ** power
     return terms * np.array(esizes)
 
@@ -696,7 +696,7 @@ class TestCzArraysAgainstPerCubeLoops:
         cz.levels[0].e_counts[0] = g.N
         got = _cube_terms(K, 1.0, cz, fs[0], NormSpec.lebesgue(1.0), 1.0)
         Q = cz.levels[0].cubes[0]
-        norm = luxemburg_norms(fs[0], [Q.dilate3()], NormSpec.lebesgue(1.0))[0]
+        norm = luxemburg_norms(fs[0], CubeSet.of(g, [Q]).dilate3(), NormSpec.lebesgue(1.0))[0]
         assert got.shape == (1,)
         assert got[0] == phi_theta(K, 1.0, Q.side) * cz.levels[0].prod_norms[0] * norm * (g.N * g.cell_volume)
 

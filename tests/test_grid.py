@@ -18,6 +18,7 @@ from multipot import (
     NormSpec,
     cube_family,
     integrate,
+    luxemburg_norm,
     luxemburg_norms,
     make_grid,
     maximal,
@@ -187,7 +188,9 @@ class TestCubeSet:
     def test_dilate3_matches_the_cubes(self):
         g = make_grid(2, 1.0, 8)
         fam = cube_family(g, "dyadic")
-        assert list(fam.dilate3()) == [Q.dilate3() for Q in fam]
+        # the concentric triple: the corner moves back by w on every axis, the width triples
+        want = [(tuple(l - Q.w for l in Q.lo), 3 * Q.w) for Q in fam]
+        assert [(Q3.lo, Q3.w) for Q3 in fam.dilate3()] == want
 
     def test_per_width_once_per_width(self):
         g = make_grid(1, 1.0, 16)
@@ -229,6 +232,8 @@ class TestCubeSet:
                 luxemburg_norms(f, fam, spec)
             with pytest.raises(ValueError, match="does not live on this grid"):
                 maximal(lambda Q: 1.0, [spec], [f], g, fam)
+        with pytest.raises(ValueError, match="does not live on this grid"):
+            luxemburg_norm(f, other.whole_box(), spec)
         mixed = list(cube_family(g, "dyadic")) + [Cube(other, (0,), 2)]
         with pytest.raises(ValueError, match="does not live on this grid"):
             luxemburg_norms(f, mixed, spec)
@@ -278,21 +283,21 @@ class TestCube:
     def test_dilate3_geometry(self):
         g = make_grid(1, 1.0, 8)
         Q = Cube(g, (2,), 2)
-        Q3 = Q.dilate3()
+        Q3 = CubeSet.of(g, [Q]).dilate3()[0]
         assert Q3.lo == (0,)
         assert Q3.w == 6
         assert Q3.measure == pytest.approx(3.0 * Q.side)
 
     def test_clipping(self):
         g = make_grid(1, 1.0, 8)
-        Q3 = Cube(g, (0,), 2).dilate3()
+        Q3 = CubeSet.of(g, [Cube(g, (0,), 2)]).dilate3()[0]
         assert Q3.measure == pytest.approx(6 * g.h)
 
     def test_cube_outside_box_is_empty(self):
         g = make_grid(1, 1.0, 8)
         f = GridFunction.constant(g, 1.0)
         for Q in (Cube(g, (-7,), 2), Cube(g, (9,), 2)):
-            assert f.restrict(Q).size == 0
+            assert f.values[Q.slices()].size == 0
 
 
 class TestGridFunction:
@@ -312,11 +317,6 @@ class TestGridFunction:
         g = make_grid(2, 1.0, 4)
         with pytest.raises(ValueError, match=r"shape \(16,\) on a grid of shape \(4, 4\)"):
             GridFunction(g, np.ones(16))
-
-    def test_restrict_to_a_cube_on_another_grid_raises(self):
-        f = GridFunction.constant(make_grid(1, 1.0, 8), 1.0)
-        with pytest.raises(ValueError, match="does not live on this grid"):
-            f.restrict(make_grid(1, 1.0, 16).whole_box())
 
     def test_rejects_nan(self):
         g = make_grid(1, 1.0, 8)

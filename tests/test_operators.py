@@ -507,7 +507,7 @@ def per_cube_maximal(phi, specs, fs, grid, family):
 
 def family_of(g, kind):
     if kind == "triples":
-        return [Q.dilate3() for Q in cube_family(g, "dyadic")]
+        return list(cube_family(g, "dyadic").dilate3())
     return cube_family(g, kind)
 
 

@@ -213,6 +213,23 @@ class TestTestingConditionW:
         with pytest.raises(ValueError):
             eval_condition_W(*self._tc(one, [one, one], K, fam, L1, [[L1]]))
 
+    @pytest.mark.parametrize("y,calls", [("Y0", 3), ("Y1", 5)])
+    def test_one_norm_call_per_weight_and_spec(self, monkeypatch, y, calls):
+        # the X norm, then one per distinct (i, Y[i][j]): a row of Y0 holds
+        # one spec, Y1 differs on its diagonal
+        g = make_grid(1, 1.0, 16)
+        fam = cube_family(g, "centered")
+        K = Kernel("fractional", 1, 2, alpha=0.5)
+        u = parse_weight("pow0.3", g)
+        vs = [parse_weight(s, g) for s in ("pow-0.2", "pow0.4")]
+        bundle = remark_bundle(1, 2.0, [4.0, 4.0])
+        tc = self._tc(u, vs, K, fam, bundle["X0"], bundle[y])
+        want = per_cube_condition_W(*tc)
+        specs, norms = [], verify.luxemburg_norms
+        monkeypatch.setattr(verify, "luxemburg_norms", lambda f, cubes, spec: specs.append(spec) or norms(f, cubes, spec))
+        assert eval_condition_W(*tc) == want
+        assert len(specs) == calls
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_weight_count_validated(self, count):
         g, fam, K, _, one = small_setup(m=2)
@@ -466,11 +483,29 @@ class TestVerifyControl:
             verify_control(0, 0.0, K, one, corpus, fam)
 
 
+@pytest.mark.parametrize("harness", [
+    lambda K, one, corpus, fam, bs: verify_control(1, 0.5, K, one, corpus, fam, bs),
+    lambda K, one, corpus, fam, bs: verify_coifman("ii", 1, 0.5, K, one, corpus, fam, bs),
+    lambda K, one, corpus, fam, bs: verify_ftd("i", 1, 0.5, K, one, corpus, fam, bs),
+    lambda K, one, corpus, fam, bs: verify_fefferman_stein("iii", 1, [1.5, 1.5], 0.5, K, [one, one], corpus,
+                                                           fam, bs),
+    lambda K, one, corpus, fam, bs: verify_strong(1, [4.0, 4.0], 2.0, K, one, [one, one], corpus, fam, bs),
+], ids=["control", "coifman", "ftd", "fefferman-stein", "strong"])
+def test_default_symbols_built_once_per_call(monkeypatch, harness):
+    # with bs=None and ell = 1 the harness builds log|x| once, not once per tuple
+    g, fam, K, corpus, one = small_setup(count=7)
+    want = harness(K, one, corpus, fam, [verify.gen_bmo_log(g)] * K.m).to_dict()
+    grids, gen = [], verify.gen_bmo_log
+    monkeypatch.setattr(verify, "gen_bmo_log", lambda grid: grids.append(grid) or gen(grid))
+    assert harness(K, one, corpus, fam, None).to_dict() == want
+    assert grids == [g]
+
+
 class TestVerifyWeakMaximal:
     def test_identity_young(self):
         g, fam, K, corpus, one = small_setup()
         rep = verify_weak_maximal(lambda Q: 1.0,
-                                  YoungFunction("identity"),
+                                  YoungFunction("power-log"),  # t
                                   [one, one], corpus, fam)
         assert 0 < rep.max_ratio < 1000.0
 
@@ -491,8 +526,7 @@ class TestVerifyWeakMaximal:
         corpus = make_corpus(g, m, count=4, seed=10 * n + m)
         rng = np.random.default_rng(N + m)
         us = [GridFunction(g, rng.uniform(0.5, 2.0, g.shape), nonneg=True) for _ in range(m)]
-        B = YoungFunction("identity") if young == "identity" else YoungFunction(
-            "power-log", p=1.0, alpha=1.0)
+        B = YoungFunction("power-log", p=1.0, alpha=0.0 if young == "identity" else 1.0)
         scale = (lambda Q: 1.0) if phi == "constant" else (lambda Q: math.sqrt(Q.measure))
         rep = verify_weak_maximal(scale, B, us, corpus, fam)
         u = GridFunction(g, np.prod([ui.values for ui in us], axis=0) ** (1.0 / m))
@@ -513,7 +547,7 @@ class TestVerifyWeakMaximal:
         monkeypatch.setattr(verify, "maximal_corpus", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=f"one weight per linear slot: {count} weights, "
                                              "a corpus tuple of 2"):
-            verify_weak_maximal(lambda Q: 1.0, YoungFunction("identity"), [one] * count, corpus, fam)
+            verify_weak_maximal(lambda Q: 1.0, YoungFunction("power-log"), [one] * count, corpus, fam)
         assert calls == []
 
     def test_non_submultiplicative_rejected(self):

@@ -20,12 +20,12 @@ from multipot import (
 
 def mean_oscillation(b, family):
     """max over the family of the mean of |b - b_Q| on Q."""
-    return max(float(np.abs(b.restrict(Q) - b.restrict(Q).mean()).mean()) for Q in family)
+    return max(float(np.abs(b.values[Q.slices()] - b.values[Q.slices()].mean()).mean()) for Q in family)
 
 
 def rh_inf(w, family):
     """max over the family of (sup of w on Q) / (avg of w on Q)."""
-    return max(float(w.restrict(Q).max() / w.restrict(Q).mean()) for Q in family)
+    return max(float(w.values[Q.slices()].max() / w.values[Q.slices()].mean()) for Q in family)
 
 
 class TestGenPowerWeight:
@@ -152,7 +152,7 @@ def rh_check_per_cube(w, s, family):
     cube inside the box."""
     worst = 0.0
     for Q in family:
-        sub = w.restrict(Q)
+        sub = w.values[Q.slices()]
         if sub.size == 0:
             continue
         den = float(sub.mean())
