@@ -232,8 +232,6 @@ class TestCubeSet:
                 luxemburg_norms(f, fam, spec)
             with pytest.raises(ValueError, match="does not live on this grid"):
                 maximal(lambda Q: 1.0, [spec], [f], g, fam)
-        with pytest.raises(ValueError, match="does not live on this grid"):
-            luxemburg_norm(f, other.whole_box(), spec)
         mixed = list(cube_family(g, "dyadic")) + [Cube(other, (0,), 2)]
         with pytest.raises(ValueError, match="does not live on this grid"):
             luxemburg_norms(f, mixed, spec)
@@ -317,6 +315,11 @@ class TestGridFunction:
         g = make_grid(2, 1.0, 4)
         with pytest.raises(ValueError, match=r"shape \(16,\) on a grid of shape \(4, 4\)"):
             GridFunction(g, np.ones(16))
+
+    def test_restrict_to_a_cube_on_another_grid_raises(self):
+        f = GridFunction.constant(make_grid(1, 1.0, 8), 1.0)
+        with pytest.raises(ValueError, match="does not live on this grid"):
+            luxemburg_norm(f, make_grid(1, 1.0, 16).whole_box(), NormSpec.lebesgue(1.0))
 
     def test_rejects_nan(self):
         g = make_grid(1, 1.0, 8)
