@@ -281,8 +281,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error (bad flag, value or command) is a configuration
+        error: exit 1 with one line, not argparse's exit 2."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="multipot")
+    ap = _Parser(prog="multipot")
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config")
     for key, (_, kind, flag) in _KEYS.items():
@@ -304,10 +311,8 @@ def run(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return run(cfg)
+        return run(_load_config(build_parser().parse_args(argv)))
     except HypothesisUnmet as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return 2

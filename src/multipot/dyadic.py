@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,6 +142,7 @@ def _e_runs(below_next: np.ndarray, cubes: CubeSet) -> list:
 
 
 _MAX_CZ_LEVELS = 64  # thresholds a^k kept, the largest k: a cap for an a close to 1
+_MEMO, _MEMO_SIZE = OrderedDict(), 4  # the last decompositions, as _decompose gives them, by content
 
 
 def cz_decompose(hs, a: float, grid: Grid) -> CZDecomposition:
@@ -152,12 +154,32 @@ def cz_decompose(hs, a: float, grid: Grid) -> CZDecomposition:
     smallest positive and the largest maximal-function value; when all
     positive values lie in one interval (a^k, a^(k+1)], that k alone.  Of a
     wider band the _MAX_CZ_LEVELS largest k are kept.
+
+    The last few are kept by content (grid, a, _MAX_CZ_LEVELS and the
+    values of the hs): each call gets its own decomposition and levels over
+    shared read-only arrays, with `functions` its own hs.
     """
     if a <= 1.0:
         raise ValueError("CZ base a must exceed 1")
     hs = list(hs)
     if all(not h.values.any() for h in hs):
         raise ValueError("CZ decomposition of identically zero data")
+    import hashlib  # here: it loads OpenSSL, about 4 ms, and only this needs it
+
+    key = (grid, a, _MAX_CZ_LEVELS,
+           tuple((h.values.shape, hashlib.blake2b(np.ascontiguousarray(h.values)).digest()) for h in hs))
+    # a hit goes back in as the newest entry; one pop and one store, so that
+    # concurrent calls never look up a key another has dropped
+    _MEMO[key] = levels, mx = _MEMO.pop(key, None) or _decompose(hs, a, grid)
+    if len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
+    return CZDecomposition(a, grid, [CZLevel(k, CubeSet(grid, lo, w), list(prod_norms), counts)
+                                     for k, lo, w, prod_norms, counts in levels], mx, hs)
+
+
+def _decompose(hs, a: float, grid: Grid) -> tuple:
+    """cz_decompose on checked arguments: (levels as (k, lo, w, prod_norms,
+    e_counts) with read-only arrays, maximal values)."""
     N, n, (starts, corner_cell, widths, _, _, zpos) = grid.N, grid.n, _dyadic_tables(grid)
     prod, anc, above = _triple_products(hs, grid), np.empty(starts[-1]), np.full(1, -np.inf)
     # coarse to fine: the max over the strict ancestors of a cube is its
@@ -171,7 +193,7 @@ def cz_decompose(hs, a: float, grid: Grid) -> CZDecomposition:
     vals = mx.values
     pos = vals[vals > 0]
     if pos.size == 0:
-        return CZDecomposition(a, grid, [], mx, hs)
+        return [], mx
     vmin, vmax = float(pos.min()), float(vals.max())
     k_lo = math.ceil(math.log(vmin) / math.log(a) - 1e-12)
     k_hi = math.floor(math.log(vmax) / math.log(a) + 1e-12)
@@ -210,8 +232,11 @@ def cz_decompose(hs, a: float, grid: Grid) -> CZDecomposition:
     lo, levels = np.stack(np.unravel_index(corner, grid.shape), axis=1), []
     for sel in np.split(np.arange(j.size), bounds):
         c = cube[sel]
-        levels.append(CZLevel(ks[j[sel[0]]], CubeSet(grid, lo[c], w[c]), prod[c].tolist(), counts[sel]))
-    return CZDecomposition(a, grid, levels, mx, hs)
+        level = (ks[j[sel[0]]], lo[c], w[c], prod[c].tolist(), counts[sel])
+        for x in level[1:3] + level[4:]:
+            x.flags.writeable = False
+        levels.append(level)
+    return levels, mx
 
 
 def discretization_rhs(
@@ -229,8 +254,9 @@ def discretization_rhs(
     First sum over the cubes selected from f itself; for the commutator a
     second sum over the cubes selected with u in slot j.  Their L^1 factors
     are the prod_norms the cubes were selected by, so cz0 must decompose fs
-    and czj fs with u in slot j, which is checked.  Each sum takes one batch
-    of Orlicz norms: (u^q, L log^(ell q) L) on cz0, (f_j, L log L) on czj.
+    and czj fs with u in slot j, which is checked.  Both sums take one
+    batch of Orlicz norms: (u^q, L log^(ell q) L) on cz0, (f_j, L log L) on
+    czj.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("need q in (0, 1]")
@@ -248,10 +274,10 @@ def discretization_rhs(
             # a zero slot kills every triple-average product, so both sides vanish
             return 0.0
         raise ValueError("empty decomposition")
-    uq = GridFunction(cz0.grid, u.values**q)
-    terms = _cube_terms(K, q, cz0, uq, NormSpec.power_log(1.0, ell * q), 1.0)
+    factors = [(cz0, GridFunction(cz0.grid, u.values**q), NormSpec.power_log(1.0, ell * q), 1.0)]
     if ell == 1:
-        terms = np.concatenate([terms, _cube_terms(K, q, czj, fs[j], NormSpec.power_log(1.0, 1.0), q)])
+        factors.append((czj, fs[j], NormSpec.power_log(1.0, 1.0), q))
+    terms = _cube_terms(K, q, factors)
     # one add per cube in cube order, the rounding of a per-cube running sum
     total = 0.0
     for term in terms.tolist():
@@ -265,22 +291,31 @@ def _decomposes(cz: CZDecomposition, hs: list) -> bool:
         g is h or g.grid == h.grid and np.array_equal(g.values, h.values) for g, h in zip(cz.functions, hs))
 
 
-def _cube_terms(K: Kernel, q: float, cz: CZDecomposition, g: GridFunction, spec: NormSpec,
-                power: float) -> np.ndarray:
+def _cube_terms(K: Kernel, q: float, factors) -> np.ndarray:
     """phi_theta(l(Q))^q * prod_norm^q * ||g||_{spec,3Q}^power * |E| for
-    each cube Q of cz with non-empty E, in cube order.
+    each factor (cz, g, spec, power) and each cube Q of cz with non-empty
+    E, factor after factor in cube order.
 
     |E| comes from the counts of each level, phi_theta takes one call per
-    width, and the norms one luxemburg_norms call over all triples.
+    width, and the norms one luxemburg_norms call over all triples, each
+    factor's on its own g and spec.
     """
-    grid, levels = cz.grid, [lev for lev in cz.levels if len(lev.cubes)]
-    if not levels:
+    parts = []  # (cubes, prod_norms, |E|, g, spec, power) of each factor with cubes
+    for cz, g, spec, power in factors:
+        grid, levels = cz.grid, [lev for lev in cz.levels if len(lev.cubes)]
+        if levels:
+            esizes = np.concatenate([lev.e_counts for lev in levels]) * grid.cell_volume
+            keep = esizes != 0.0
+            parts.append((CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep],
+                          np.concatenate([lev.prod_norms for lev in levels])[keep], esizes[keep], g, spec, power))
+    if not parts:
         return np.zeros(0)
-    esizes = np.concatenate([lev.e_counts for lev in levels]) * grid.cell_volume
-    keep = esizes != 0.0
-    cubes = CubeSet.concat(grid, [CubeSet.of(grid, lev.cubes) for lev in levels])[keep]
+    subsets, prod_norms, esizes, gs, specs, powers = zip(*parts)
+    cubes = CubeSet.concat(subsets[0].grid, subsets)
     terms = cubes.per_width(lambda Q: phi_theta(K, q, Q.side) ** q)
-    terms *= np.concatenate([lev.prod_norms for lev in levels])[keep] ** q
-    terms *= luxemburg_norms(g, cubes.dilate3(), spec) ** power
-    return terms * esizes[keep]
-
+    terms *= np.concatenate(prod_norms) ** q
+    sizes = [len(sub) for sub in subsets]
+    norms = luxemburg_norms(list(gs), cubes.dilate3(), list(specs), which=np.repeat(np.arange(len(parts)), sizes))
+    for power, end, size in zip(powers, np.cumsum(sizes).tolist(), sizes):
+        terms[end - size : end] *= norms[end - size : end] ** power
+    return terms * np.concatenate(esizes)

@@ -125,7 +125,7 @@ def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = _TOL) 
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return float(_norms([f], CubeSet.of(f.grid, [Q]), np.zeros(1, dtype=np.int64), spec, tol)[0])
+    return float(_norms([f], CubeSet.of(f.grid, [Q]), np.zeros(1, dtype=np.int64), [spec], tol)[0])
 
 
 # Cells per chunk of cubes in luxemburg_norms (~0.5 MB of values): nonzero
@@ -136,24 +136,29 @@ _CHUNK_ELEMENTS = 1 << 16
 _MAX_STEPS = 200  # cap on each loop of _young_row_norms
 
 
-def luxemburg_norms(f, cubes, spec: NormSpec, *, which=None) -> np.ndarray:
+def luxemburg_norms(f, cubes, spec, *, which=None) -> np.ndarray:
     """||f||_{X,Q} for each Q of a CubeSet or a list of cubes of any
     widths, on the grid of f; luxemburg_norm is its one-cube call.
 
     With `which`, f is a sequence of functions on one grid and cube k is
-    taken on f[which[k]]; a row's norm depends only on its own cells, so
-    it equals that of the one-function call bit for bit.
+    taken on f[which[k]]; spec is one NormSpec, or one per function, and
+    cube k then takes spec[which[k]].  A row's norm depends only on its
+    own cells and spec, so it equals that of the one-function, one-spec
+    call bit for bit.
 
     Cells outside the box count as zero, the zero-extension that clipped
-    cubes assume.  A Young spec reads each cube's nonzero cells, in C order,
-    from the sorted nonzero positions of the |f| stack (function, then grid
-    axes): each line of the cube along the last axis is one searchsorted
-    pair.  The cubes go in chunks of at most _CHUNK_ELEMENTS nonzero cells
-    and lines, or one cube alone; a chunk may hold several widths and
+    cubes assume.  The Young rows, of every Young spec, read each cube's
+    nonzero cells, in C order, from the nonzero cells of the |f| stack
+    (function, then the axes of the cubes' bounding box) in flat order:
+    each line of the cube along the last axis is one segment, two lookups
+    in a running count of the nonzero cells.  The cubes go
+    in chunks of at most _CHUNK_ELEMENTS nonzero cells and lines, or one
+    cube alone; a chunk may hold several widths, functions and Young
     functions, and the root-finder on lambda runs on all its rows at once,
-    each row stopping on its own.  An L^r spec reads every cell of each
-    window from a zero-padded stack, one width at a time, in chunks of at
-    most _CHUNK_ELEMENTS cells, or one cube alone.
+    each row stopping on its own.  The L^r rows, one r at a time, read
+    every cell of each window from a zero-padded stack of the bounding
+    box, one width at a time, in chunks of at most _CHUNK_ELEMENTS cells,
+    or one cube alone.
     """
     fs = [f] if which is None else list(f)
     grid = fs[0].grid
@@ -163,35 +168,59 @@ def luxemburg_norms(f, cubes, spec: NormSpec, *, which=None) -> np.ndarray:
     which = np.zeros(len(cubes), dtype=np.int64) if which is None else np.asarray(which, dtype=np.int64)
     if which.shape != (len(cubes),) or (which < 0).any() or (which >= len(fs)).any():
         raise ValueError("which needs one function index per cube")
+    spec = [spec] * len(fs) if isinstance(spec, NormSpec) else list(spec)
+    if len(spec) != len(fs) or not all(isinstance(s, NormSpec) for s in spec):
+        raise ValueError("spec needs one NormSpec per function")
     return _norms(fs, cubes, which, spec, _TOL)
 
 
-def _norms(fs, cubes: CubeSet, which, spec: NormSpec, tol: float) -> np.ndarray:
-    """luxemburg_norms on checked arguments, with root-finder tolerance tol."""
-    out = np.zeros(len(cubes))
+def _norms(fs, cubes: CubeSet, which, spec, tol: float) -> np.ndarray:
+    """luxemburg_norms on checked arguments, spec a list of one NormSpec
+    per function, with root-finder tolerance tol."""
     if not len(cubes):
-        return out
+        return np.zeros(0)
     grid = fs[0].grid
     frac = grid.cell_volume / cubes.per_width(lambda Q: Q.measure)
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
-    lo = np.clip(cubes.lo, -cubes.w[:, None], grid.N)
-    if spec.young is None:
-        _window_norms(fs, lo, cubes.w, cubes.by_width(), which, frac, spec.r, out)
-    else:
-        _segment_norms(fs, lo, cubes.w, which, frac, spec.young, tol, out)
+    lo = np.minimum(np.maximum(cubes.lo, -cubes.w[:, None]), grid.N)
+    # each function's Young function as an index in youngs, -1 for L^r
+    youngs = list(dict.fromkeys(s.young for s in spec if s.young is not None))
+    fy = np.array([-1 if s.young is None else youngs.index(s.young) for s in spec])
+
+    def norms(rows, r):
+        """The norms of rows for L^r, or of Young rows for r None."""
+        args = fs, lo[rows], cubes.w[rows], which[rows], frac[rows]
+        if r is None:
+            return _segment_norms(*args, youngs, fy, tol)
+        return _window_norms(*args, cubes[rows].by_width(), r)
+
+    groups = list(dict.fromkeys(s.r for s in spec))  # each L^r exponent, None for the Young specs
+    if len(groups) == 1:  # every row: a slice takes views, where an index array would copy each array
+        return norms(slice(None), groups[0])
+    out = np.zeros(len(cubes))
+    group = np.array([groups.index(s.r) for s in spec])[which]
+    for i, r in enumerate(groups):
+        rows = np.flatnonzero(group == i)
+        if rows.size:
+            out[rows] = norms(rows, r)
     return out
 
 
-def _window_norms(fs, lo, ws, groups, which, frac, r, out) -> None:
-    """luxemburg_norms for L^r, into out: |f| is written once into one
-    zero-filled stack, and the windows of each width (groups) are one
-    read-only, bounds-checked view of it."""
+def _window_norms(fs, lo, ws, which, frac, groups, r) -> np.ndarray:
+    """luxemburg_norms for L^r: |f| on the cubes' bounding box is written
+    once into one zero-filled stack, and the windows of each width (groups)
+    are one read-only, bounds-checked view of it."""
     grid = fs[0].grid
-    before, after = max(0, -lo.min()), max(0, (lo + ws[:, None]).max() - grid.N)
-    padded = np.zeros((len(fs),) + (before + grid.N + after,) * grid.n)
-    for j, g in enumerate(fs):
-        np.abs(g.values, out=padded[(j,) + (slice(before, before + grid.N),) * grid.n])
-    starts = lo + before
+    out = np.empty(len(ws))
+    first, end = lo.min(axis=0), (lo + ws[:, None]).max(axis=0)
+    a, b = np.minimum(np.maximum(first, 0), grid.N), np.minimum(np.maximum(end, 0), grid.N)  # the part in the grid
+    padded = np.zeros((len(fs), *(end - first).tolist()))
+    if (a < b).all():
+        box = tuple(map(slice, a.tolist(), b.tolist()))
+        into = tuple(map(slice, (a - first).tolist(), (b - first).tolist()))
+        for j, g in enumerate(fs):
+            np.abs(g.values[box], out=padded[(j, *into)])
+    starts = lo - first
     for w, idx in groups:
         windows = np.ndarray(padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:]) + (w,) * grid.n,
                              buffer=padded, strides=padded.strides + padded.strides[1:])
@@ -199,42 +228,57 @@ def _window_norms(fs, lo, ws, groups, which, frac, r, out) -> None:
         k = max(1, _CHUNK_ELEMENTS // w**grid.n)  # a wider cube goes alone
         for sel in (idx[i : i + k] for i in range(0, idx.size, k)):
             out[sel] = _lr_norms(windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), r, frac[sel[0]])
+    return out
 
 
-def _segment_norms(fs, lo, ws, which, frac, Y, tol, out) -> None:
-    """luxemburg_norms for a Young spec, into out.  The flat nonzero
-    positions of the |f| stack are sorted, so the nonzero cells of a line
-    of a cube along the last axis are one segment of them; a row is its
-    segments line after line, which is the C order of its window."""
-    grid = fs[0].grid
-    N, n = grid.N, grid.n
-    flat = np.stack([g.values for g in fs]).ravel()
-    pos = np.flatnonzero(flat)
-    cells = np.abs(flat[pos])
+def _segment_norms(fs, lo, ws, which, frac, Y, fy, tol) -> np.ndarray:
+    """luxemburg_norms for Y[fy[which[k]]] on row k, rows going in order
+    of their Young function.  The nonzero cells of the |f| stack on the
+    cubes' bounding box are taken in flat order, so those of a line of a
+    cube along the last axis are one segment of them, found from a running
+    count; a row is its segments line after line, which is the C order of
+    its window."""
+    N, n = fs[0].grid.N, fs[0].grid.n
+    out = np.zeros(len(ws))
 
     def box(k):
-        """The first cell and the extent per axis of the part of cubes k in the box."""
-        first = np.clip(lo[k], 0, N)
-        return first, np.clip(lo[k] + ws[k, None], 0, N) - first
+        """The first cell and the extent per axis of the part of cubes k in the grid."""
+        first = np.minimum(np.maximum(lo[k], 0), N)
+        return first, np.minimum(np.maximum(lo[k] + ws[k, None], 0), N) - first
+
+    # lines along the last axis: the product of the other extents, or 0 when the last is 0
+    nlines = np.prod(np.minimum(box(slice(None))[1], [N] * (n - 1) + [1]), axis=1)
+    live = np.flatnonzero(nlines)  # the other cubes miss the grid: norm 0
+    if live.size == 0:
+        return out
+    if len(Y) > 1:  # one Young function leaves the rows in order
+        live = live[np.argsort(fy[which[live]], kind="stable")]
+    # the bounding box of the parts of the live cubes in the grid
+    b0 = np.minimum(np.maximum(lo[live].min(axis=0), 0), N)
+    b1 = np.minimum(np.maximum((lo[live] + ws[live, None]).max(axis=0), 0), N)
+    shape = b1 - b0
+    stride = np.cumprod(np.concatenate([[1], shape[:0:-1]]))[::-1]  # of C order on the bounding box
+    flat = np.stack([g.values[tuple(map(slice, b0.tolist(), b1.tolist()))] for g in fs]).ravel()
+    nonzero = flat != 0
+    cells = np.abs(flat[nonzero])
+    rank = np.zeros(flat.size + 1, dtype=np.intp)  # the nonzero cells before each flat position
+    np.cumsum(nonzero, out=rank[1:])
 
     def segments(k, lines, line_end):
-        """(first index in pos, length) of the segment of each line of cubes
-        k in the box, line after line; cube k[i] has lines[i] lines."""
+        """(first index in cells, length) of the segment of each line of
+        cubes k in the grid, line after line; cube k[i] has lines[i] lines."""
         first, ext = box(k)
         line_row = np.repeat(np.arange(k.size), lines)
-        start = (which[k] * N**n + first @ N ** np.arange(n - 1, -1, -1))[line_row]
+        start = (which[k] * int(np.prod(shape)) + (first - b0) @ stride)[line_row]
         if n > 1:  # line l of a cube steps through axes n-2 ... 0 of its part
             l = np.arange(line_row.size) - np.repeat(line_end - lines, lines)
             for axis in range(n - 2, -1, -1):
                 e = ext[line_row, axis]
-                start += l % e * N ** (n - 1 - axis)
+                start += l % e * stride[axis]
                 l //= e
-        seg = np.searchsorted(pos, start)
-        return seg, np.searchsorted(pos, start + ext[line_row, -1]) - seg
+        seg = rank[start]
+        return seg, rank[start + ext[line_row, -1]] - seg
 
-    # lines along the last axis: the product of the other extents, or 0 when the last is 0
-    nlines = np.prod(np.minimum(box(slice(None))[1], [N] * (n - 1) + [1]), axis=1)
-    live = np.flatnonzero(nlines)  # the other cubes miss the box: norm 0
     for part in _runs(nlines[live]):
         rows = live[part]
         lines = nlines[rows]
@@ -247,7 +291,8 @@ def _segment_norms(fs, lo, ws, which, frac, Y, tol, out) -> None:
             sl = slice(line_end[r[0]] - lines[r[0]], line_end[r[-1]])
             out[rows[r]] = _young_row_norms(cells[_ranges(seg[sl], count[sl])],
                                             np.repeat(np.arange(r.size), row_cells[r]),
-                                            frac[rows[r]], Y, tol)
+                                            frac[rows[r]], Y, tol, fy[which[rows[r]]])
+    return out
 
 
 def _runs(sizes) -> list:
@@ -281,9 +326,11 @@ def _lr_norms(v, r: float, frac: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # S(lam) may overflow to inf at a small lam; the steps allow for it
-def _young_row_norms(v, row, frac, Y: YoungFunction, tol: float) -> np.ndarray:
+def _young_row_norms(v, row, frac, Y, tol: float, yid=None) -> np.ndarray:
     """The Luxemburg norm for Y of rows 0 ... frac.size - 1: row r has the
     nonzero cells v[row == r] (row nondecreasing) and cell fraction frac[r].
+    With yid, Y is a list of Young functions and row r takes Y[yid[r]]
+    (yid nondecreasing); when all rows take one, it is that one's call.
 
     It is the least lam with S(lam) = sum Y(v / lam) * frac <= 1.  Doubling
     hi from the row max, or else one step down by the growth bound of Y and
@@ -292,10 +339,13 @@ def _young_row_norms(v, row, frac, Y: YoungFunction, tol: float) -> np.ndarray:
     S = c lam^-p, shrinks the bracket, each step at least tol * hi / 2
     inside it (the geometric mean of the ends when S(lo) overflowed to inf).
     A row stops at S(hi) == 1 or hi - lo <= tol * hi and returns hi,
-    feasible and within tol of lo.  A step makes one Y call on the cells of
-    its rows and sums each row in order, so a row's result depends on
-    neither the other rows nor its zeros.
+    feasible and within tol of lo.  A step makes one call of each Young
+    function on the cells of its rows, which are one run, and sums each row
+    in order, so a row's result depends on neither the other rows nor its
+    zeros.
     """
+    if yid is not None and yid[0] == yid[-1]:
+        Y, yid = Y[yid[0]], None
     count = np.bincount(row, minlength=frac.size)
     start = np.cumsum(count) - count
     out = np.zeros(frac.size)  # zero rows have norm 0, take no step
@@ -306,6 +356,7 @@ def _young_row_norms(v, row, frac, Y: YoungFunction, tol: float) -> np.ndarray:
     # the rows of the last step, their cells, the place of each cell's row
     # among them and their frac; the first step takes all the cells
     last = [rows, v, np.repeat(np.arange(rows.size), count[rows]), frac[rows]]
+    runs = [None, None]  # the place array of the last step, and (Y, first cell, end) per Young function
 
     def log_s(sel, lam, fresh=False):
         """log S(lam) on the rows sel (ascending).  Within a phase rows only
@@ -324,7 +375,16 @@ def _young_row_norms(v, row, frac, Y: YoungFunction, tol: float) -> np.ndarray:
                 m = keep[place]
                 last[:] = sel, cells[m], (np.cumsum(keep) - 1)[place[m]], f[keep]
         _, cells, place, f = last
-        return np.log(np.bincount(place, weights=Y._apply(cells / lam[place]), minlength=sel.size) * f)
+        if yid is None:
+            return np.log(np.bincount(place, weights=Y._apply(cells / lam[place]), minlength=sel.size) * f)
+        if runs[0] is not place:
+            # the first row, then the first cell, of each Young function but the first
+            cuts = np.searchsorted(place, np.searchsorted(yid[sel], np.arange(1, len(Y)))).tolist()
+            runs[:] = place, [(y, a, b) for y, a, b in zip(Y, [0] + cuts, cuts + [place.size]) if a < b]
+        t = cells / lam[place]
+        for y, a, b in runs[1]:
+            t[a:b] = y._apply(t[a:b])
+        return np.log(np.bincount(place, weights=t, minlength=sel.size) * f)
 
     # log S at lo and hi; NaN until lo is evaluated
     lo, hi, glo, ghi = np.zeros(rows.size), out[rows], np.full(rows.size, np.nan), np.empty(rows.size)
@@ -343,8 +403,9 @@ def _young_row_norms(v, row, frac, Y: YoungFunction, tol: float) -> np.ndarray:
     # when S(x) > 1; when rounding or a Y outside that bound leaves S(x) <= 1,
     # x is hi and the halving goes on from there (as it does from an x
     # below 1e-300, taken at hi)
-    p = Y.p if Y.kind == "power-log" else 1.0
     todo = np.flatnonzero((lo == 0.0) & (ghi < 0.0))
+    p = [y.p if y.kind == "power-log" else 1.0 for y in ([Y] if yid is None else Y)]
+    p = p[0] if yid is None else np.array(p)[yid[rows[todo]]]
     if todo.size:
         x = hi[todo] * np.exp(ghi[todo] / p)
         x = np.where(x > 1e-300, x, hi[todo])

@@ -1,10 +1,11 @@
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from multipot import Kernel, cli, condition_d_check
+from multipot import Kernel, cli, condition_d_check, dyadic
 from multipot.cli import CSV_HEADER, main
 
 
@@ -62,6 +63,16 @@ class TestCzDecompose:
         assert run_cli(["cz-decompose", *args, "--out-dir", tmp_path]) == 0
         expected = (Path(__file__).parent / "data" / recorded).read_bytes()
         assert (tmp_path / "cz.json").read_bytes() == expected
+
+    def test_memo_hit_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        made, decompose = [], dyadic._decompose
+        monkeypatch.setattr(dyadic, "_MEMO", OrderedDict())
+        monkeypatch.setattr(dyadic, "_decompose", lambda *a: made.append(a) or decompose(*a))
+        for out in ("miss", "hit"):
+            assert run_cli(["cz-decompose", "--n", 2, "--N", 32, "--seed", 3, "--out-dir", tmp_path / out]) == 0
+        assert len(made) == 1
+        expected = (Path(__file__).parent / "data" / "cz_2d_N32_seed3.json").read_bytes()
+        assert [(tmp_path / out / "cz.json").read_bytes() for out in ("miss", "hit")] == [expected] * 2
 
     @pytest.mark.parametrize("args,recorded", [
         (["--n", 3, "--N", 16, "--seed", 3], "cz_3d_N16_seed3.json"),
@@ -272,11 +283,29 @@ class TestConfigTypes:
         assert run_cli(["verify", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config theorem must be one of coifman, ftd, ") and err.count("\n") == 1
-        # the flag is checked by argparse, which exits 2 with its usage line
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["verify", "--theorem", "foo", "--out-dir", tmp_path])
-        assert exc.value.code == 2
+        # the flag is checked by argparse, a usage error that exits 1 too
+        assert run_cli(["verify", "--theorem", "foo", "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --theorem: invalid choice: 'foo'") and err.count("\n") == 1
         assert calls == [] and not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("args,want", [
+        (["verify", "--N", "abc"], "argument --N: invalid int value: 'abc'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["verify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_one(self, tmp_path, capsys, args, want):
+        # exit 2 is kept for an unmet hypothesis
+        assert run_cli(args + ["--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: multipot")
 
     @pytest.mark.parametrize("text", ["[1]", '"ab"'])
     def test_config_not_an_object_exits_one(self, tmp_path, capsys, text):

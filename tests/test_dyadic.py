@@ -1,5 +1,6 @@
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -682,7 +683,7 @@ class TestCzArraysAgainstPerCubeLoops:
             for ell in (0, 1):
                 first, second = _rhs_factors(fs, u, q, ell, 0)
                 for cz, factor in [(cz0, first)] + [(czj, second)] * ell:
-                    got = _cube_terms(K, q, cz, *factor)
+                    got = _cube_terms(K, q, [(cz, *factor)])
                     expected = cube_terms_per_cube(K, q, cz, *factor)
                     assert got.size > 0
                     np.testing.assert_array_equal(got, expected)
@@ -694,7 +695,7 @@ class TestCzArraysAgainstPerCubeLoops:
         for lev in cz.levels:
             lev.e_counts = np.zeros_like(lev.e_counts)
         cz.levels[0].e_counts[0] = g.N
-        got = _cube_terms(K, 1.0, cz, fs[0], NormSpec.lebesgue(1.0), 1.0)
+        got = _cube_terms(K, 1.0, [(cz, fs[0], NormSpec.lebesgue(1.0), 1.0)])
         Q = cz.levels[0].cubes[0]
         norm = luxemburg_norms(fs[0], CubeSet.of(g, [Q]).dilate3(), NormSpec.lebesgue(1.0))[0]
         assert got.shape == (1,)
@@ -705,10 +706,96 @@ class TestCzArraysAgainstPerCubeLoops:
         cz = cz_decompose(fs, 2.0, g)
         K = frac(0.5, 2)
         factor = (fs[0], NormSpec.power_log(1.0, 1.0), 0.5)
-        expected = _cube_terms(K, 0.5, cz, *factor)
+        expected = _cube_terms(K, 0.5, [(cz, *factor)])
         for lev in cz.levels:
             lev.cubes = list(lev.cubes)
-        np.testing.assert_array_equal(_cube_terms(K, 0.5, cz, *factor), expected)
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, [(cz, *factor)]), expected)
+
+    def test_factors_share_one_norm_call(self, monkeypatch):
+        g, fs = _inputs(2, 1, 16, "uniform", 9)
+        u = parse_weight("pow0.3", g)
+        cz0, czj = cz_decompose(fs, 2.0, g), cz_decompose([u], 2.0, g)
+        K = frac(0.5, 2)
+        first, second = _rhs_factors(fs, u, 0.5, 1, 0)
+        expected = np.concatenate([cube_terms_per_cube(K, 0.5, cz0, *first),
+                                   cube_terms_per_cube(K, 0.5, czj, *second)])
+        calls, norms = [], dyadic.luxemburg_norms
+        monkeypatch.setattr(dyadic, "luxemburg_norms", lambda *a, **k: calls.append(a) or norms(*a, **k))
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, [(cz0, *first), (czj, *second)]), expected)
+        assert len(calls) == 1
+        # a factor without cubes adds no rows
+        empty = CZDecomposition(2.0, g, [], cz0.maximal_values, fs)
+        np.testing.assert_array_equal(_cube_terms(K, 0.5, [(empty, *first), (czj, *second)]),
+                                      cube_terms_per_cube(K, 0.5, czj, *second))
+        assert _cube_terms(K, 0.5, [(empty, *first)]).shape == (0,)
+        calls.clear()
+        discretization_rhs(K, fs, u, 0.5, 1, cz0, czj, j=0)
+        assert len(calls) == 1
+
+
+class TestCzMemo:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        """An empty memo, and a list that gets one entry per decomposition made."""
+        made, decompose = [], dyadic._decompose
+        monkeypatch.setattr(dyadic, "_MEMO", OrderedDict())
+        monkeypatch.setattr(dyadic, "_decompose", lambda *a: made.append(a) or decompose(*a))
+        return made
+
+    def test_equal_values_hit(self, decompositions):
+        g, fs = _inputs(2, 2, 16, "uniform", 4)
+        first = cz_decompose(fs, 2.0, g)
+        copies = [GridFunction(g, f.values.copy()) for f in fs]
+        second = cz_decompose(copies, 2.0, g)
+        assert len(decompositions) == 1
+        assert first.functions == fs and second.functions == copies
+        assert second.to_json() == first.to_json()
+        for x, y in zip(first.levels, second.levels):
+            assert x is not y and x.prod_norms is not y.prod_norms
+            assert x.e_counts is y.e_counts and not y.e_counts.flags.writeable
+            assert not (y.cubes.lo.flags.writeable or y.cubes.w.flags.writeable)
+        assert not second.maximal_values.values.flags.writeable
+
+    def test_a_caller_mutation_does_not_reach_the_next(self, decompositions):
+        g, fs = _inputs(1, 1, 64, "sparse", 5)
+        first = cz_decompose(fs, 2.0, g)
+        want = first.to_json()
+        levels = [(lev.k, lev.cubes.lo.copy(), list(lev.prod_norms), lev.e_counts.copy()) for lev in first.levels]
+        with pytest.raises(ValueError):
+            first.levels[0].e_counts[0] = 0
+        first.levels[0].prod_norms[0] = -1.0
+        first.levels[0].e_counts = np.zeros_like(first.levels[0].e_counts)
+        first.levels[-1].cubes = list(first.levels[-1].cubes)[:1]
+        first.levels.pop(0)
+        again = cz_decompose(fs, 2.0, g)
+        assert len(decompositions) == 1 and again.to_json() == want
+        for lev, (k, lo, prod_norms, e_counts) in zip(again.levels, levels, strict=True):
+            assert lev.k == k and lev.prod_norms == prod_norms
+            np.testing.assert_array_equal(lev.cubes.lo, lo)
+            np.testing.assert_array_equal(lev.e_counts, e_counts)
+
+    def test_another_level_cap_or_base_misses(self, decompositions, monkeypatch):
+        g, fs = _inputs(2, 1, 16, "uniform", 6)
+        wide, cap = cz_decompose(fs, 1.5, g), dyadic._MAX_CZ_LEVELS
+        monkeypatch.setattr(dyadic, "_MAX_CZ_LEVELS", 1)
+        capped = cz_decompose(fs, 1.5, g)
+        other_base = cz_decompose(fs, 2.0, g)
+        assert len(decompositions) == 3
+        assert len(wide.levels) > 1 and len(capped.levels) == 1 and capped.levels[0].k == wide.levels[-1].k
+        assert other_base.to_json() != wide.to_json()
+        monkeypatch.setattr(dyadic, "_MAX_CZ_LEVELS", cap)
+        assert cz_decompose(fs, 1.5, g).to_json() == wide.to_json() and len(decompositions) == 3
+
+    def test_keeps_the_last_few(self, decompositions):
+        g = make_grid(1, 1.0, 16)
+        fs = [GridFunction(g, np.full(g.shape, 1.0 + i)) for i in range(dyadic._MEMO_SIZE + 1)]
+        for f in fs:
+            cz_decompose([f], 2.0, g)
+        assert len(dyadic._MEMO) == dyadic._MEMO_SIZE
+        cz_decompose([fs[-1]], 2.0, g)  # the last is kept
+        assert len(decompositions) == len(fs)
+        cz_decompose([fs[0]], 2.0, g)  # the first was dropped
+        assert len(decompositions) == len(fs) + 1
 
 
 class TestConstructionsPerWidth:

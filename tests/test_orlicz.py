@@ -805,3 +805,42 @@ def test_batched_young_values_are_those_of_one_cube_calls_property(young_calls, 
     for Q, j in zip(cubes, which.tolist()):
         luxemburg_norm(fs[j], Q, spec)
     assert batched == sum(young_calls)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool=st.sampled_from([_SOLVER_SPECS, _SOLVER_SPECS + ["L^1", "L^1.5"]]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 3), small_chunks=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+def test_mixed_specs_match_one_spec_calls_property(young_calls, pool, n, count, small_chunks, seed, data):
+    # one spec per function, Young/Young or L^r/Young: each row is that of
+    # the call on its spec's rows alone, and so are the Young values evaluated
+    fs, cubes, which = _gather_case(n, count, seed)
+    specs = [parse_norm_spec(data.draw(st.sampled_from(pool))) for _ in fs]
+    with pytest.MonkeyPatch.context() as mp:
+        if small_chunks:
+            mp.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
+        young_calls.clear()
+        got = luxemburg_norms(fs, cubes, specs, which=which)
+        mixed = sum(young_calls)
+        young_calls.clear()
+        want = np.empty(len(cubes))
+        for spec in set(specs):
+            rows = np.flatnonzero([specs[j] == spec for j in which])
+            want[rows] = luxemburg_norms(fs, [cubes[k] for k in rows], spec, which=which[rows])
+    np.testing.assert_array_equal(got, want)
+    assert mixed == sum(young_calls)
+
+
+def test_spec_list_needs_one_spec_per_function():
+    g = make_grid(1, 1.0, 16)
+    f, cubes = GridFunction.constant(g, 1.0), cube_family(g, "dyadic")
+    for spec in ([NormSpec.lebesgue(1.0)] * 2, ["L^1"]):
+        with pytest.raises(ValueError, match="one NormSpec per function"):
+            luxemburg_norms([f], cubes, spec, which=[0] * len(cubes))
+    got = luxemburg_norms([f, f], cubes, [NormSpec.lebesgue(1.0), parse_norm_spec("Lp1logL1")],
+                          which=np.arange(len(cubes)) % 2)
+    np.testing.assert_array_equal(got[::2], luxemburg_norms(f, cubes[::2], NormSpec.lebesgue(1.0)))
+    np.testing.assert_array_equal(got[1::2], luxemburg_norms(f, cubes[1::2], parse_norm_spec("Lp1logL1")))
+    # a function without cubes may have a spec of its own
+    got = luxemburg_norms([f, f], cubes, [parse_norm_spec("Lp1logL1"), NormSpec.lebesgue(1.0)],
+                          which=[0] * len(cubes))
+    np.testing.assert_array_equal(got, luxemburg_norms(f, cubes, parse_norm_spec("Lp1logL1")))
