@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import orlicz
 from .grid import CubeSet, Grid, GridFunction
 from .kernels import Kernel, kernel_cell_value
-from .orlicz import luxemburg_norms
+from .orlicz import _lattice_norms, luxemburg_norms
 
 __all__ = [
     "apply_potential",
@@ -32,6 +32,7 @@ def _check_same_grid(fs) -> Grid:
 
 
 _BLOCK_ELEMENTS = 2**16  # table values per block of the spectrum build, its shear and S o T_m
+_MAX_SPECTRUM_VALUES = 2**28  # 2 GiB of float64: the largest kernel spectrum apply_potential builds
 
 
 @lru_cache(maxsize=4)
@@ -109,6 +110,10 @@ def apply_potential(K: Kernel, fs) -> GridFunction:
     grid = _check_same_grid(fs)
     N, n, m = grid.N, grid.n, K.m
     P, axes = 2 * N, tuple(range(n))
+    size = P ** (n * m - 1) * (N + 1) if n * m > 1 else P  # the values of the spectrum's build
+    if size > _MAX_SPECTRUM_VALUES:
+        raise ValueError(f"the kernel spectrum at n = {n}, m = {m}, N = {N} needs {size} values "
+                         f"({size * 8 / 1e9:.1f} GB), over the limit of {_MAX_SPECTRUM_VALUES}")
     S = _kernel_spectrum(K, grid)
     if m == 1:  # zeta_1 is eta: nothing to contract
         G = S * np.fft.rfftn(fs[0].values, s=(P,) * n, axes=axes)
@@ -188,7 +193,11 @@ def maximal_corpus(phi, specs, corpus, grid: Grid, family) -> list:
     the (tuple, cube) arrays of a batch stay the size of one root-finder
     chunk.  Per batch, each slot takes one luxemburg_norms call over the
     (tuple, cube) pairs whose product is not yet 0, and each width one
-    scatter-max over all tuples.
+    scatter-max over all tuples.  When the cubes of each width are one run
+    of every corner in the box in C order, as in cube_family(grid,
+    "centered"), an L^r slot reads every tuple's norms from the window
+    sums of the grid (_lattice_norms) with no index arrays, and each
+    width's values go onto the corner lattice as one block.
     """
     specs, corpus = list(specs), [list(fs) for fs in corpus]
     for fs in corpus:
@@ -197,25 +206,43 @@ def maximal_corpus(phi, specs, corpus, grid: Grid, family) -> list:
         if not all(f.grid == grid for f in fs):
             raise ValueError("all input functions must share one grid")
     cubes = CubeSet.of(grid, family)
-    scale, groups = cubes.per_width(phi), cubes.by_width()
+    groups, scale = cubes.by_width(), np.empty(len(cubes))
+    for w, idx in groups:
+        scale[idx] = phi(cubes[idx[0]])
+    # each width's columns as a slice where they are consecutive, so its values are a view, not a copy
+    groups = [(w, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx) for w, idx in groups]
+    lattice = all(isinstance(col, slice) and _is_corner_lattice(cubes.lo[col], w, grid) for w, col in groups)
     step, out = max(1, orlicz._CHUNK_ELEMENTS // max(1, len(cubes))), []
     for first in range(0, len(corpus), step):
         batch = corpus[first : first + step]
-        val = np.tile(scale, len(batch))  # entry t |family| + k: tuple t, cube k
+        val = np.tile(scale, (len(batch), 1))  # val[t, k]: tuple t, cube k
         for i, spec in enumerate(specs):
-            live = np.flatnonzero(val != 0.0)
-            if live.size == 0:
+            if not val.any():
                 break
-            t, k = np.divmod(live, len(cubes))
-            val[live] *= luxemburg_norms([fs[i] for fs in batch], cubes[k], spec, which=t)
-        val = val.reshape(len(batch), len(cubes))
+            fs = [t[i] for t in batch]
+            if lattice and spec.r is not None:
+                for (w, col), norms in zip(groups, _lattice_norms(fs, [w for w, _ in groups], spec.r)):
+                    v = val[:, col]
+                    val[:, col] = np.multiply(v, norms, out=v, where=v != 0.0)
+            else:
+                t, k = np.nonzero(val)
+                val[t, k] *= luxemburg_norms(fs, cubes[k], spec, which=t)
         top = np.full((len(batch),) + grid.shape, -np.inf)
-        for w, idx in groups:
-            _scatter_max(top, cubes.lo[idx], w, val[:, idx])
+        for w, col in groups:
+            _scatter_max(top, cubes.lo[col], w, val[:, col], lattice)
         if np.any(~np.isfinite(top)):
             raise ValueError("cube family leaves part of the grid uncovered")
         out += [GridFunction(grid, M) for M in top]
     return out
+
+
+def _is_corner_lattice(lo: np.ndarray, w: int, grid: Grid) -> bool:
+    """Whether the corners lo are every corner of a cube of width w inside
+    the box, in C order, as cube_family(grid, "centered") lists them."""
+    side, n = grid.N - w + 1, grid.n
+    return side >= 1 and len(lo) == side**n and all(
+        (lo.reshape((side,) * n + (n,))[..., a] == np.arange(side).reshape((-1,) + (1,) * (n - 1 - a))).all()
+        for a in range(n))
 
 
 def maximal(phi, specs, fs, grid: Grid, family) -> GridFunction:
@@ -227,18 +254,24 @@ def maximal(phi, specs, fs, grid: Grid, family) -> GridFunction:
     return maximal_corpus(phi, specs, [fs], grid, family)[0]
 
 
-def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray) -> None:
+def _scatter_max(out: np.ndarray, lo: np.ndarray, w: int, val: np.ndarray, lattice: bool) -> None:
     """out[t, x] = max(out[t, x], val[t, k]) over the cubes (lo[k], w) that
     contain x, for each t of the leading axis.
 
     The values go onto the lattice of corners that reach the grid, then a
     running max of width w along each grid axis carries each one over its cube.
+    With lattice, the cubes are every corner in the box in C order, and
+    their values fill the lattice's inner block as a reshape; otherwise
+    they are scattered with np.maximum.at.
     """
     N, n = out.shape[1], out.ndim - 1
-    reach = np.all((lo > -w) & (lo < N), axis=1)
     corners = np.full(out.shape[:1] + (N + w - 1,) * n, -np.inf)  # corner lo sits at lo + w - 1
-    tuples = np.arange(len(out))[:, None]
-    np.maximum.at(corners, (tuples, *(lo[reach] + w - 1).T), val[:, reach])
+    if lattice:
+        corners[(slice(None),) + (slice(w - 1, N),) * n] = val.reshape(out.shape[:1] + (N - w + 1,) * n)
+    else:
+        reach = np.all((lo > -w) & (lo < N), axis=1)
+        tuples = np.arange(len(out))[:, None]
+        np.maximum.at(corners, (tuples, *(lo[reach] + w - 1).T), val[:, reach])
     for axis in range(1, n + 1):
         corners = _running_max(corners, w, axis)
     np.maximum(out, corners, out=out)

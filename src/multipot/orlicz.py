@@ -129,9 +129,7 @@ def luxemburg_norm(f: GridFunction, Q: Cube, spec: NormSpec, tol: float = _TOL) 
 
 
 # Cells per chunk of cubes in luxemburg_norms (~0.5 MB of values): nonzero
-# cells and window lines for a Young spec, window cells of one width for
-# L^r.  The windows of a whole family reach (N-w+1)^n w^n cells, about 1e9
-# at n=3, N=64, so they are never gathered at once.
+# cells and window lines for a Young spec.
 _CHUNK_ELEMENTS = 1 << 16
 _MAX_STEPS = 200  # cap on each loop of _young_row_norms
 
@@ -156,9 +154,8 @@ def luxemburg_norms(f, cubes, spec, *, which=None) -> np.ndarray:
     cube alone; a chunk may hold several widths, functions and Young
     functions, and the root-finder on lambda runs on all its rows at once,
     each row stopping on its own.  The L^r rows, one r at a time, read
-    every cell of each window from a zero-padded stack of the bounding
-    box, one width at a time, in chunks of at most _CHUNK_ELEMENTS cells,
-    or one cube alone.
+    their sums of |f|^r from the window sums (_window_sums) of a
+    zero-padded stack of the bounding box, one width at a time.
     """
     fs = [f] if which is None else list(f)
     grid = fs[0].grid
@@ -177,58 +174,117 @@ def luxemburg_norms(f, cubes, spec, *, which=None) -> np.ndarray:
 def _norms(fs, cubes: CubeSet, which, spec, tol: float) -> np.ndarray:
     """luxemburg_norms on checked arguments, spec a list of one NormSpec
     per function, with root-finder tolerance tol."""
+    out = np.zeros(len(cubes))
     if not len(cubes):
-        return np.zeros(0)
+        return out
     grid = fs[0].grid
-    frac = grid.cell_volume / cubes.per_width(lambda Q: Q.measure)
+    widths = cubes.by_width()
+    frac = np.empty(len(cubes))
+    for w, idx in widths:
+        frac[idx] = _cell_fraction(grid, w)
     # a corner outside [-w, N] gives an empty cube, as does the clamped one
     lo = np.minimum(np.maximum(cubes.lo, -cubes.w[:, None]), grid.N)
     # each function's Young function as an index in youngs, -1 for L^r
     youngs = list(dict.fromkeys(s.young for s in spec if s.young is not None))
     fy = np.array([-1 if s.young is None else youngs.index(s.young) for s in spec])
-
-    def norms(rows, r):
-        """The norms of rows for L^r, or of Young rows for r None."""
-        args = fs, lo[rows], cubes.w[rows], which[rows], frac[rows]
-        if r is None:
-            return _segment_norms(*args, youngs, fy, tol)
-        return _window_norms(*args, cubes[rows].by_width(), r)
-
     groups = list(dict.fromkeys(s.r for s in spec))  # each L^r exponent, None for the Young specs
-    if len(groups) == 1:  # every row: a slice takes views, where an index array would copy each array
-        return norms(slice(None), groups[0])
-    out = np.zeros(len(cubes))
-    group = np.array([groups.index(s.r) for s in spec])[which]
+    # the group of each row; with one group every row, and a slice takes views where an index array copies
+    group = np.array([groups.index(s.r) for s in spec])[which] if len(groups) > 1 else None
     for i, r in enumerate(groups):
-        rows = np.flatnonzero(group == i)
-        if rows.size:
-            out[rows] = norms(rows, r)
+        if r is not None:
+            _lr_norms(out, fs, lo, which, frac, widths if group is None
+                      else [(w, idx[group[idx] == i]) for w, idx in widths], r)
+            continue
+        rows = slice(None) if group is None else np.flatnonzero(group == i)
+        out[rows] = _segment_norms(fs, lo[rows], cubes.w[rows], which[rows], frac[rows], youngs, fy, tol)
     return out
 
 
-def _window_norms(fs, lo, ws, which, frac, groups, r) -> np.ndarray:
-    """luxemburg_norms for L^r: |f| on the cubes' bounding box is written
-    once into one zero-filled stack, and the windows of each width (groups)
-    are one read-only, bounds-checked view of it."""
+def _cell_fraction(grid, w: int) -> float:
+    """The share of one cell in a cube of width w: the cell volume over the
+    full measure (w h)^n, as Cube.measure takes it."""
+    return grid.cell_volume / (w * grid.h) ** grid.n
+
+
+def _lr_norms(out, fs, lo, which, frac, widths, r) -> None:
+    """luxemburg_norms for L^r into out on the rows of widths, (w, rows)
+    for each width: |f|^r is taken once on the rows' bounding box, and
+    each row's sum read from the window sums over the part of it that
+    holds the cubes of its width."""
+    widths = [(w, idx) for w, idx in widths if idx.size]
+    if not widths:
+        return
+    boxes = [(lo[idx].min(axis=0), (lo[idx] + w).max(axis=0)) for w, idx in widths]
+    first = np.min([a for a, _ in boxes], axis=0)
+    stack = _power_stack(fs, first, np.max([b for _, b in boxes], axis=0), r)
+    for (w, idx), (a, b) in zip(widths, boxes):
+        part = stack[(slice(None), *map(slice, (a - first).tolist(), (b - first).tolist()))]
+        out[idx] = _window_sums(part, w)[(which[idx], *(lo[idx] - a).T)]
+    rows = np.concatenate([idx for _, idx in widths])
+    out[rows] = _lr_roots(out[rows] * frac[rows], r)
+
+
+def _lattice_norms(fs, widths, r):
+    """For each width w of widths, the L^r norms of each f of fs over every
+    cube of width w inside the box, corners in C order: an array of shape
+    (len(fs), (N - w + 1)^n), equal bit for bit to those rows of
+    luxemburg_norms, with no index arrays."""
     grid = fs[0].grid
-    out = np.empty(len(ws))
-    first, end = lo.min(axis=0), (lo + ws[:, None]).max(axis=0)
-    a, b = np.minimum(np.maximum(first, 0), grid.N), np.minimum(np.maximum(end, 0), grid.N)  # the part in the grid
-    padded = np.zeros((len(fs), *(end - first).tolist()))
+    stack = _power_stack(fs, np.zeros(grid.n, dtype=np.int64), np.full(grid.n, grid.N), r)
+    for w in widths:
+        yield _lr_roots(_window_sums(stack, w).reshape(len(fs), -1) * _cell_fraction(grid, w), r)
+
+
+def _power_stack(fs, first, end, r) -> np.ndarray:
+    """|f|^r of each f of fs on the box [first, end) of cells, zero off the
+    grid, as one array (function, then the axes of the box)."""
+    N = fs[0].grid.N
+    stack = np.zeros((len(fs), *(end - first).tolist()))
+    a, b = np.minimum(np.maximum(first, 0), N), np.minimum(np.maximum(end, 0), N)  # the part in the grid
     if (a < b).all():
         box = tuple(map(slice, a.tolist(), b.tolist()))
         into = tuple(map(slice, (a - first).tolist(), (b - first).tolist()))
         for j, g in enumerate(fs):
-            np.abs(g.values[box], out=padded[(j, *into)])
-    starts = lo - first
-    for w, idx in groups:
-        windows = np.ndarray(padded.shape[:1] + tuple(s - w + 1 for s in padded.shape[1:]) + (w,) * grid.n,
-                             buffer=padded, strides=padded.strides + padded.strides[1:])
-        windows.flags.writeable = False
-        k = max(1, _CHUNK_ELEMENTS // w**grid.n)  # a wider cube goes alone
-        for sel in (idx[i : i + k] for i in range(0, idx.size, k)):
-            out[sel] = _lr_norms(windows[(which[sel], *starts[sel].T)].reshape(-1, w**grid.n), r, frac[sel[0]])
+            np.abs(g.values[box], out=stack[(j, *into)])
+    if r != 1:  # v ** 1.0 == v; numpy's power rounds each value alike in any array
+        np.power(stack, r, out=stack)
+    return stack
+
+
+def _window_sums(stack, w: int) -> np.ndarray:
+    """The sums of stack over every window of width w on axes 1 ... n:
+    S[j, i] is the sum of stack[j] over the cube of width w with first
+    cell i, for every i where it fits, taken one axis at a time by
+    _axis_sums.  Every add is of nonnegatives, so nothing cancels, and a
+    window's sum is one fixed order of adds of its own cells, whatever
+    the stack around it: a zero cell adds 0 exactly."""
+    for axis in range(1, stack.ndim):
+        stack = _axis_sums(stack, w, axis)
+    return stack
+
+
+def _axis_sums(a, w: int, axis: int) -> np.ndarray:
+    """The sums of w consecutive entries of a along axis, for every start
+    where they fit: the sums of 1, 2, 4, ... entries by doubling, S_2k(i)
+    = S_k(i) + S_k(i + k), and the powers of two of w added lowest first
+    (a itself for w = 1)."""
+    size = a.shape[axis] - w + 1
+    out, k, shift = None, 1, 0  # a holds the sums of k entries; out those of the first shift
+    while k <= w:
+        if w & k:
+            part = _cut(a, axis, shift, size)
+            out = part if out is None else out + part
+            shift += k
+        if 2 * k <= w:
+            length = a.shape[axis] - k
+            a = _cut(a, axis, 0, length) + _cut(a, axis, k, length)
+        k *= 2
     return out
+
+
+def _cut(a, axis: int, start: int, size: int) -> np.ndarray:
+    """a[start : start + size] along axis, as a view."""
+    return a[(slice(None),) * axis + (slice(start, start + size),)]
 
 
 def _segment_norms(fs, lo, ws, which, frac, Y, fy, tol) -> np.ndarray:
@@ -313,16 +369,9 @@ def _ranges(start, count) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - (ends - count), count)
 
 
-def _lr_norms(v, r: float, frac: float) -> np.ndarray:
-    """The L^r Luxemburg norm of each row of the 2-D block v of nonnegative
-    cell values, each cell frac of its cube."""
-    # v ** 1.0 == v and s ** 1.0 == s, so r = 1 skips both powers
-    sums = np.sum(v if r == 1 else v**r, axis=1) * frac
-    if r == 1:
-        return sums
-    # numpy's vectorized power can round differently from the scalar
-    # power of the closed form, so the root is taken row by row
-    return np.array([s ** (1.0 / r) for s in sums.tolist()])
+def _lr_roots(s, r: float) -> np.ndarray:
+    """The L^r Luxemburg norms s^(1/r) from the cube averages s of |f|^r."""
+    return s if r == 1 else s ** (1.0 / r)  # s ** 1.0 == s
 
 
 @np.errstate(over="ignore")  # S(lam) may overflow to inf at a small lam; the steps allow for it

@@ -340,10 +340,10 @@ def verify_fefferman_stein(
         {"case": case, "ell": ell, "p": p_list, "delta": delta, "m": m,
          "n": grid.n, "N": grid.N},
     )
+    uprod = np.ones(grid.shape)  # the product of u_i^(p / p_i), the same for every tuple
+    for ui, pi in zip(us, p_list):
+        uprod *= ui.values ** (p / pi)
     for i, (fs, T) in enumerate(_outputs(kernel, grid, corpus, ell, bs)):
-        uprod = np.ones(grid.shape)
-        for ui, pi in zip(us, p_list):
-            uprod *= ui.values ** (p / pi)
         lhs = integrate(GridFunction(grid, np.abs(T.values) ** p * uprod)) ** (1.0 / p)
         rhs = 1.0
         for f, pi, mw in zip(fs, p_list, mweights):

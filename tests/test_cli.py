@@ -43,6 +43,13 @@ class TestEvalOp:
         assert doc["result"]["max"] > 0
         assert (tmp_path / "operator_output.csv").exists()
 
+    def test_too_large_a_spectrum_exits_one(self, tmp_path, capsys):
+        # 32^5 * 17 spectrum values at (n, m, N) = (3, 2, 16), about 4.6 GB
+        code = run_cli(["eval-op", "--n", 3, "--m", 2, "--N", 16, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the kernel spectrum at n = 3, m = 2, N = 16 needs ") and err.count("\n") == 1
+
 
 class TestCzDecompose:
     def test_writes_json(self, tmp_path):

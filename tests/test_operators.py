@@ -118,6 +118,18 @@ class TestApplyPotential:
         with pytest.raises(ValueError, match="share one grid"):
             apply_potential(frac(1.0, 1, 2), fs)
 
+    def test_spectrum_too_large_raises_before_allocating(self, monkeypatch):
+        # (n, m, N) = (3, 2, 16): the spectrum's build takes 32^5 * 17 values, about 4.6 GB
+        g = make_grid(3, 1.0, 16)
+        fs = [GridFunction.constant(g, 1.0)] * 2
+
+        def no_spectrum(*args):
+            raise AssertionError("the spectrum was built")
+
+        monkeypatch.setattr(operators, "_kernel_spectrum", no_spectrum)
+        with pytest.raises(ValueError, match=f"needs {32**5 * 17} values"):
+            apply_potential(frac(1.0, 3, 2), fs)
+
 
 # one kernel object per family, so that repeated (kernel, grid) pairs hit
 # the spectrum cache across tests and hypothesis examples
@@ -647,6 +659,61 @@ class TestMaximalCorpus:
         monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)  # two tuples of three cubes per batch
         maximal_corpus(lambda Q: 1.0, specs, corpus, g, fam)
         assert calls == [2, 2, 2, 2, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["L^1", "L^1.5", "L^2", "Lp1logL1", "expL"])
+    def test_centered_family_matches_per_cube_loop(self, n, spec, monkeypatch):
+        # the centred family is a corner lattice: an L^r slot makes no
+        # luxemburg_norms call, and the values go onto the lattice by a reshape
+        g = make_grid(n, 1.3, BATCH_N[n])
+        fam = cube_family(g, "centered")
+        assert all(operators._is_corner_lattice(fam.lo[idx], w, g) for w, idx in fam.by_width())
+        rng = np.random.default_rng(n)
+        corpus = [[GridFunction(g, rng.lognormal(0.0, 1.0, g.shape) * (rng.uniform(size=g.shape) < 0.6))
+                   for _ in range(2)] for _ in range(3)]
+        specs = [parse_norm_spec(spec), parse_norm_spec("L^1.5")]
+        phi = lambda Q: Q.measure**0.25
+        calls, norms = [], operators.luxemburg_norms
+
+        def spy(fs, cubes, spec, which):
+            calls.append(spec)
+            return norms(fs, cubes, spec, which=which)
+
+        monkeypatch.setattr(operators, "luxemburg_norms", spy)
+        got = maximal_corpus(phi, specs, corpus, g, fam)
+        assert calls == [s for s in specs if s.young is not None]
+        for fs, M in zip(corpus, got):
+            np.testing.assert_array_equal(M.values, per_cube_maximal(phi, specs, fs, g, fam))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("change", ["one corner removed", "a width reordered"])
+    def test_centered_family_off_the_lattice_takes_the_scatter(self, n, change, monkeypatch):
+        g = make_grid(n, 1.3, BATCH_N[n])
+        fam = cube_family(g, "centered")
+        width2 = np.flatnonzero(fam.w == 2)
+        if change == "one corner removed":  # its cells stay covered by the width-1 cubes
+            fam = fam[np.arange(len(fam)) != width2[len(width2) // 2]]
+        else:
+            order = np.arange(len(fam))
+            order[width2] = width2[::-1]
+            fam = fam[order]
+        assert not all(operators._is_corner_lattice(fam.lo[idx], w, g) for w, idx in fam.by_width())
+        rng = np.random.default_rng(n)
+        fs = [GridFunction(g, rng.lognormal(0.0, 1.0, g.shape))]
+        specs = [parse_norm_spec("L^1.5")]
+        calls, norms = [], operators.luxemburg_norms
+
+        def spy(fs, cubes, spec, which):
+            calls.append(spec)
+            return norms(fs, cubes, spec, which=which)
+
+        monkeypatch.setattr(operators, "luxemburg_norms", spy)
+        got = maximal(lambda Q: 1.0, specs, fs, g, fam).values
+        assert calls == specs
+        np.testing.assert_array_equal(got, per_cube_maximal(lambda Q: 1.0, specs, fs, g, fam))
+        if change == "a width reordered":  # the same cubes as the lattice
+            np.testing.assert_array_equal(got, maximal(lambda Q: 1.0, specs, fs, g,
+                                                       cube_family(g, "centered")).values)
 
     def test_empty_corpus(self):
         g = make_grid(1, 1.0, 8)

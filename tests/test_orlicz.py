@@ -546,28 +546,6 @@ class TestSolverAgainstBisection:
         assert any(np.unique(fracs).size > 1 for _, fracs in chunks)  # a chunk spans widths
         assert any(fracs.size == 1 and cells == 8 for cells, fracs in chunks)
 
-    def test_lr_chunks_hold_one_width(self, monkeypatch):
-        g = make_grid(1, 1.0, 16)
-        f = _banded_function(g, 5)
-        spec = parse_norm_spec("L^1.5")
-        cubes = _mixed_width_cubes(g)
-        want = _per_width_norms(f, cubes, spec)
-        shapes, lr_norms = [], orlicz._lr_norms
-
-        def spy(v, r, frac):
-            shapes.append(v.shape)
-            return lr_norms(v, r, frac)
-
-        monkeypatch.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
-        monkeypatch.setattr(orlicz, "_lr_norms", spy)
-        np.testing.assert_array_equal(luxemburg_norms(f, cubes, spec), want)
-        # narrowest first, 7 // w cubes of width w a chunk, a cube of width 8 alone
-        expected = []
-        for w in (1, 2, 3, 8):
-            count, k = sum(Q.w == w for Q in cubes), max(1, 7 // w)
-            expected += [(min(k, count - i), w) for i in range(0, count, k)]
-        assert shapes == expected
-
 
 def _mixed_width_cubes(g):
     """Cubes of widths 1, 2, 3 and 8 along a 1-D grid, some clipped by the
@@ -662,12 +640,17 @@ class TestPowerLogAgainstTwoPassFormula:
 
 
 def test_l1_lr_norms_are_the_sums():
-    # for r = 1 the scalar root s ** 1.0 is skipped: it returns s
-    rng = np.random.default_rng(1)
-    for v, frac in ((rng.lognormal(0.0, 1.0, (5, 4)), 0.25), (rng.uniform(size=(3, 9)), 1 / 9),
-                    (np.zeros((2, 9)), 1 / 9)):
-        sums = np.sum(v, axis=1) * frac
-        np.testing.assert_array_equal(orlicz._lr_norms(v, 1.0, frac), [s ** (1.0 / 1.0) for s in sums.tolist()])
+    # for r = 1 neither |f| ** r nor the root is taken: a norm is the
+    # window sum of |f| times the cell fraction
+    g = make_grid(2, 1.3, 8)
+    f = GridFunction(g, np.random.default_rng(1).normal(size=g.shape))
+    for w in (1, 3, 4, 6):
+        cubes = [Cube(g, lo, w) for lo in np.ndindex(g.N - w + 1, g.N - w + 1)]
+        sums = orlicz._window_sums(np.abs(f.values)[None], w)
+        want = sums.ravel() * (g.cell_volume / cubes[0].measure)
+        np.testing.assert_array_equal(luxemburg_norms(f, cubes, NormSpec.lebesgue(1.0)), want)
+    s = np.random.default_rng(2).lognormal(size=5)
+    assert orlicz._lr_roots(s, 1.0) is s
 
 
 class TestMultiFunctionNorms:
@@ -736,7 +719,7 @@ def _padded_window_norms(fs, cubes, spec, which):
     """The gather that luxemburg_norms replaced: the stacked |f| through
     np.pad, the windows of each width from sliding_window_view and the
     cell fraction from Cube.measure, all the rows of a width at once: the
-    L^r sums and a scalar root per row, or one root-finder call."""
+    L^r sums by np.sum and a scalar root per row, or one root-finder call."""
     g, n = fs[0].grid, fs[0].grid.n
     ws = np.array([Q.w for Q in cubes])
     lo = np.clip([Q.lo for Q in cubes], -ws[:, None], g.N)
@@ -785,7 +768,11 @@ def test_gather_matches_padded_windows_property(spec, n, count, small_chunks, se
         if small_chunks:
             mp.setattr(orlicz, "_CHUNK_ELEMENTS", 7)
         got = luxemburg_norms(fs, cubes, spec, which=which)
-    np.testing.assert_array_equal(got, _padded_window_norms(fs, cubes, spec, which))
+    want = _padded_window_norms(fs, cubes, spec, which)
+    if spec.young is None:  # window sums by doubling, in another order than np.sum's
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    else:
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -844,3 +831,40 @@ def test_spec_list_needs_one_spec_per_function():
     got = luxemburg_norms([f, f], cubes, [parse_norm_spec("Lp1logL1"), NormSpec.lebesgue(1.0)],
                           which=[0] * len(cubes))
     np.testing.assert_array_equal(got, luxemburg_norms(f, cubes, parse_norm_spec("Lp1logL1")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), r=st.sampled_from([1.0, 1.5, 2.0, 4 / 3]), count=st.integers(1, 3),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_window_sums_match_padded_windows_property(n, r, count, seed, data):
+    # widths 1 ... N and 3 * 2^k in any mix, corners on and off the box,
+    # several functions through which: every L^r norm is that of the
+    # gather and np.sum to 1e-14
+    g = make_grid(n, 1.3, {1: 32, 2: 16, 3: 8}[n])
+    rng = np.random.default_rng(seed)
+    fs = [_banded_function(g, seed + j) for j in range(count)] + [GridFunction(g, rng.lognormal(0.0, 2.0, g.shape))]
+    widths = data.draw(st.lists(st.integers(1, g.N) | st.sampled_from([3 << k for k in range(g.N.bit_length())]), min_size=1, max_size=6))
+    cubes = [Cube(g, tuple(int(i) for i in rng.integers(-w - 2, g.N + 2, n)), w)
+             for w in widths for _ in range(int(rng.integers(1, 6)))]
+    which = rng.integers(0, len(fs), len(cubes))
+    spec = NormSpec.lebesgue(r)
+    got = luxemburg_norms(fs, cubes, spec, which=which)
+    want = _padded_window_norms(fs, cubes, spec, which)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spec", ["L^1", "L^1.5", "L^2"])
+def test_one_cube_lr_norm_is_its_batch_row(n, spec):
+    # widths that are not powers of two add the sums of several powers of
+    # two; a window's sum is the same whatever the bounding box
+    g = make_grid(n, 1.3, {1: 32, 2: 16, 3: 8}[n])
+    rng = np.random.default_rng(n)
+    fs = [GridFunction(g, rng.lognormal(0.0, 1.0, g.shape)) for _ in range(2)]
+    spec = parse_norm_spec(spec)
+    cubes = [Cube(g, tuple(int(i) for i in rng.integers(1 - w, g.N, n)), w)
+             for w in (3, 5, 6, 7, 11, 12, 24) for _ in range(3)]
+    which = rng.integers(0, 2, len(cubes))
+    batch = luxemburg_norms(fs, cubes, spec, which=which)
+    assert batch.all()  # every cube meets the box
+    assert [luxemburg_norm(fs[j], Q, spec) for Q, j in zip(cubes, which.tolist())] == batch.tolist()
